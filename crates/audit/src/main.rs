@@ -266,8 +266,9 @@ fn run_dpor(budget: Option<&str>) -> ExitCode {
         fork_join_two_workers, injected_rare_race, FORK_JOIN_TWO_WORKERS_SCHEDULES,
     };
     use pcmax_audit::explore::sweep_exhaustive;
-    use pcmax_parallel::wavefront::bucketed_sweep;
+    use pcmax_parallel::wavefront::bucketed_sweep_space;
     use pcmax_ptas::dp::DpProblem;
+    use pcmax_ptas::space::PcmaxSpace;
     use pcmax_ptas::table::DpScratch;
 
     let budget: usize = match budget.unwrap_or("2000").parse() {
@@ -329,7 +330,7 @@ fn run_dpor(budget: Option<&str>) -> ExitCode {
             };
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
-            bucketed_sweep(&mut table, &configs, 2, &mut scratch);
+            bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
             table.values_row_major()
         },
         |schedule, values| {

@@ -15,10 +15,10 @@ use pcmax_audit::dpor::workloads::{
     FORK_JOIN_TWO_WORKERS_SCHEDULES, TRIPLE_RMW_THREE_WORKERS_SCHEDULES,
 };
 use pcmax_audit::explore::{sweep, sweep_exhaustive};
-use pcmax_parallel::wavefront::{bucketed_sweep, bucketed_sweep_space_with, spawn_per_level_sweep};
-use pcmax_parallel::{CellKernel, Chunking};
+use pcmax_parallel::wavefront::{bucketed_sweep_space, bucketed_sweep_space_with};
+use pcmax_parallel::{CellKernel, FaithfulDp};
 use pcmax_ptas::dp::DpProblem;
-use pcmax_ptas::space::PcmaxSpace;
+use pcmax_ptas::space::{PcmaxSpace, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
 
 /// A deliberately tiny instance (one job of rounded size 2·2, one of 4·2)
@@ -50,17 +50,25 @@ fn pool_values(threads: usize) -> Vec<u16> {
         .expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
     table.values[0] = 0;
-    bucketed_sweep(&mut table, &configs, threads, &mut scratch);
+    bucketed_sweep_space(
+        &mut table,
+        &PcmaxSpace::new(&configs),
+        threads,
+        &mut scratch,
+    );
     table.values_row_major()
 }
 
-/// The spawn-per-level fallback executor on the tiny instance.
-fn spawn_values(threads: usize) -> Vec<u16> {
+/// The paper-literal full-scan executor on the tiny instance.
+fn faithful_values(threads: usize) -> Vec<u16> {
     let problem = tiny_problem();
     let mut table = problem.build_table().expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
-    table.values[0] = 0;
-    spawn_per_level_sweep(&mut table, &configs, threads, &mut DpScratch::new());
+    FaithfulDp::with_threads(threads).sweep(
+        &mut table,
+        &PcmaxSpace::new(&configs),
+        &mut DpScratch::new(),
+    );
     table.values
 }
 
@@ -96,7 +104,7 @@ fn persistent_pool_minimal_instance_is_exhaustively_covered() {
                 .expect("minimal problem fits");
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
-            bucketed_sweep(&mut table, &configs, 2, &mut scratch);
+            bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
             table.values_row_major()
         },
         |schedule, values| {
@@ -175,14 +183,7 @@ fn strip_kernel_exhaustive_sweep_is_clean() {
             let configs = problem.configs_with_offsets(&table);
             let space = PcmaxSpace::new(&configs);
             table.values[0] = 0;
-            bucketed_sweep_space_with(
-                &mut table,
-                &space,
-                2,
-                &mut scratch,
-                CellKernel::Strip,
-                Chunking::Adaptive,
-            );
+            bucketed_sweep_space_with(&mut table, &space, 2, &mut scratch, CellKernel::Strip);
             table.values_row_major()
         },
         |schedule, values| {
@@ -220,11 +221,14 @@ fn strip_kernel_exhaustive_sweep_is_clean() {
 }
 
 #[test]
-fn spawn_per_level_exhaustive_sweep_is_clean() {
+fn faithful_exhaustive_sweep_is_clean() {
+    // The paper-literal full scan on the persistent pool: DPOR must exhaust
+    // its whole schedule space on the tiny instance, every schedule clean
+    // and reproducing the oracle.
     let expected = tiny_oracle();
     let report = sweep_exhaustive(
         4000,
-        || spawn_values(2),
+        || faithful_values(2),
         |schedule, values| {
             assert_eq!(
                 values, &expected,
@@ -234,9 +238,11 @@ fn spawn_per_level_exhaustive_sweep_is_clean() {
     );
     assert!(
         report.complete,
-        "spawn-per-level on the tiny instance must be fully enumerable"
+        "the faithful sweep on the tiny instance must be fully enumerable \
+         (ran {} schedules without exhausting the space)",
+        report.schedules
     );
-    assert!(report.is_clean(), "spawn-per-level findings: {report:?}");
+    assert!(report.is_clean(), "faithful sweep findings: {report:?}");
     assert!(report.max_threads > 1);
 }
 

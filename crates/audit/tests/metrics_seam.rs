@@ -11,8 +11,9 @@
 #![cfg(feature = "audit")]
 
 use pcmax_audit::explore::sweep;
-use pcmax_parallel::wavefront::bucketed_sweep;
+use pcmax_parallel::wavefront::bucketed_sweep_space;
 use pcmax_ptas::dp::DpProblem;
+use pcmax_ptas::space::PcmaxSpace;
 use pcmax_ptas::table::DpScratch;
 
 /// The paper's worked example (Table I): 12 entries over 6 levels.
@@ -47,7 +48,7 @@ fn registry_and_scratch_agree_under_every_explored_schedule() {
                 .expect("paper problem fits");
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
-            bucketed_sweep(&mut table, &configs, 2, &mut scratch);
+            bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
             let parks = pcmax_parallel::metrics::POOL_PARKS.get() - parks0;
             let wakes = pcmax_parallel::metrics::POOL_WAKES.get() - wakes0;
             (table.values_row_major(), scratch, parks, wakes)

@@ -9,10 +9,8 @@
 #![cfg(feature = "audit")]
 
 use pcmax_audit::explore::{run_seed, sweep};
-use pcmax_parallel::wavefront::{
-    bucketed_sweep, bucketed_sweep_space, bucketed_sweep_space_with, spawn_per_level_sweep,
-};
-use pcmax_parallel::{sync, CellKernel, Chunking, ParallelDp, ScopedDp};
+use pcmax_parallel::wavefront::{bucketed_sweep_space, bucketed_sweep_space_with};
+use pcmax_parallel::{sync, CellKernel, FaithfulDp, ParallelDp};
 use pcmax_ptas::dp::{DpProblem, DpSolver, IterativeDp};
 use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace};
 use pcmax_ptas::table::DpScratch;
@@ -41,7 +39,12 @@ fn sweep_values(threads: usize) -> (Vec<u16>, DpScratch) {
         .expect("paper problem fits");
     let configs = problem.configs_with_offsets(&table);
     table.values[0] = 0;
-    bucketed_sweep(&mut table, &configs, threads, &mut scratch);
+    bucketed_sweep_space(
+        &mut table,
+        &PcmaxSpace::new(&configs),
+        threads,
+        &mut scratch,
+    );
     (table.values_row_major(), scratch)
 }
 
@@ -133,9 +136,9 @@ fn persistent_pool_park_wake_barrier_is_race_free() {
     assert!(report.max_threads > 1);
 }
 
-/// The bucketed sweep with an explicitly pinned cell kernel. Chunking is
-/// requested adaptive (the production default) but the planner pins itself
-/// static under `feature = "audit"` so explored schedules stay replayable.
+/// The bucketed sweep with an explicitly pinned cell kernel. The adaptive
+/// chunk planner pins itself static under `feature = "audit"` so explored
+/// schedules stay replayable.
 fn kernel_sweep_values(threads: usize, kernel: CellKernel) -> Vec<u16> {
     let problem = paper_problem();
     let mut scratch = DpScratch::new();
@@ -145,14 +148,7 @@ fn kernel_sweep_values(threads: usize, kernel: CellKernel) -> Vec<u16> {
     let configs = problem.configs_with_offsets(&table);
     let space = PcmaxSpace::new(&configs);
     table.values[0] = 0;
-    bucketed_sweep_space_with(
-        &mut table,
-        &space,
-        threads,
-        &mut scratch,
-        kernel,
-        Chunking::Adaptive,
-    );
+    bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
     table.values_row_major()
 }
 
@@ -269,47 +265,43 @@ fn uniform_capacity_wavefront_is_race_free_across_64_interleavings() {
 }
 
 #[test]
-fn spawn_per_level_fallback_is_race_free() {
-    // The legacy executor survives as the bench baseline and as the
-    // row-major fallback of `bucketed_sweep`; keep it under the detector.
-    let report = sweep(
-        500,
-        32,
-        || {
-            let problem = paper_problem();
-            let mut table = problem.build_table().expect("paper problem fits");
-            let configs = problem.configs_with_offsets(&table);
-            table.values[0] = 0;
-            spawn_per_level_sweep(&mut table, &configs, 3, &mut DpScratch::new());
-            table.values
-        },
-        |seed, values| {
-            assert_eq!(values.as_slice(), PAPER_TABLE, "seed {seed}");
-        },
-    );
-    assert!(report.races.is_empty(), "races: {:?}", report.races);
-    assert!(report.max_threads > 1);
-}
-
-#[test]
-fn scoped_round_robin_executor_is_race_free() {
+fn faithful_executor_is_race_free_across_64_interleavings() {
+    // The paper-literal full scan writes in place on the same pool as the
+    // production sweep: every explored schedule must stay race-free, balance
+    // the pool's parks and wakes, and reproduce the sequential outcome.
     let expected = IterativeDp
         .solve(&paper_problem())
         .expect("sequential solve");
     let report = sweep(
-        100,
-        32,
+        500,
+        64,
         || {
-            ScopedDp::new(2)
-                .solve(&paper_problem())
-                .expect("scoped solve")
+            let mut scratch = DpScratch::new();
+            let out = FaithfulDp::with_threads(3)
+                .solve_in(&paper_problem(), &mut scratch)
+                .expect("faithful solve");
+            (out, scratch)
         },
-        |seed, out| {
-            assert_eq!(out.machines, expected.machines, "seed {seed}");
-            assert_eq!(out.schedule, expected.schedule, "seed {seed}");
+        |seed, (out, scratch)| {
+            assert_eq!(out, &expected, "seed {seed}: faithful outcome diverged");
+            assert_eq!(
+                scratch.pool_parks, scratch.pool_wakes,
+                "seed {seed}: a condvar wait was entered but never returned"
+            );
         },
     );
-    assert!(report.races.is_empty(), "races: {:?}", report.races);
+    assert_eq!(report.schedules, 64);
+    assert!(
+        report.races.is_empty(),
+        "faithful sweep races found: {:?}",
+        report.races
+    );
+    assert!(
+        report.lock_cycles.is_empty() && report.lost_wakeups.is_empty(),
+        "faithful sweep blocking findings: {:?} {:?}",
+        report.lock_cycles,
+        report.lost_wakeups
+    );
     assert!(report.max_threads > 1);
 }
 

@@ -1,10 +1,10 @@
 //! Ablation: bucketed level iteration vs the paper-literal full-table scan
-//! per level (Lines 11-12 of Algorithm 3), and the static round-robin
-//! scoped-thread executor. Quantifies the O(sigma * n') scan overhead the
-//! paper's formulation carries.
+//! per level (Lines 11-12 of Algorithm 3), both on the persistent pool.
+//! Quantifies the O(sigma * n') scan overhead the paper's formulation
+//! carries.
 
 use pcmax_bench::micro;
-use pcmax_parallel::{ParallelDp, ScopedDp};
+use pcmax_parallel::{FaithfulDp, ParallelDp};
 use pcmax_ptas::dp::DpSolver;
 use pcmax_ptas::{rounded_problem, DpProblem, EpsilonParams};
 use pcmax_workloads::{generate, Distribution, Family};
@@ -21,10 +21,6 @@ fn main() {
     let problem = representative_problem();
     let bucketed = ParallelDp::default();
     group.bench("bucketed", "m10n30", || bucketed.solve(&problem).unwrap());
-    let faithful = ParallelDp::faithful();
+    let faithful = FaithfulDp::default();
     group.bench("faithful", "m10n30", || faithful.solve(&problem).unwrap());
-    let scoped = ScopedDp::new(2);
-    group.bench("scoped_static", "m10n30", || {
-        scoped.solve(&problem).unwrap()
-    });
 }

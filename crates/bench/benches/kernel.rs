@@ -10,9 +10,9 @@
 //!   records which via `isa`),
 //!
 //! each at 1/2/4 worker threads, over a `u100-m*-n*-eps*` grid whose
-//! largest case exceeds 10⁶ DP cells — the tracked cases in
-//! `BENCH_wavefront.json` (≤1139 cells) are far too small to measure
-//! throughput honestly.
+//! largest case exceeds 10⁶ DP cells, so throughput is measured on tables
+//! large enough to time honestly. The 1/2/4-thread columns are also the
+//! pool's tracked scaling numbers.
 //!
 //! ```text
 //! cargo bench -p pcmax-bench --bench kernel -- [--smoke] [--list] \
@@ -23,8 +23,7 @@
 //! * `--json FILE`  — write measurements (tracked `BENCH_kernel.json`).
 //! * `--check FILE` — regression gate: fail if the single-threaded
 //!   native/scalar speedup regressed by more than 25% for any case in both
-//!   runs. Like the `wavefront` gate this compares *ratios*, so it is
-//!   machine-normalized.
+//!   runs. It compares *ratios*, so it is machine-normalized.
 //! * `--smoke`      — only the small fixed case (CI `bench-smoke`).
 //!
 //! Every timed sweep is first checked bit-identical against the serial
@@ -33,7 +32,7 @@
 use pcmax_bench::timing::time_stable;
 use pcmax_core::json::{self, Value};
 use pcmax_parallel::wavefront::bucketed_sweep_space_with;
-use pcmax_parallel::{simd, CellKernel, Chunking};
+use pcmax_parallel::{simd, CellKernel};
 use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::space::{PcmaxSpace, SerialEngine, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
@@ -171,14 +170,7 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
     // is sound — and it is exactly the kernel-only measurement we want.
     let mut sweep = |threads: usize, kernel: CellKernel| -> f64 {
         table.values[0] = 0;
-        bucketed_sweep_space_with(
-            &mut table,
-            &space,
-            threads,
-            &mut scratch,
-            kernel,
-            Chunking::default(),
-        );
+        bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
         assert_eq!(
             table.values_row_major(),
             want,
@@ -191,14 +183,7 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
             .map(|_| {
                 time_stable(min_secs, || {
                     table.values[0] = 0;
-                    bucketed_sweep_space_with(
-                        &mut table,
-                        &space,
-                        threads,
-                        &mut scratch,
-                        kernel,
-                        Chunking::default(),
-                    );
+                    bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
                 })
             })
             .fold(f64::INFINITY, f64::min);

@@ -1,11 +1,10 @@
 //! The submission-based session engine: one API surface for every solve.
 //!
-//! [`Engine::submit`] replaces the three parallel one-shot entry points the
-//! registry used to export (`solve`, `solve_traced`, `solve_metered`) with a
-//! single pipeline: a [`Submission`] names a registry solver, owns its
-//! [`Instance`], and composes observers (a [`TraceSink`], the always-on
-//! metrics registry, per-solve [`SolveStats`]) instead of picking an entry
-//! point per concern. Submitting returns a [`SolveHandle`] with non-blocking
+//! [`Engine::submit`] is the single pipeline every caller solves through:
+//! a [`Submission`] names a registry solver, owns its [`Instance`], and
+//! composes observers (a [`TraceSink`], the always-on metrics registry,
+//! per-solve [`SolveStats`]) instead of picking an entry point per
+//! concern. Submitting returns a [`SolveHandle`] with non-blocking
 //! [`poll`](SolveHandle::poll), blocking [`wait`](SolveHandle::wait) and
 //! handle-owned [`cancel`](SolveHandle::cancel).
 //!

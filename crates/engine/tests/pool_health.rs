@@ -14,8 +14,10 @@ fn instance() -> Instance {
     Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3, 23, 29], 4).unwrap()
 }
 
-/// The trace runtime is a process-global singleton; tests that start a
-/// session must not overlap.
+/// The trace runtime is a process-global singleton: tests that start a
+/// session must not overlap, and tests that run a pool must not run during
+/// one either — their park instants would land in the traced test's
+/// timeline and break its strict park-count equality.
 fn trace_serial() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| Mutex::new(()))
@@ -25,6 +27,7 @@ fn trace_serial() -> MutexGuard<'static, ()> {
 
 #[test]
 fn pool_parks_equal_wakes_after_wind_down_across_thread_counts() {
+    let _serial = trace_serial();
     let inst = instance();
     for threads in [2, 4] {
         let params = SolverParams {
@@ -48,6 +51,7 @@ fn kernel_allocations_stay_per_worker_not_per_cell() {
     // allocate its per-worker buffers once per bisection probe, never per
     // cell. A per-cell allocation would scale the counter with dp_cells
     // (thousands here); per-worker scales with threads × probes.
+    let _serial = trace_serial();
     let inst = instance();
     for threads in [2, 4] {
         let params = SolverParams {

@@ -16,23 +16,34 @@ fn parallel_ptas_reports_wavefront_counters() {
         threads: Some(4),
         ..SolverParams::default()
     };
-    let solver = build("par-ptas", &params).unwrap();
-    let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
-    let stats = &report.stats;
-    assert!(stats.dp_cells > 0, "wavefront must count its DP cells");
-    assert!(stats.dp_levels_swept > 0, "wavefront must count its levels");
-    assert_eq!(
-        stats.pool_parks, stats.pool_wakes,
-        "every entered pool wait must return"
-    );
-    assert!(
-        stats.dp_kernel_allocs <= 4 * stats.bisection_probes.max(1),
-        "cell kernel must not allocate beyond per-worker buffers"
-    );
-    assert!(
-        stats.dp_cells_per_sec().is_some(),
-        "throughput must be derivable from the report"
-    );
+    // `spec-ptas` runs its probe rounds on the same pool and must merge
+    // every probe's counters, not only its entries and tables.
+    for name in ["par-ptas", "spec-ptas"] {
+        let solver = build(name, &params).unwrap();
+        let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
+        let stats = &report.stats;
+        assert!(
+            stats.dp_cells > 0,
+            "{name}: wavefront must count its DP cells"
+        );
+        assert!(
+            stats.dp_levels_swept > 0,
+            "{name}: wavefront must count its levels"
+        );
+        assert!(stats.pool_parks > 0, "{name}: the pool must park");
+        assert_eq!(
+            stats.pool_parks, stats.pool_wakes,
+            "{name}: every entered pool wait must return"
+        );
+        assert!(
+            stats.dp_kernel_allocs <= 4 * stats.bisection_probes.max(1),
+            "{name}: cell kernel must not allocate beyond per-worker buffers"
+        );
+        assert!(
+            stats.dp_phase_cells_per_sec().is_some(),
+            "{name}: throughput must be derivable from the report's dp phase"
+        );
+    }
 }
 
 #[test]

@@ -6,22 +6,19 @@
 //! job-count vectors have equal digit sums) are mutually independent and
 //! depend only on strictly lower anti-diagonals, so each anti-diagonal is a
 //! parallel level and levels are processed in order with a barrier between
-//! them. Three interchangeable executors are provided, all built on scoped
-//! std threads (see [`pool`]):
+//! them. Every level runs on one executor, the [`persistent`] worker pool,
+//! in two variants:
 //!
-//! * [`ParallelDp`] (bucketed levels) — the production variant: level index
-//!   buckets are precomputed once, then each level is a chunked parallel map
-//!   over its bucket followed by a sequential scatter (writes are disjoint;
-//!   reads touch lower levels only),
-//! * [`ParallelDp`] with [`LevelStrategy::Faithful`] — the paper-literal
-//!   variant: every level scans *all* σ entries and filters `d_i = l`,
-//!   exactly like Lines 11–12 of Algorithm 3 (an ablation bench quantifies
-//!   the cost of that extra scan),
-//! * [`ScopedDp`] (static round-robin) — the closest analogue of the paper's
-//!   OpenMP static schedule.
+//! * [`ParallelDp`] — the production sweep: a level-major table whose
+//!   levels are contiguous slices, split between workers and written in
+//!   place by the batched strip kernel,
+//! * [`FaithfulDp`] — the paper-literal ablation: every level scans *all*
+//!   σ entries of a row-major table and filters `d_i = l`, exactly like
+//!   Lines 11–12 of Algorithm 3 (an ablation bench quantifies the cost of
+//!   that extra scan).
 //!
-//! All three produce bit-identical tables to the sequential solvers; the
-//! tests assert it.
+//! Both produce bit-identical tables to the sequential solvers; the tests
+//! assert it.
 //!
 //! Shared-memory accesses (fork/join handoffs, the table scatter/gather)
 //! flow through the [`sync`] seam: zero-cost passthroughs normally, and —
@@ -30,20 +27,27 @@
 
 pub mod metrics;
 pub mod persistent;
-pub mod pool;
-pub mod scoped;
 pub mod simd;
 pub mod speculative;
 pub mod sync;
 pub mod wavefront;
 
-pub use pool::effective_threads;
-pub use scoped::ScopedDp;
 pub use speculative::SpeculativePtas;
-pub use wavefront::{CellKernel, Chunking, LevelStrategy, ParallelDp};
+pub use wavefront::{CellKernel, FaithfulDp, ParallelDp};
 
 use pcmax_core::{Result, SolveReport, SolveRequest, Solver};
 use pcmax_ptas::Ptas;
+
+/// Resolves a configured worker count: `None` means all available cores,
+/// explicit values are clamped to at least 1.
+pub fn effective_threads(threads: Option<usize>) -> usize {
+    match threads {
+        Some(t) => t.max(1),
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
+}
 
 /// The parallel PTAS: the sequential bisection driver with the wavefront DP
 /// as its inner solver — the composition the paper evaluates.
@@ -83,25 +87,12 @@ impl Solver for ParallelPtas {
         match req.threads {
             // A request-level thread count overrides the construction-time
             // pinning: rebuild the driver around a re-pinned wavefront DP.
-            Some(threads) => {
-                let dp = ParallelDp {
-                    threads: Some(threads),
-                    ..*self.inner.solver()
-                };
-                let repinned = Ptas::with_solver(self.inner.params().epsilon, dp)?;
-                let (out, stats) = repinned.solve_with(req)?;
-                Ok(SolveReport {
-                    makespan: out.schedule.makespan(req.instance),
-                    schedule: out.schedule,
-                    certified_target: Some(out.target),
-                    proven_optimal: false,
-                    stats,
-                })
-            }
-            None => {
-                let report = self.inner.solve(req)?;
-                Ok(report)
-            }
+            Some(threads) => Ptas::with_solver(
+                self.inner.params().epsilon,
+                ParallelDp::with_threads(threads),
+            )?
+            .solve(req),
+            None => self.inner.solve(req),
         }
     }
 }
@@ -111,6 +102,13 @@ mod tests {
     use super::*;
     use pcmax_core::{Instance, Scheduler};
     use pcmax_ptas::Ptas;
+
+    #[test]
+    fn effective_threads_clamps_and_defaults() {
+        assert_eq!(effective_threads(Some(0)), 1);
+        assert_eq!(effective_threads(Some(3)), 3);
+        assert!(effective_threads(None) >= 1);
+    }
 
     #[test]
     fn parallel_ptas_matches_sequential_ptas_end_to_end() {

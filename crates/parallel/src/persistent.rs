@@ -1,11 +1,11 @@
-//! A persistent worker pool for the wavefront DP: workers are spawned
-//! **once per solve** and parked on the [`crate::sync`] Condvar wrappers
-//! between anti-diagonal levels, replacing the spawn/join-per-level of the
-//! original executor. Because every handoff (level release, completion
-//! barrier, shutdown) goes through the one `sync::Mutex` and its two
-//! Condvars, the `pcmax-audit` race detector observes a lock-induced
-//! happens-before edge for each of them — the same edges real hardware gets
-//! from the mutex, so "audit passes" transfers to the release build.
+//! The one worker pool of the wavefront DP: workers are spawned **once per
+//! sweep** and parked on the [`crate::sync`] Condvar wrappers between
+//! anti-diagonal levels, so a sweep pays one spawn/join however many levels
+//! it has. Because every handoff (level release, completion barrier,
+//! shutdown) goes through the one `sync::Mutex` and its two Condvars, the
+//! `pcmax-audit` race detector observes a lock-induced happens-before edge
+//! for each of them — the same edges real hardware gets from the mutex, so
+//! "audit passes" transfers to the release build.
 //!
 //! ## Handoff protocol
 //!

@@ -18,7 +18,7 @@
 //! carries the identical `(1+ε)` guarantee. With `width = 1` this *is*
 //! binary search.
 
-use crate::pool;
+use crate::persistent;
 use crate::wavefront::ParallelDp;
 use pcmax_core::{
     Error, Instance, MakespanBounds, Result, Schedule, SolveReport, SolveRequest, SolveStats,
@@ -30,7 +30,7 @@ use pcmax_ptas::driver::reconstruct;
 use pcmax_ptas::rounding::{JobPartition, RoundedLongJobs};
 use pcmax_ptas::table::DpScratch;
 use pcmax_ptas::{rounded_problem, EpsilonParams};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The speculative-bisection parallel PTAS.
 #[derive(Debug, Clone)]
@@ -43,6 +43,9 @@ pub struct SpeculativePtas {
 
 /// A feasible probe's payload: configs, rounding, partition, target.
 type Witness = (Vec<Config>, RoundedLongJobs, JobPartition, Time);
+
+/// One pool worker's probe: its target, private scratch arena and verdict.
+type Probe = (Time, DpScratch, Result<Option<Witness>>);
 
 impl SpeculativePtas {
     /// Speculative PTAS probing `width` targets per round.
@@ -74,9 +77,10 @@ impl SpeculativePtas {
             .map(|(schedule, target, rounds, _)| (schedule, target, rounds))
     }
 
-    /// Probes all `candidates` concurrently (one scoped thread each, each
-    /// with a private scratch arena), merging the scratch counters into the
-    /// run's stats.
+    /// Probes all `candidates` concurrently as one level of the persistent
+    /// pool (one worker per candidate, each with a private scratch arena),
+    /// merging every probe's scratch counters and the round pool's own
+    /// park/wake traffic into the run's stats.
     fn probe_round(
         &self,
         req: &SolveRequest<'_>,
@@ -86,27 +90,36 @@ impl SpeculativePtas {
         let inst = req.instance;
         let dp = ParallelDp {
             threads: req.threads,
-            ..ParallelDp::default()
         };
-        let probes = pool::map_chunked(candidates.len().max(1), candidates, |&t| {
-            let _probe_span = req.trace_span("probe", t);
+        let probes: Vec<Probe> = candidates
+            .iter()
+            .map(|&t| (t, DpScratch::new(), Ok(None)))
+            .collect();
+        let (probes, round) = persistent::run_levels(probes, 0..1, |_, _, probe| {
+            let (t, scratch, witness) = probe;
+            let _probe_span = req.trace_span("probe", *t);
             let (problem, rounded, partition) =
-                rounded_problem(inst, &self.params, t, self.max_entries);
-            let mut scratch = DpScratch::new();
-            let outcome = dp.solve_in(&problem, &mut scratch)?;
-            let witness = outcome
-                .schedule
-                .map(|configs| (configs, rounded, partition, t));
-            Ok::<_, Error>((t, witness, scratch))
+                rounded_problem(inst, &self.params, *t, self.max_entries);
+            *witness = dp.solve_in(&problem, scratch).map(|outcome| {
+                outcome
+                    .schedule
+                    .map(|configs| (configs, rounded, partition, *t))
+            });
         });
+        stats.pool_parks += round.parks;
+        stats.pool_wakes += round.wakes;
         let mut out = Vec::with_capacity(probes.len());
-        for probe in probes {
-            let (t, witness, scratch) = probe?;
+        for (t, scratch, witness) in probes {
             stats.dp_entries_touched += scratch.entries_touched;
             stats.dp_tables_allocated += scratch.tables_allocated;
             stats.dp_tables_reused += scratch.tables_reused;
+            stats.dp_levels_swept += scratch.levels_swept;
+            stats.dp_cells += scratch.cells_computed;
+            stats.pool_parks += scratch.pool_parks;
+            stats.pool_wakes += scratch.pool_wakes;
+            stats.dp_kernel_allocs += scratch.kernel_allocs;
             stats.bisection_probes += 1;
-            out.push((t, witness));
+            out.push((t, witness?));
         }
         Ok(out)
     }
@@ -152,6 +165,8 @@ impl SpeculativePtas {
         } = MakespanBounds::of(inst);
         let mut best: Option<Witness> = None;
         let mut rounds = 0u32;
+        // Wall time inside probe rounds, reported as the `"dp"` phase.
+        let mut dp_wall = Duration::ZERO;
 
         let search_start = Instant::now();
         let search_span = req.trace_span("speculative-search", 0);
@@ -172,7 +187,9 @@ impl SpeculativePtas {
                 candidates.push(lower);
             }
 
+            let dp_start = Instant::now();
             let probes = self.probe_round(req, &candidates, &mut stats)?;
+            dp_wall += dp_start.elapsed();
 
             let mut feasible_min: Option<Witness> = None;
             let mut infeasible_max: Option<Time> = None;
@@ -208,7 +225,9 @@ impl SpeculativePtas {
                 // feasible: certify it directly (always feasible, see the
                 // bisection invariant in pcmax-ptas).
                 self.check_budget(req, &stats, lower, upper)?;
+                let dp_start = Instant::now();
                 let mut probes = self.probe_round(req, &[upper], &mut stats)?;
+                dp_wall += dp_start.elapsed();
                 let (_, witness) = probes.pop().ok_or_else(|| Error::InvalidWitness {
                     reason: "probe round returned no result for the converged target".into(),
                 })?;
@@ -224,6 +243,7 @@ impl SpeculativePtas {
         };
         drop(search_span);
         stats.push_phase("speculative-search", search_start.elapsed());
+        stats.push_phase("dp", dp_wall);
 
         let recon_start = Instant::now();
         let recon_span = req.trace_span("reconstruct", 0);

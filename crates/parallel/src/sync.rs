@@ -1,11 +1,11 @@
 //! The shared-memory seam of the parallel executors.
 //!
 //! Every concurrency primitive the wavefront executors rely on — atomic
-//! flags/counters, mutex/condvar, the fork/join work-distribution handoff of
-//! [`crate::pool`], and the DP table's scatter/gather accesses — goes through
-//! this module. In normal builds everything here is a zero-cost passthrough
-//! to `std` (`#[inline]` wrappers with no extra state). Under
-//! `feature = "audit"` the same API additionally:
+//! flags/counters, mutex/condvar, the fork/join work-distribution handoff
+//! of [`crate::persistent`], and the DP table's scatter/gather accesses —
+//! goes through this module. In normal builds everything here is a
+//! zero-cost passthrough to `std` (`#[inline]` wrappers with no extra
+//! state). Under `feature = "audit"` the same API additionally:
 //!
 //! * logs every shared-memory access as a typed [`audit::Event`] (reads,
 //!   writes, atomic loads/stores with their ordering class, lock
@@ -1158,10 +1158,8 @@ mod tests {
     #[test]
     fn fork_join_roundtrip_without_session() {
         let (task, id) = fork(|| 21 * 2);
-        let out = std::thread::scope(|s| {
-            let h = s.spawn(task);
-            join_with(id, || h.join()).unwrap_or_else(|p| std::panic::resume_unwind(p))
-        });
+        let h = std::thread::spawn(task);
+        let out = join_with(id, || h.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
         assert_eq!(out, 42);
     }
 
@@ -1176,25 +1174,25 @@ mod tests {
 mod audit_tests {
     use super::audit::{explore, explore_scripted, Op};
     use super::*;
+    use std::sync::Arc;
 
     /// Two workers, each writing a private location then bumping a shared
     /// AcqRel counter; parent joins both and reads the total.
     fn two_workers() -> usize {
-        let ctr = AtomicCounter::new(0);
-        std::thread::scope(|s| {
-            let (ta, ia) = fork(|| {
-                trace_write(100);
-                ctr.fetch_add(1, Ordering::AcqRel);
-            });
-            let (tb, ib) = fork(|| {
-                trace_write(101);
-                ctr.fetch_add(1, Ordering::AcqRel);
-            });
-            let ha = s.spawn(ta);
-            let hb = s.spawn(tb);
-            join_with(ia, || ha.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
-            join_with(ib, || hb.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
+        let ctr = Arc::new(AtomicCounter::new(0));
+        let (ca, cb) = (Arc::clone(&ctr), Arc::clone(&ctr));
+        let (ta, ia) = fork(move || {
+            trace_write(100);
+            ca.fetch_add(1, Ordering::AcqRel);
         });
+        let (tb, ib) = fork(move || {
+            trace_write(101);
+            cb.fetch_add(1, Ordering::AcqRel);
+        });
+        let ha = std::thread::spawn(ta);
+        let hb = std::thread::spawn(tb);
+        join_with(ia, || ha.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
+        join_with(ib, || hb.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
         ctr.load(Ordering::Acquire)
     }
 
@@ -1243,23 +1241,23 @@ mod audit_tests {
     #[test]
     fn modeled_condvar_logs_typed_events() {
         fn workload() -> bool {
-            let m = Mutex::new(false);
-            let cv = Condvar::new();
-            std::thread::scope(|s| {
-                let (task, id) = fork(|| {
-                    let mut flag = m.lock();
-                    *flag = true;
-                    cv.notify_one();
-                });
-                let h = s.spawn(task);
+            let shared = Arc::new((Mutex::new(false), Condvar::new()));
+            let child = Arc::clone(&shared);
+            let (task, id) = fork(move || {
+                let (m, cv) = &*child;
                 let mut flag = m.lock();
-                while !*flag {
-                    flag = cv.wait(flag);
-                }
-                drop(flag);
-                join_with(id, || h.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
-                true
-            })
+                *flag = true;
+                cv.notify_one();
+            });
+            let h = std::thread::spawn(task);
+            let (m, cv) = &*shared;
+            let mut flag = m.lock();
+            while !*flag {
+                flag = cv.wait(flag);
+            }
+            drop(flag);
+            join_with(id, || h.join()).unwrap_or_else(|p| std::panic::resume_unwind(p));
+            true
         }
         // Round-robin fallback runs the parent (thread 0) first, so it must
         // go through a full modeled wait/notify/wake cycle.

@@ -3,19 +3,19 @@
 //! level, subproblem values are computed in parallel from the (immutable)
 //! lower levels.
 //!
-//! The production [`LevelStrategy::Bucketed`] executor is the zero-allocation
+//! [`ParallelDp`] is the one production executor and the zero-allocation
 //! hot path of this crate: a [`crate::persistent`] worker pool spawned once
 //! per sweep, a level-major table (each level one contiguous slice, see
 //! `pcmax_ptas::LevelLayout`) so the scatter is a **parallel in-place
-//! write** over disjoint sub-slices, and an incremental in-level decode
-//! (`next_in_level`) so no per-cell `Vec` is ever allocated. The pre-PR
-//! spawn-per-level executor survives as [`LevelStrategy::SpawnPerLevel`] —
-//! the baseline the `wavefront` micro-benchmark measures speedup against.
+//! write** over disjoint sub-slices, the batched strip kernel, and an
+//! incremental in-level decode (`next_in_level`) so no per-cell `Vec` is
+//! ever allocated. [`FaithfulDp`] is the paper-literal ablation on the same
+//! pool: every level scans all σ entries of a row-major table.
 
-use crate::{persistent, pool, simd, sync};
+use crate::{persistent, simd, sync};
 use pcmax_ptas::config::Config;
 use pcmax_ptas::dp::{finish, fits, DpOutcome, DpProblem, DpSolver};
-use pcmax_ptas::space::{PcmaxSpace, SpaceEngine, StateSpace};
+use pcmax_ptas::space::{serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
 use pcmax_ptas::table::{
     decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, INFEASIBLE,
     STRIP_LANES,
@@ -23,55 +23,23 @@ use pcmax_ptas::table::{
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How the bucketed sweep computes the cells of one worker chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How the bucketed sweep computes the cells of one worker chunk. The
+/// production sweep always runs `Strip`; `Scalar` survives as the kernel
+/// bench's denominator and the equivalence proptests' reference.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKernel {
     /// The batched lane-parallel kernel: cells are advanced a strip of
     /// [`STRIP_LANES`] at a time, strips are grouped into L1-sized tiles,
     /// and the min-reduction runs over packed `u16` lanes (see
     /// [`strip_chunk`] and [`crate::simd`]). Bit-identical to `Scalar`.
-    #[default]
     Strip,
-    /// One cell at a time — the pre-batching kernel, kept as the bench
-    /// baseline and as the semantic reference the strip-equivalence
-    /// proptests compare against.
+    /// One cell at a time — the pre-batching kernel.
     Scalar,
 }
 
-/// How the bucketed sweep splits a level slice across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Chunking {
-    /// Per-level proportional split driven by each worker's measured
-    /// throughput on the previous level (see [`ChunkPlanner`]). Pinned to
-    /// `Static` under `feature = "audit"` so schedule replay and DPOR
-    /// enumeration stay deterministic.
-    #[default]
-    Adaptive,
-    /// The fixed `len.div_ceil(n)` split of the pre-autotuner executor.
-    Static,
-}
-
-/// How each anti-diagonal level finds its subproblems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LevelStrategy {
-    /// Persistent pool over a level-major table: per-level buckets are the
-    /// contiguous level slices themselves, scattered in place in parallel.
-    /// The efficient default.
-    #[default]
-    Bucketed,
-    /// The paper-literal strategy: each level scans all σ entries and keeps
-    /// those with digit sum `d_i = l` (Lines 11–12 of Algorithm 3), giving
-    /// O(σ·n') total scan work. Kept for the ablation study.
-    Faithful,
-    /// The previous production executor: row-major table, a thread
-    /// spawn/join per level, per-cell decode and a sequential scatter. Kept
-    /// as the regression baseline for the `wavefront` micro-benchmark.
-    SpawnPerLevel,
-}
-
-/// Wavefront DP: anti-diagonal levels processed in order; inside a level,
-/// subproblem values are computed in parallel from the (immutable) lower
-/// levels.
+/// The production wavefront DP: the persistent-pool sweep over a
+/// level-major table, with the strip kernel and adaptive chunking (see
+/// [`bucketed_sweep_space`]).
 ///
 /// Produces bit-identical tables to `pcmax_ptas::IterativeDp` (compare via
 /// `DpTable::values_row_major`).
@@ -79,12 +47,6 @@ pub enum LevelStrategy {
 pub struct ParallelDp {
     /// Worker threads; `None` = all available cores.
     pub threads: Option<usize>,
-    /// Level iteration strategy.
-    pub strategy: LevelStrategy,
-    /// Cell kernel for the bucketed strategy (lane-parallel by default).
-    pub kernel: CellKernel,
-    /// Chunk split policy for the bucketed strategy (adaptive by default).
-    pub chunking: Chunking,
 }
 
 impl ParallelDp {
@@ -92,43 +54,13 @@ impl ParallelDp {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: Some(threads),
-            ..Self::default()
-        }
-    }
-
-    /// Wavefront DP with the paper-literal full-scan levels.
-    pub fn faithful() -> Self {
-        Self {
-            strategy: LevelStrategy::Faithful,
-            ..Self::default()
-        }
-    }
-
-    /// The pre-persistent-pool executor (spawn/join per level).
-    pub fn spawn_per_level() -> Self {
-        Self {
-            strategy: LevelStrategy::SpawnPerLevel,
-            ..Self::default()
-        }
-    }
-
-    /// The bucketed sweep pinned to the pre-batching scalar cell kernel —
-    /// the ablation baseline the lane kernel is benchmarked against.
-    pub fn scalar_kernel() -> Self {
-        Self {
-            kernel: CellKernel::Scalar,
-            ..Self::default()
         }
     }
 }
 
 impl DpSolver for ParallelDp {
     fn name(&self) -> &'static str {
-        match self.strategy {
-            LevelStrategy::Bucketed => "dp-parallel",
-            LevelStrategy::Faithful => "dp-parallel-faithful",
-            LevelStrategy::SpawnPerLevel => "dp-parallel-spawn",
-        }
+        "dp-parallel"
     }
 
     fn solve_in(
@@ -136,10 +68,7 @@ impl DpSolver for ParallelDp {
         problem: &DpProblem,
         scratch: &mut DpScratch,
     ) -> pcmax_core::Result<DpOutcome> {
-        let mut table = match self.strategy {
-            LevelStrategy::Bucketed => problem.build_level_major_table_in(scratch)?,
-            _ => problem.build_table_in(scratch)?,
-        };
+        let mut table = problem.build_level_major_table_in(scratch)?;
         let configs = problem.configs_with_offsets(&table);
         self.sweep(&mut table, &PcmaxSpace::new(&configs), scratch);
         finish(problem, table, &configs, scratch)
@@ -152,35 +81,72 @@ impl SpaceEngine for ParallelDp {
     }
 
     fn level_major(&self) -> bool {
-        matches!(self.strategy, LevelStrategy::Bucketed)
+        true
     }
 
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch) {
-        // Rank 0 is the sole level-0 entry, stored at position 0 under both
-        // layouts, so this seed write is layout-agnostic.
+        // Rank 0 is the sole level-0 entry, stored at position 0 in the
+        // level-major layout too, so this seed write needs no translation.
         table.values[0] = 0;
-        let threads = pool::effective_threads(self.threads);
-        match self.strategy {
-            LevelStrategy::Bucketed => bucketed_sweep_space_with(
-                table,
-                space,
-                threads,
-                scratch,
-                self.kernel,
-                self.chunking,
-            ),
-            LevelStrategy::Faithful => faithful_sweep_space(table, space, threads, scratch),
-            LevelStrategy::SpawnPerLevel => {
-                spawn_per_level_sweep_space(table, space, threads, scratch)
-            }
+        let threads = crate::effective_threads(self.threads);
+        bucketed_sweep_space(table, space, threads, scratch);
+    }
+}
+
+/// The paper-literal wavefront, kept as the ablation the production
+/// executor is measured against: every level scans *all* σ entries of a
+/// row-major table and keeps those with digit sum `d_i = l` (Lines 11–12 of
+/// Algorithm 3), O(σ·n′) scan work in total. It runs on the same persistent
+/// pool as [`ParallelDp`] and writes in place through the same `SyncCell`
+/// view; each worker scans one contiguous `⌈σ/P⌉` slice of the table.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FaithfulDp {
+    /// Worker threads; `None` = all available cores.
+    pub threads: Option<usize>,
+}
+
+impl FaithfulDp {
+    /// Paper-literal wavefront DP pinned to `threads` workers.
+    pub fn with_threads(threads: usize) -> Self {
+        Self {
+            threads: Some(threads),
         }
+    }
+}
+
+impl DpSolver for FaithfulDp {
+    fn name(&self) -> &'static str {
+        "dp-parallel-faithful"
+    }
+
+    fn solve_in(
+        &self,
+        problem: &DpProblem,
+        scratch: &mut DpScratch,
+    ) -> pcmax_core::Result<DpOutcome> {
+        let mut table = problem.build_table_in(scratch)?;
+        let configs = problem.configs_with_offsets(&table);
+        self.sweep(&mut table, &PcmaxSpace::new(&configs), scratch);
+        finish(problem, table, &configs, scratch)
+    }
+}
+
+impl SpaceEngine for FaithfulDp {
+    fn engine_name(&self) -> &'static str {
+        DpSolver::name(self)
+    }
+
+    fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch) {
+        table.values[0] = 0;
+        let threads = crate::effective_threads(self.threads);
+        faithful_sweep(table, space, threads, scratch);
     }
 }
 
 /// A `Sync` view of one DP value cell, used for the in-place parallel
 /// scatter. Safety rests on the wavefront protocol, not on this type:
 /// within a level every position is written by exactly one worker (the
-/// level slice is chunked disjointly), and reads only target positions of
+/// workers' chunks are disjoint), and reads only target positions of
 /// strictly lower levels, sealed by the pool's barrier — so no location is
 /// ever accessed concurrently with a write.
 #[repr(transparent)]
@@ -253,8 +219,8 @@ impl ChunkPlanner {
     /// EWMA pulls each lane toward its measured rate within a few levels.
     const INITIAL_SPEED: u64 = 1 << 16;
 
-    fn new(n: usize, chunking: Chunking) -> Self {
-        let adaptive = !cfg!(feature = "audit") && chunking == Chunking::Adaptive && n > 1;
+    fn new(n: usize) -> Self {
+        let adaptive = !cfg!(feature = "audit") && n > 1;
         let speeds = (0..2 * n)
             .map(|_| AtomicU64::new(Self::INITIAL_SPEED))
             .collect();
@@ -332,7 +298,8 @@ fn tile_cells_for(k: usize) -> usize {
     ((cells / STRIP_LANES) * STRIP_LANES).clamp(STRIP_LANES, 1024)
 }
 
-/// The zero-allocation persistent-pool sweep over a level-major table.
+/// The zero-allocation persistent-pool sweep over a level-major table, with
+/// the strip kernel and adaptive chunking — the production sweep.
 ///
 /// Each level `l` is the contiguous slice `starts[l]..starts[l+1]`; workers
 /// split it into disjoint chunks and write results **in place** (no results
@@ -342,45 +309,26 @@ fn tile_cells_for(k: usize) -> usize {
 /// buffers are the per-worker [`KernelScratch`] sets accounted by
 /// `DpScratch::kernel_allocs`. Reads translate row-major ranks through the
 /// layout's permutation and target strictly lower (barrier-sealed) levels.
+/// The space's `step_allowed` filter is applied between the barrier-sealed
+/// read and the min-reduce; on [`PcmaxSpace`] it is the always-true default
+/// and the sweep monomorphizes back to the identical-machine kernel.
 ///
 /// Public so the `pcmax-audit` interleaving suite can drive the sweep on a
 /// caller-owned table and compare the filled values bit-for-bit against the
 /// sequential DP under many explored schedules. Falls back to
-/// [`spawn_per_level_sweep`] when `table` is not level-major (results are
-/// identical either way).
-pub fn bucketed_sweep(
-    table: &mut DpTable,
-    configs: &[(Vec<u32>, usize)],
-    threads: usize,
-    scratch: &mut DpScratch,
-) {
-    bucketed_sweep_space(table, &PcmaxSpace::new(configs), threads, scratch)
-}
-
-/// [`bucketed_sweep`] generalized over the [`StateSpace`] seam: the same
-/// zero-allocation persistent-pool executor, with the space's `step_allowed`
-/// filter applied between the barrier-sealed read and the min-reduce. On
-/// [`PcmaxSpace`] the filter is the always-true default and the sweep
-/// monomorphizes back to the identical-machine kernel. Uses the default
-/// strip kernel and chunk policy; see [`bucketed_sweep_space_with`].
+/// [`serial_sweep`] when `table` is not level-major (results are identical
+/// either way).
 pub fn bucketed_sweep_space<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
     threads: usize,
     scratch: &mut DpScratch,
 ) {
-    bucketed_sweep_space_with(
-        table,
-        space,
-        threads,
-        scratch,
-        CellKernel::default(),
-        Chunking::default(),
-    )
+    bucketed_sweep_space_with(table, space, threads, scratch, CellKernel::Strip)
 }
 
-/// [`bucketed_sweep_space`] with an explicit cell kernel and chunk policy
-/// (the bench harness measures every combination; results are identical).
+/// [`bucketed_sweep_space`] with an explicit cell kernel (the kernel bench
+/// and the equivalence proptests compare both; results are identical).
 ///
 /// On a kernel panic the pool winds down, every worker's [`KernelScratch`]
 /// is returned to `scratch` first, and only then is the payload re-raised —
@@ -392,10 +340,11 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     threads: usize,
     scratch: &mut DpScratch,
     cell_kernel: CellKernel,
-    chunking: Chunking,
 ) {
     let Some(layout) = table.layout.as_ref() else {
-        spawn_per_level_sweep_space(table, space, threads, scratch);
+        serial_sweep(table, space);
+        scratch.levels_swept += table.levels().saturating_sub(1) as u64;
+        scratch.cells_computed += (table.len - 1) as u64;
         return;
     };
     let transitions = space.transitions();
@@ -416,7 +365,7 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     let perm = layout.perm();
     let inv = layout.inv();
     let cells = shared_cells(&mut table.values);
-    let planner = &ChunkPlanner::new(n, chunking);
+    let planner = &ChunkPlanner::new(n);
     // Per-worker busy counters resolved once per sweep: `with_label` takes
     // a mutex, so the chunk loop below only touches pre-resolved handles.
     let busy: Option<Vec<_>> = pcmax_metrics::enabled().then(|| {
@@ -712,114 +661,64 @@ fn strip_chunk<S: StateSpace>(
     }
 }
 
-/// Computes one subproblem's value from the already-filled lower levels of
-/// a **row-major** table (the legacy and faithful paths).
+/// The paper-literal sweep over a row-major table. The digit-sum array `D`
+/// (Lines 4–8) is computed serially: it is O(σ) against the O(σ·n′) scan
+/// this ablation measures. Each level (Lines 10–25) is then one release of
+/// the persistent pool: worker `w` scans its contiguous slice of all σ
+/// entries and computes, in place, those with `d_i = l`.
 ///
-/// Every read this function performs is the disjoint-write argument's *read
-/// precondition*: a nonzero config `c ≤ v` has digit sum ≥ 1, so `v − c`
-/// lies on a strictly lower anti-diagonal, whose entries were sealed by the
-/// level barrier. The `debug_assert!` states it; the audit race detector
-/// verifies it dynamically against the recorded schedule.
-#[inline]
-fn value_of<S: StateSpace>(table: &DpTable, space: &S, idx: usize, v: &[u32]) -> u16 {
-    let mut best = INFEASIBLE;
-    for (t_idx, (c, offset)) in space.transitions().iter().enumerate() {
-        if fits(c, v) {
-            debug_assert!(
-                *offset > 0 && table.level_of(idx - offset) < table.level_of(idx),
-                "wavefront read {} must target a strictly lower anti-diagonal than {idx}",
-                idx - offset
-            );
-            sync::trace_read(idx - offset);
-            let below = table.values[idx - offset];
-            if space.step_allowed(t_idx, below) {
-                best = best.min(below);
-            }
-        }
-    }
-    best.saturating_add(1)
-}
-
-/// The pre-persistent-pool production sweep, kept as the micro-benchmark
-/// baseline: precomputed per-level index buckets, a thread spawn/join per
-/// level (`pool::map_chunked`), a per-cell `table.decode` allocation, a
-/// per-level results `Vec` and a sequential scatter.
-pub fn spawn_per_level_sweep(
-    table: &mut DpTable,
-    configs: &[(Vec<u32>, usize)],
-    threads: usize,
-    scratch: &mut DpScratch,
-) {
-    spawn_per_level_sweep_space(table, &PcmaxSpace::new(configs), threads, scratch)
-}
-
-/// [`spawn_per_level_sweep`] generalized over the [`StateSpace`] seam.
-pub fn spawn_per_level_sweep_space<S: StateSpace>(
+/// Reads satisfy the wavefront's read precondition — a nonzero config
+/// `c ≤ v` has digit sum ≥ 1, so `v − c` lies on a strictly lower,
+/// barrier-sealed level — and writes are disjoint because the slices
+/// partition the table. The `debug_assert!` states the first; the audit
+/// race detector verifies both against every explored schedule.
+fn faithful_sweep<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
     threads: usize,
     scratch: &mut DpScratch,
 ) {
-    let mut buckets = scratch.take_buckets();
-    table.fill_level_buckets(&mut buckets);
-    for (level, bucket) in buckets.iter().enumerate().skip(1) {
-        let _level_span = pcmax_trace::span("level", level as u64);
-        // Disjoint-write precondition: a level's scatter targets are pairwise
-        // distinct. Buckets are built in ascending index order, so strict
-        // monotonicity is exactly pairwise disjointness.
-        debug_assert!(
-            bucket.windows(2).all(|w| w[0] < w[1]),
-            "level bucket indices must be strictly increasing (pairwise disjoint)"
-        );
-        // Parallel read phase: all dependencies live on lower levels, so the
-        // immutable borrow of `table` is race-free by construction.
-        let results = pool::map_chunked(threads, bucket, |&idx| {
-            let idx = idx as usize;
-            let v = table.decode(idx);
-            value_of(table, space, idx, &v)
-        });
-        // Sequential scatter phase: disjoint writes within the level.
-        for (&idx, val) in bucket.iter().zip(results) {
-            sync::trace_write(idx as usize);
-            table.values[idx as usize] = val;
-        }
-    }
-    scratch.return_buckets(buckets);
-    scratch.levels_swept += table.levels().saturating_sub(1) as u64;
-    scratch.cells_computed += (table.len - 1) as u64;
-}
-
-/// The paper-literal sweep: compute the digit-sum array `D` in parallel
-/// (Lines 4–8), then for each level scan all σ entries and process those on
-/// the level (Lines 10–25).
-fn faithful_sweep_space<S: StateSpace>(
-    table: &mut DpTable,
-    space: &S,
-    threads: usize,
-    scratch: &mut DpScratch,
-) {
-    // Lines 4-8: d_i = digit sum of v^i, computed in parallel.
-    let d: Vec<u32> = pool::map_range(threads, table.len, |idx| table.decode(idx).iter().sum());
+    let d: Vec<u32> = (0..table.len).map(|idx| table.level_of(idx)).collect();
     let levels = table.levels();
-    for l in 1..levels {
-        let _level_span = pcmax_trace::span("level", l as u64);
-        let results = pool::filter_map_range(threads, table.len, |idx| {
-            (d[idx] == l).then(|| {
-                let v = table.decode(idx);
-                (idx, value_of(table, space, idx, &v))
-            })
-        });
-        debug_assert!(
-            results.windows(2).all(|w| w[0].0 < w[1].0),
-            "faithful level scatter indices must be pairwise disjoint"
-        );
-        for (idx, val) in results {
+    let n = threads.max(1);
+    let slice = table.len.div_ceil(n);
+    let transitions = space.transitions();
+    let strides = &table.strides;
+    let cells = shared_cells(&mut table.values);
+    let kernel = |w: usize, level: u32, v: &mut Vec<u32>| {
+        for idx in (w * slice).min(d.len())..((w + 1) * slice).min(d.len()) {
+            if d[idx] != level {
+                continue;
+            }
+            decode_into(idx, strides, v);
+            let mut best = INFEASIBLE;
+            for (t_idx, (c, offset)) in transitions.iter().enumerate() {
+                if fits(c, v) {
+                    let src = idx - offset;
+                    debug_assert!(
+                        *offset > 0 && d[src] < level,
+                        "wavefront read {src} must target a strictly lower level than {idx}"
+                    );
+                    sync::trace_read(src);
+                    // SAFETY: `src` is on a strictly lower level, sealed by
+                    // the pool barrier — no concurrent write.
+                    let below = unsafe { cells[src].get() };
+                    if space.step_allowed(t_idx, below) {
+                        best = best.min(below);
+                    }
+                }
+            }
             sync::trace_write(idx);
-            table.values[idx] = val;
+            // SAFETY: `idx` lies in this worker's private slice of the
+            // table — the unique writer precondition.
+            unsafe { cells[idx].set(best.saturating_add(1)) };
         }
-    }
+    };
+    let (_, counters) = persistent::run_levels(vec![Vec::new(); n], 1..levels, kernel);
     scratch.levels_swept += levels.saturating_sub(1) as u64;
-    scratch.cells_computed += (table.len - 1) as u64;
+    scratch.cells_computed += (d.len() - 1) as u64;
+    scratch.pool_parks += counters.parks;
+    scratch.pool_wakes += counters.wakes;
 }
 
 #[cfg(test)]
@@ -862,20 +761,25 @@ mod tests {
     fn faithful_matches_sequential() {
         for problem in problems() {
             let seq = IterativeDp.solve(&problem).unwrap();
-            let par = ParallelDp::faithful().solve(&problem).unwrap();
-            assert_eq!(seq.machines, par.machines);
-            assert_eq!(seq.schedule, par.schedule);
+            for threads in [1usize, 2, 4] {
+                let par = FaithfulDp::with_threads(threads).solve(&problem).unwrap();
+                assert_eq!(seq.machines, par.machines, "threads = {threads}");
+                assert_eq!(seq.schedule, par.schedule, "threads = {threads}");
+            }
         }
     }
 
     #[test]
-    fn spawn_per_level_matches_sequential() {
-        for problem in problems() {
-            let seq = IterativeDp.solve(&problem).unwrap();
-            let par = ParallelDp::spawn_per_level().solve(&problem).unwrap();
-            assert_eq!(seq.machines, par.machines);
-            assert_eq!(seq.schedule, par.schedule);
-        }
+    fn faithful_pool_counters_balance() {
+        let mut scratch = DpScratch::new();
+        let problem = &problems()[0]; // 12 entries, 6 levels
+        FaithfulDp::with_threads(4)
+            .solve_in(problem, &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.pool_parks, scratch.pool_wakes);
+        assert!(scratch.pool_parks > 0, "the full scan runs on the pool");
+        assert_eq!(scratch.levels_swept, 5);
+        assert_eq!(scratch.cells_computed, 11);
     }
 
     #[test]
@@ -948,29 +852,25 @@ mod tests {
             let mut scratch = DpScratch::new();
             let mut want = None;
             for kernel in [CellKernel::Scalar, CellKernel::Strip] {
-                for chunking in [Chunking::Static, Chunking::Adaptive] {
-                    for threads in [1usize, 2, 4] {
-                        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
-                        let configs = problem.configs_with_offsets(&table);
-                        table.values[0] = 0;
-                        bucketed_sweep_space_with(
-                            &mut table,
-                            &PcmaxSpace::new(&configs),
-                            threads,
-                            &mut scratch,
-                            kernel,
-                            chunking,
-                        );
-                        let got = table.values_row_major();
-                        match &want {
-                            None => want = Some(got),
-                            Some(w) => assert_eq!(
-                                &got, w,
-                                "{kernel:?}/{chunking:?}/{threads} threads diverged"
-                            ),
+                for threads in [1usize, 2, 4] {
+                    let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+                    let configs = problem.configs_with_offsets(&table);
+                    table.values[0] = 0;
+                    bucketed_sweep_space_with(
+                        &mut table,
+                        &PcmaxSpace::new(&configs),
+                        threads,
+                        &mut scratch,
+                        kernel,
+                    );
+                    let got = table.values_row_major();
+                    match &want {
+                        None => want = Some(got),
+                        Some(w) => {
+                            assert_eq!(&got, w, "{kernel:?}/{threads} threads diverged")
                         }
-                        scratch.recycle(table);
                     }
+                    scratch.recycle(table);
                 }
             }
         }
@@ -1029,7 +929,7 @@ mod tests {
         // speed profiles: the n ranges must tile 0..len exactly, whatever
         // the measurements said.
         for n in [1usize, 2, 3, 4, 7] {
-            let planner = ChunkPlanner::new(n, Chunking::Adaptive);
+            let planner = ChunkPlanner::new(n);
             for (w, speed) in [(0usize, 10u64), (1, 100_000), (2, 1)] {
                 if w < n {
                     // Feed wildly skewed measurements for both parities.
@@ -1070,7 +970,7 @@ mod tests {
         let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);
         table.values[0] = 0;
-        bucketed_sweep(&mut table, &configs, 2, &mut scratch);
+        bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
         assert_eq!(
             table.values_row_major(),
             vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],
@@ -1080,6 +980,21 @@ mod tests {
     #[test]
     fn q_space_engines_match_the_serial_engine() {
         use pcmax_ptas::space::{QSpace, SerialEngine};
+
+        /// Fills a fresh table in `engine`'s layout for the capacity-filtered
+        /// space and returns it in row-major order.
+        fn q_values<E: SpaceEngine>(engine: &E, problem: &DpProblem, caps: &[u64]) -> Vec<u16> {
+            let mut scratch = DpScratch::new();
+            let mut table = if engine.level_major() {
+                problem.build_level_major_table_in(&mut scratch).unwrap()
+            } else {
+                problem.build_table_in(&mut scratch).unwrap()
+            };
+            let configs = problem.configs_with_offsets(&table);
+            let space = QSpace::new(&configs, &table.sizes, caps);
+            engine.sweep(&mut table, &space, &mut scratch);
+            table.values_row_major()
+        }
 
         // Capacity profiles from one machine to strongly heterogeneous; the
         // parallel engines must reproduce the serial generic sweep bit for
@@ -1092,36 +1007,20 @@ mod tests {
         ];
         for problem in problems() {
             for caps in &caps_sets {
-                let engines = [
-                    ParallelDp::default(),
-                    ParallelDp::faithful(),
-                    ParallelDp::spawn_per_level(),
-                    ParallelDp::with_threads(3),
-                ];
-                let mut scratch = DpScratch::new();
-                let mut reference = match problem.build_table_in(&mut scratch) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                let configs = problem.configs_with_offsets(&reference);
-                let space = QSpace::new(&configs, &reference.sizes, caps);
-                SerialEngine.sweep(&mut reference, &space, &mut scratch);
-                let want = reference.values_row_major();
-                for engine in engines {
-                    let mut table = if engine.level_major() {
-                        problem.build_level_major_table_in(&mut scratch).unwrap()
-                    } else {
-                        problem.build_table_in(&mut scratch).unwrap()
-                    };
-                    let configs = problem.configs_with_offsets(&table);
-                    let space = QSpace::new(&configs, &table.sizes, caps);
-                    engine.sweep(&mut table, &space, &mut scratch);
-                    assert_eq!(
-                        table.values_row_major(),
-                        want,
-                        "{} diverged on caps {caps:?}",
-                        engine.engine_name()
-                    );
+                let want = q_values(&SerialEngine, &problem, caps);
+                for (name, got) in [
+                    ("parallel", q_values(&ParallelDp::default(), &problem, caps)),
+                    (
+                        "parallel/3",
+                        q_values(&ParallelDp::with_threads(3), &problem, caps),
+                    ),
+                    ("faithful", q_values(&FaithfulDp::default(), &problem, caps)),
+                    (
+                        "faithful/3",
+                        q_values(&FaithfulDp::with_threads(3), &problem, caps),
+                    ),
+                ] {
+                    assert_eq!(got, want, "{name} diverged on caps {caps:?}");
                 }
             }
         }
@@ -1148,10 +1047,11 @@ mod tests {
             );
             parallel.schedule.validate(&inst).unwrap();
         }
-        // And on an identical-machine instance (speeds default to 1).
+        // And on an identical-machine instance (speeds default to 1), with
+        // the row-major engine.
         let inst = Instance::new(vec![13, 11, 9, 8, 8, 7, 5, 4, 2, 2, 1, 1], 3).unwrap();
         let serial = QPtas::new(0.3).unwrap().solve_detailed(&inst).unwrap();
-        let parallel = QPtas::with_engine(0.3, ParallelDp::spawn_per_level())
+        let parallel = QPtas::with_engine(0.3, FaithfulDp::default())
             .unwrap()
             .solve_detailed(&inst)
             .unwrap();
@@ -1161,13 +1061,14 @@ mod tests {
 
     #[test]
     fn row_major_fallback_still_fills_the_table() {
-        // `bucketed_sweep` on a table without a level-major layout degrades
-        // to the spawn-per-level executor with identical results.
+        // The bucketed sweep on a table without a level-major layout
+        // degrades to the serial sweep with identical results.
         let problem = &problems()[0];
         let mut table = problem.build_table().unwrap();
         let configs = problem.configs_with_offsets(&table);
-        table.values[0] = 0;
-        bucketed_sweep(&mut table, &configs, 2, &mut DpScratch::new());
-        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],);
+        let mut scratch = DpScratch::new();
+        bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
+        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2]);
+        assert_eq!(scratch.cells_computed, 11);
     }
 }

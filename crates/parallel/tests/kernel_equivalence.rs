@@ -8,20 +8,19 @@
 //! padding after lane 0.
 
 use pcmax_parallel::wavefront::bucketed_sweep_space_with;
-use pcmax_parallel::{CellKernel, Chunking};
+use pcmax_parallel::CellKernel;
 use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace};
 use pcmax_ptas::table::DpScratch;
 use proptest::prelude::*;
 
-/// Level-major parallel sweep with an explicit kernel/chunk policy,
+/// Level-major parallel sweep with an explicit cell kernel,
 /// returning the filled table in row-major order for comparison. `caps`
 /// selects the capacity-filtered [`QSpace`] over the plain [`PcmaxSpace`].
 fn parallel_values(
     problem: &DpProblem,
     caps: Option<&[u64]>,
     kernel: CellKernel,
-    chunking: Chunking,
     threads: usize,
 ) -> Vec<u16> {
     let mut scratch = DpScratch::new();
@@ -34,11 +33,11 @@ fn parallel_values(
     match caps {
         None => {
             let space = PcmaxSpace::new(&configs);
-            bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel, chunking);
+            bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
         }
         Some(caps) => {
             let space = QSpace::new(&configs, &sizes, caps);
-            bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel, chunking);
+            bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
         }
     }
     table.values_row_major()
@@ -64,17 +63,14 @@ proptest! {
             table.values_row_major()
         };
         for kernel in [CellKernel::Scalar, CellKernel::Strip] {
-            for chunking in [Chunking::Static, Chunking::Adaptive] {
-                let got = parallel_values(&problem, None, kernel, chunking, threads);
-                prop_assert_eq!(
-                    &got,
-                    &want,
-                    "{:?}/{:?} kernel diverged at {} threads",
-                    kernel,
-                    chunking,
-                    threads
-                );
-            }
+            let got = parallel_values(&problem, None, kernel, threads);
+            prop_assert_eq!(
+                &got,
+                &want,
+                "{:?} kernel diverged at {} threads",
+                kernel,
+                threads
+            );
         }
     }
 
@@ -97,7 +93,7 @@ proptest! {
         // The capacity filter runs through `value_of_batch` inside the strip
         // kernel, so this exercises the overridden lane filter end to end.
         for kernel in [CellKernel::Scalar, CellKernel::Strip] {
-            let got = parallel_values(&problem, Some(&caps), kernel, Chunking::default(), threads);
+            let got = parallel_values(&problem, Some(&caps), kernel, threads);
             prop_assert_eq!(
                 &got,
                 &want,

@@ -1,10 +1,10 @@
-//! Property test for the satellite guarantee: solve results (machine count
-//! AND witness schedule) are identical between the row-major layout (the
-//! sequential `IterativeDp` and the spawn-per-level executor) and the
-//! level-major layout (the persistent-pool `ParallelDp`) across random
-//! class-count vectors — bit-identical tables, not just equal optima.
+//! Property test: solve results (machine count AND witness schedule) are
+//! identical between the row-major layout (the sequential `IterativeDp` and
+//! the paper-literal `FaithfulDp`) and the level-major layout (the
+//! production `ParallelDp`) across random class-count vectors —
+//! bit-identical tables, not just equal optima.
 
-use pcmax_parallel::ParallelDp;
+use pcmax_parallel::{FaithfulDp, ParallelDp};
 use pcmax_ptas::dp::{verify_witness, DpProblem, DpSolver, IterativeDp};
 use proptest::prelude::*;
 
@@ -35,12 +35,12 @@ proptest! {
 
         let sequential = IterativeDp.solve(&problem).unwrap();
         let persistent = ParallelDp::with_threads(threads).solve(&problem).unwrap();
-        let legacy = ParallelDp::spawn_per_level().solve(&problem).unwrap();
+        let faithful = FaithfulDp::with_threads(threads).solve(&problem).unwrap();
 
         // Same optimum, same witness — the shared `finish` extraction plus
         // identical tables make the full outcome equal, not merely the cost.
         prop_assert_eq!(&persistent, &sequential);
-        prop_assert_eq!(&legacy, &sequential);
+        prop_assert_eq!(&faithful, &sequential);
 
         if let Some(schedule) = &sequential.schedule {
             prop_assert!(verify_witness(&problem, schedule));

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use pcmax_exact::BranchAndBound;
     pub use pcmax_fptas::FixedMachinesFptas;
     pub use pcmax_milp::AssignmentIp;
-    pub use pcmax_parallel::{ParallelDp, ParallelPtas, ScopedDp, SpeculativePtas};
+    pub use pcmax_parallel::{ParallelDp, ParallelPtas, SpeculativePtas};
     pub use pcmax_pram::{brent_time, wavefront_dp, Pram};
     pub use pcmax_ptas::{EpsilonParams, Ptas};
     pub use pcmax_simcore::{simulate_ptas, speedup_curve, SimParams};

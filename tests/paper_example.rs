@@ -3,7 +3,7 @@
 //! of one rounded size and three of another, the 12-entry DP table of
 //! Table I, and the anti-diagonal level structure of Figure 1.
 
-use pcmax::parallel::{ParallelDp, ScopedDp};
+use pcmax::parallel::{FaithfulDp, ParallelDp};
 use pcmax::ptas::dp::DpSolver;
 use pcmax::ptas::{DpProblem, EpsilonParams, IterativeDp, MemoizedDp};
 
@@ -53,8 +53,8 @@ fn every_solver_computes_opt_equal_two() {
         Box::new(IterativeDp),
         Box::new(MemoizedDp),
         Box::new(ParallelDp::default()),
-        Box::new(ParallelDp::faithful()),
-        Box::new(ScopedDp::new(3)),
+        Box::new(ParallelDp::with_threads(3)),
+        Box::new(FaithfulDp::with_threads(3)),
     ];
     for solver in &solvers {
         let out = solver.solve(&problem).unwrap();
