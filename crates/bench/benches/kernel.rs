@@ -12,7 +12,8 @@
 //! each at 1/2/4 worker threads, over a `u100-m*-n*-eps*` grid whose
 //! largest case exceeds 10⁶ DP cells, so throughput is measured on tables
 //! large enough to time honestly. The 1/2/4-thread columns are also the
-//! pool's tracked scaling numbers.
+//! pool's tracked scaling numbers; a case below the wavefront's serial
+//! cutoff sweeps inline on the caller in every column.
 //!
 //! ```text
 //! cargo bench -p pcmax-bench --bench kernel -- [--smoke] [--list] \
@@ -22,8 +23,10 @@
 //! * `--list`       — print each case's table size and exit (grid design aid).
 //! * `--json FILE`  — write measurements (tracked `BENCH_kernel.json`).
 //! * `--check FILE` — regression gate: fail if the single-threaded
-//!   native/scalar speedup regressed by more than 25% for any case in both
-//!   runs. It compares *ratios*, so it is machine-normalized.
+//!   native/scalar speedup regressed by more than 25% against `FILE` for
+//!   any case, or if any measured case's 2- or 4-thread native cells/s is
+//!   below 75% of its own 1-thread figure. Both rules compare *ratios*, so
+//!   they are machine-normalized.
 //! * `--smoke`      — only the small fixed case (CI `bench-smoke`).
 //!
 //! Every timed sweep is first checked bit-identical against the serial
@@ -43,7 +46,8 @@ use std::process::ExitCode;
 /// Worker-thread columns; the last is the PR's acceptance point.
 const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
-/// Regression tolerance on the native/scalar speedup ratio.
+/// Regression tolerance on the native/scalar speedup ratio, and on the
+/// multi-thread over 1-thread native throughput.
 const TOLERANCE: f64 = 0.25;
 
 struct Case {
@@ -107,8 +111,8 @@ impl Measurement {
     /// Native-over-scalar speedup at **one** thread — the machine-normalized
     /// figure the `--check` gate compares. Single-threaded deliberately: at
     /// higher thread counts the barrier and park/wake costs are shared by
-    /// both kernels and drown the ratio in scheduler noise, while the pool
-    /// itself is already gated by the `wavefront` bench.
+    /// both kernels and drown the ratio in scheduler noise, while the pool's
+    /// thread scaling has its own rule (see [`check_scaling`]).
     fn speedup(&self) -> f64 {
         let first = self.columns.first().expect("at least one thread count");
         first.native_cps / first.scalar_cps
@@ -212,7 +216,34 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
     }
 }
 
+/// The thread-scaling rule: every measured case's 2- and 4-thread native
+/// cells/s must reach `1 − TOLERANCE` of its own 1-thread figure, so more
+/// threads are never much slower than one. Returns one message per breach.
+fn check_scaling(current: &[Measurement]) -> Vec<String> {
+    let floor = 1.0 - TOLERANCE;
+    let mut breaches = Vec::new();
+    for m in current {
+        let (one, more) = m.columns.split_first().expect("at least one thread count");
+        for c in more {
+            let ratio = c.native_cps / one.native_cps;
+            println!(
+                "check {:<24} native {} threads / {} thread x{ratio:.2}  floor x{floor:.2}",
+                m.name, c.threads, one.threads
+            );
+            if ratio < floor {
+                breaches.push(format!(
+                    "{}: native throughput at {} threads is x{ratio:.2} of {} thread \
+                     (floor x{floor:.2})",
+                    m.name, c.threads, one.threads
+                ));
+            }
+        }
+    }
+    breaches
+}
+
 fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String> {
+    let mut breaches = check_scaling(current);
     let cases = baseline
         .get("cases")
         .and_then(Value::as_array)
@@ -237,7 +268,7 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
             m.speedup()
         );
         if m.speedup() < floor {
-            return Err(format!(
+            breaches.push(format!(
                 "{}: native/scalar speedup regressed to x{:.2} (baseline \
                  x{base_speedup:.2}, floor x{floor:.2})",
                 m.name,
@@ -247,6 +278,9 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
     }
     if compared == 0 {
         return Err("no case overlapped with the baseline — gate is vacuous".to_string());
+    }
+    if !breaches.is_empty() {
+        return Err(breaches.join("; "));
     }
     Ok(())
 }

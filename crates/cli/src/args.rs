@@ -33,7 +33,8 @@ solve options:
                     spec-ptas | fptas | exact | milp | ptas-q | lpt-q | ls-online
                     (aliases: pptas, spec, qptas, speed-lpt, online)
   --eps E           PTAS accuracy (default 0.3)
-  --threads T       worker threads for the parallel solvers
+  --threads T       most worker threads for the parallel solvers (DP tables
+                    too small to pay for a pool sweep on one)
   --budget B        search-node budget for exact/milp
   --schedule        also print the full per-machine assignment
 
@@ -46,7 +47,8 @@ metrics options:
   --families LIST   comma-separated scenario families (default p,q,online)
   --count C         instances per family (default 3)
   --eps E           PTAS accuracy (default 0.3)
-  --threads T       worker threads for the parallel solvers
+  --threads T       most worker threads for the parallel solvers (DP tables
+                    too small to pay for a pool sweep on one)
   --seed S          base RNG seed for the workload mix (default 1)
   --format F        registry export format: prom | json (default json)
   --out FILE        write the export to FILE (without --out, an explicit
@@ -73,7 +75,7 @@ client usage:
   pcmax client shutdown        stop the daemon and print its bye totals
   --addr A          daemon address (default 127.0.0.1:7077)
   --eps E           accuracy forwarded to approximation solvers (default 0.3)
-  --threads T       worker threads forwarded to parallel solvers
+  --threads T       most worker threads forwarded to parallel solvers
   --timeout-ms MS   per-request budget; queue time counts
   --repeat R        send the instance R times (repeats hit the server cache)
 
@@ -127,7 +129,7 @@ pub enum Command {
         algo: String,
         /// PTAS accuracy.
         eps: f64,
-        /// Thread count for the parallel PTAS.
+        /// Most worker threads for the parallel PTAS.
         threads: Option<usize>,
         /// Node budget for the exact solvers.
         budget: Option<u64>,
@@ -161,7 +163,7 @@ pub enum Command {
         count: usize,
         /// PTAS accuracy.
         eps: f64,
-        /// Thread count for the parallel solvers.
+        /// Most worker threads for the parallel solvers.
         threads: Option<usize>,
         /// Base RNG seed for the workload mix.
         seed: u64,
@@ -179,7 +181,7 @@ pub enum Command {
         algo: String,
         /// PTAS accuracy.
         eps: f64,
-        /// Thread count for the parallel PTAS.
+        /// Most worker threads for the parallel PTAS.
         threads: Option<usize>,
         /// Chrome-trace JSON output path.
         out: Option<String>,
@@ -207,7 +209,7 @@ pub enum Command {
         source: Source,
         /// Accuracy forwarded to approximation solvers.
         eps: f64,
-        /// Worker threads forwarded to parallel solvers.
+        /// Most worker threads forwarded to parallel solvers.
         threads: Option<usize>,
         /// Per-request budget in milliseconds (queue time counts).
         timeout_ms: Option<u64>,

@@ -54,7 +54,8 @@ use pcmax_ptas::{Ptas, QPtas};
 pub struct SolverParams {
     /// Relative error for the PTAS family and the FPTAS.
     pub epsilon: f64,
-    /// Worker threads for the parallel solvers (`None` = all cores).
+    /// Most worker threads for the parallel solvers (`None` = all cores);
+    /// DP tables below the wavefront's serial cutoff sweep on one.
     pub threads: Option<usize>,
     /// Search-node budget for the exact and MILP solvers.
     pub node_budget: Option<u64>,

@@ -74,11 +74,8 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Self {
-            workers,
+            workers: pcmax_parallel::effective_threads(None),
             capacity: 256,
             cache_capacity: 4096,
         }

@@ -5,13 +5,18 @@
 
 use pcmax_core::{Instance, SolveRequest};
 use pcmax_engine::{build, SolverParams};
+use pcmax_workloads::{generate, Distribution, Family};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+/// ε at which every probe table of [`instance`] crosses the serial cutoff.
+const EPSILON: f64 = 0.2;
+
 fn instance() -> Instance {
-    // Same shape as the wavefront_stats suite: known to drive the rounded DP
-    // (instances where LPT certifies the lower bound skip the wavefront
-    // entirely and leave every pool counter at zero).
-    Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3, 23, 29], 4).unwrap()
+    // Same instance as the wavefront_stats suite: at ε = 0.2 every probe
+    // table holds 4×10⁴–5×10⁴ cell-transitions per level, above the
+    // wavefront's serial cutoff, so the solves below really run the pool
+    // (smaller tables sweep inline and leave every pool counter at zero).
+    generate(Family::new(10, 30, Distribution::U1To100), 1)
 }
 
 /// The trace runtime is a process-global singleton: tests that start a
@@ -31,12 +36,14 @@ fn pool_parks_equal_wakes_after_wind_down_across_thread_counts() {
     let inst = instance();
     for threads in [2, 4] {
         let params = SolverParams {
+            epsilon: EPSILON,
             threads: Some(threads),
             ..SolverParams::default()
         };
         let solver = build("par-ptas", &params).unwrap();
         let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
         assert!(report.stats.dp_levels_swept > 0, "threads = {threads}");
+        assert!(report.stats.pool_parks > 0, "threads = {threads}: pooled");
         assert_eq!(
             report.stats.pool_parks, report.stats.pool_wakes,
             "threads = {threads}: a park without a wake means a worker was \
@@ -50,11 +57,12 @@ fn kernel_allocations_stay_per_worker_not_per_cell() {
     // The runtime counterpart of the `alloc-hot` lint: the cell kernel may
     // allocate its per-worker buffers once per bisection probe, never per
     // cell. A per-cell allocation would scale the counter with dp_cells
-    // (thousands here); per-worker scales with threads × probes.
+    // (tens of thousands here); per-worker scales with threads × probes.
     let _serial = trace_serial();
     let inst = instance();
     for threads in [2, 4] {
         let params = SolverParams {
+            epsilon: EPSILON,
             threads: Some(threads),
             ..SolverParams::default()
         };
@@ -68,6 +76,10 @@ fn kernel_allocations_stay_per_worker_not_per_cell() {
             report.stats.dp_kernel_allocs,
             report.stats.bisection_probes
         );
+        assert!(
+            report.stats.dp_kernel_allocs >= threads as u64,
+            "threads = {threads}: every pool worker holds a buffer"
+        );
     }
 }
 
@@ -76,6 +88,7 @@ fn traced_parallel_solve_yields_per_worker_utilization() {
     let _serial = trace_serial();
     let inst = instance();
     let params = SolverParams {
+        epsilon: EPSILON,
         threads: Some(4),
         ..SolverParams::default()
     };
@@ -92,7 +105,11 @@ fn traced_parallel_solve_yields_per_worker_utilization() {
     assert!(report.stats.dp_cells > 0);
 
     let lanes = pcmax_trace::summary::utilization(&timeline);
-    assert!(!lanes.is_empty(), "traced solve must produce thread lanes");
+    assert!(
+        lanes.len() >= 2,
+        "a pooled solve must produce a lane per worker, got {}",
+        lanes.len()
+    );
     let busy: u64 = lanes.iter().map(|l| l.busy_nanos).sum();
     assert!(busy > 0, "some lane must have measured busy time");
 

@@ -4,6 +4,7 @@
 
 use pcmax_core::{Instance, SolveRequest};
 use pcmax_engine::{build, SolverParams};
+use pcmax_workloads::{generate, Distribution, Family};
 
 fn instance() -> Instance {
     Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3, 23, 29], 4).unwrap()
@@ -11,8 +12,12 @@ fn instance() -> Instance {
 
 #[test]
 fn parallel_ptas_reports_wavefront_counters() {
-    let inst = instance();
+    // At ε = 0.2 every probe table of this instance holds 4×10⁴–5×10⁴
+    // cell-transitions per level, above the wavefront's serial cutoff, so
+    // the pool really runs.
+    let inst = generate(Family::new(10, 30, Distribution::U1To100), 1);
     let params = SolverParams {
+        epsilon: 0.2,
         threads: Some(4),
         ..SolverParams::default()
     };

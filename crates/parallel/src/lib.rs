@@ -6,8 +6,10 @@
 //! job-count vectors have equal digit sums) are mutually independent and
 //! depend only on strictly lower anti-diagonals, so each anti-diagonal is a
 //! parallel level and levels are processed in order with a barrier between
-//! them. Every level runs on one executor, the [`persistent`] worker pool,
-//! in two variants:
+//! them. Every level runs on one executor, the [`persistent`] worker pool;
+//! a table too small to pay for the pool's per-level barrier runs through
+//! the same executor inline on the caller instead (a measured serial
+//! cutoff, see [`wavefront`]). The executor comes in two variants:
 //!
 //! * [`ParallelDp`] — the production sweep: a level-major table whose
 //!   levels are contiguous slices, split between workers and written in
@@ -37,15 +39,21 @@ pub use wavefront::{CellKernel, FaithfulDp, ParallelDp};
 
 use pcmax_core::{Result, SolveReport, SolveRequest, Solver};
 use pcmax_ptas::Ptas;
+use std::sync::OnceLock;
 
 /// Resolves a configured worker count: `None` means all available cores,
-/// explicit values are clamped to at least 1.
+/// explicit values are clamped to at least 1. "All cores" is read once per
+/// process: `available_parallelism` reads cgroup and affinity state, tens
+/// of µs per call, and every sweep with `threads` unset asks.
 pub fn effective_threads(threads: Option<usize>) -> usize {
+    static ALL_CORES: OnceLock<usize> = OnceLock::new();
     match threads {
         Some(t) => t.max(1),
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        None => *ALL_CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        }),
     }
 }
 
@@ -64,8 +72,9 @@ impl ParallelPtas {
         })
     }
 
-    /// Parallel PTAS pinned to `threads` worker threads (the paper's "number
-    /// of cores" axis).
+    /// Parallel PTAS on at most `threads` worker threads (the paper's
+    /// "number of cores" axis); tables below the serial cutoff sweep on the
+    /// caller alone.
     pub fn with_threads(epsilon: f64, threads: usize) -> Result<Self> {
         Ok(Self {
             inner: Ptas::with_solver(epsilon, ParallelDp::with_threads(threads))?,
@@ -152,6 +161,21 @@ mod tests {
             assert_eq!(pinned.makespan, default.makespan, "threads = {threads}");
             assert_eq!(pinned.certified_target, default.certified_target);
         }
+    }
+
+    #[cfg(not(feature = "audit"))]
+    #[test]
+    fn small_instances_solve_without_the_pool() {
+        // Every probe table of this 12-job instance is far below the
+        // wavefront's serial cutoff: a 4-thread solve never starts the pool.
+        let inst = Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3, 23, 29], 4).unwrap();
+        let report = ParallelPtas::with_threads(0.3, 4)
+            .unwrap()
+            .solve(&SolveRequest::new(&inst))
+            .unwrap();
+        assert!(report.stats.dp_levels_swept > 0, "the wavefront ran");
+        assert_eq!(report.stats.pool_parks, 0);
+        assert_eq!(report.stats.pool_wakes, 0);
     }
 
     #[test]

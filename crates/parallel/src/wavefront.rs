@@ -10,7 +10,9 @@
 //! write** over disjoint sub-slices, the batched strip kernel, and an
 //! incremental in-level decode (`next_in_level`) so no per-cell `Vec` is
 //! ever allocated. [`FaithfulDp`] is the paper-literal ablation on the same
-//! pool: every level scans all σ entries of a row-major table.
+//! pool: every level scans all σ entries of a row-major table. Both sweep
+//! tables too small to pay for the pool inline on the caller (see
+//! [`sweep_workers`]).
 
 use crate::{persistent, simd, sync};
 use pcmax_ptas::config::Config;
@@ -45,12 +47,13 @@ pub enum CellKernel {
 /// `DpTable::values_row_major`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelDp {
-    /// Worker threads; `None` = all available cores.
+    /// Most worker threads a sweep may use; `None` = all available cores.
+    /// Tables below the serial cutoff sweep on the caller alone.
     pub threads: Option<usize>,
 }
 
 impl ParallelDp {
-    /// Wavefront DP pinned to `threads` workers.
+    /// Wavefront DP on at most `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: Some(threads),
@@ -101,12 +104,13 @@ impl SpaceEngine for ParallelDp {
 /// view; each worker scans one contiguous `⌈σ/P⌉` slice of the table.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaithfulDp {
-    /// Worker threads; `None` = all available cores.
+    /// Most worker threads a sweep may use; `None` = all available cores.
+    /// Tables below the serial cutoff sweep on the caller alone.
     pub threads: Option<usize>,
 }
 
 impl FaithfulDp {
-    /// Paper-literal wavefront DP pinned to `threads` workers.
+    /// Paper-literal wavefront DP on at most `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: Some(threads),
@@ -287,6 +291,35 @@ impl ChunkPlanner {
     }
 }
 
+/// Cell-transitions per swept level below which a sweep runs inline on the
+/// caller instead of on the pool. Every pooled level pays a fixed release
+/// and barrier (about 20 µs on a 2-vCPU host) however few cells it holds,
+/// plus one spawn per sweep. Sweeping 260 U(1,100) probe tables at 1 and 2
+/// threads on that host, 2 threads won on 3 of the 174 tables below 5×10³
+/// (by at most ×0.81) and on all 58 above 1.5×10⁴; between the two the
+/// repeated runs disagreed (EXPERIMENTS.md, "Serial cutoff"). Under
+/// `feature = "audit"` it is 0, as `ChunkPlanner` pins static chunking
+/// there: the race and DPOR suites keep exploring the pool on their tiny
+/// tables, and the inline path has no second thread to interleave.
+const POOL_MIN_WORK_PER_LEVEL: u64 = if cfg!(feature = "audit") { 0 } else { 10_000 };
+
+/// Workers a sweep runs on: `threads` when the table's work per level —
+/// `cells × transitions ÷ swept levels` — reaches
+/// [`POOL_MIN_WORK_PER_LEVEL`], otherwise 1, which sweeps on the caller
+/// through `persistent::run_levels`' one-state path (no spawn, no barrier,
+/// one `KernelScratch`). Decided once per table, not per level: the spawn
+/// is paid per sweep whichever levels use the pool, so a per-level test
+/// could only drop the barriers of a pooled sweep's narrow edge levels.
+fn sweep_workers(threads: usize, cells: usize, transitions: usize, levels: u32) -> usize {
+    let swept = u64::from(levels.saturating_sub(1).max(1));
+    let work_per_level = (cells as u64).saturating_mul(transitions as u64) / swept;
+    if work_per_level < POOL_MIN_WORK_PER_LEVEL {
+        1
+    } else {
+        threads.max(1)
+    }
+}
+
 /// Cells per tile for a `k`-class table: sized so a tile's transposed digit
 /// block (`4·k` bytes per cell) fills about half a typical L1d (16 KiB),
 /// rounded to whole strips and clamped to `[STRIP_LANES, 1024]` so the
@@ -299,7 +332,9 @@ fn tile_cells_for(k: usize) -> usize {
 }
 
 /// The zero-allocation persistent-pool sweep over a level-major table, with
-/// the strip kernel and adaptive chunking — the production sweep.
+/// the strip kernel and adaptive chunking — the production sweep. It runs
+/// on at most `threads` workers: a table below the serial cutoff (see
+/// [`sweep_workers`]) is swept inline on the caller.
 ///
 /// Each level `l` is the contiguous slice `starts[l]..starts[l+1]`; workers
 /// split it into disjoint chunks and write results **in place** (no results
@@ -349,7 +384,7 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     };
     let transitions = space.transitions();
     let levels = table.levels();
-    let n = threads.max(1);
+    let n = sweep_workers(threads, table.len - 1, transitions.len(), levels);
     let states = scratch.take_kernel_bufs(n);
     let strides = &table.strides;
     let dims = &table.dims;
@@ -665,7 +700,9 @@ fn strip_chunk<S: StateSpace>(
 /// (Lines 4–8) is computed serially: it is O(σ) against the O(σ·n′) scan
 /// this ablation measures. Each level (Lines 10–25) is then one release of
 /// the persistent pool: worker `w` scans its contiguous slice of all σ
-/// entries and computes, in place, those with `d_i = l`.
+/// entries and computes, in place, those with `d_i = l`. The serial cutoff
+/// is the production sweep's ([`sweep_workers`]), so the `ablation_levels`
+/// bench compares the two level walks under one execution policy.
 ///
 /// Reads satisfy the wavefront's read precondition — a nonzero config
 /// `c ≤ v` has digit sum ≥ 1, so `v − c` lies on a strictly lower,
@@ -680,9 +717,9 @@ fn faithful_sweep<S: StateSpace>(
 ) {
     let d: Vec<u32> = (0..table.len).map(|idx| table.level_of(idx)).collect();
     let levels = table.levels();
-    let n = threads.max(1);
-    let slice = table.len.div_ceil(n);
     let transitions = space.transitions();
+    let n = sweep_workers(threads, table.len - 1, transitions.len(), levels);
+    let slice = table.len.div_ceil(n);
     let strides = &table.strides;
     let cells = shared_cells(&mut table.values);
     let kernel = |w: usize, level: u32, v: &mut Vec<u32>| {
@@ -744,6 +781,15 @@ mod tests {
         out
     }
 
+    /// A table above the serial cutoff, so `threads > 1` really runs the
+    /// pool: four classes of four jobs, 624 cells over 16 swept levels and
+    /// 441 transitions, 1.7×10⁴ cell-transitions per level.
+    fn pooled_problem() -> DpProblem {
+        let mut counts = vec![0u32; 16];
+        counts[..4].fill(4);
+        DpProblem::new(counts, 1, 24, 64)
+    }
+
     #[test]
     fn bucketed_matches_sequential_bit_for_bit() {
         for problem in problems() {
@@ -772,14 +818,13 @@ mod tests {
     #[test]
     fn faithful_pool_counters_balance() {
         let mut scratch = DpScratch::new();
-        let problem = &problems()[0]; // 12 entries, 6 levels
         FaithfulDp::with_threads(4)
-            .solve_in(problem, &mut scratch)
+            .solve_in(&pooled_problem(), &mut scratch)
             .unwrap();
         assert_eq!(scratch.pool_parks, scratch.pool_wakes);
         assert!(scratch.pool_parks > 0, "the full scan runs on the pool");
-        assert_eq!(scratch.levels_swept, 5);
-        assert_eq!(scratch.cells_computed, 11);
+        assert_eq!(scratch.levels_swept, 16);
+        assert_eq!(scratch.cells_computed, 624);
     }
 
     #[test]
@@ -830,9 +875,8 @@ mod tests {
     #[test]
     fn pool_counters_balance_and_surface_through_scratch() {
         let mut scratch = DpScratch::new();
-        let problem = &problems()[0]; // 12 entries, 6 levels
         ParallelDp::with_threads(4)
-            .solve_in(problem, &mut scratch)
+            .solve_in(&pooled_problem(), &mut scratch)
             .unwrap();
         assert_eq!(
             scratch.pool_parks, scratch.pool_wakes,
@@ -840,10 +884,43 @@ mod tests {
         );
         assert!(
             scratch.pool_parks > 0,
-            "a 4-thread pool on 6 levels must actually park"
+            "a 4-thread pool on 17 levels must actually park"
         );
-        assert_eq!(scratch.levels_swept, 5);
-        assert_eq!(scratch.cells_computed, 11);
+        assert_eq!(scratch.levels_swept, 16);
+        assert_eq!(scratch.cells_computed, 624);
+    }
+
+    #[cfg(not(feature = "audit"))]
+    #[test]
+    fn tables_below_the_cutoff_sweep_inline_on_the_caller() {
+        // At the cutoff the pool runs; one cell-transition per level less
+        // and the caller sweeps alone.
+        let cutoff = POOL_MIN_WORK_PER_LEVEL as usize;
+        assert_eq!(sweep_workers(4, cutoff, 1, 2), 4);
+        assert_eq!(sweep_workers(4, cutoff - 1, 1, 2), 1);
+
+        // The paper's example: 11 cells × 3 transitions over 5 levels.
+        let problem = &problems()[0];
+        let want = {
+            let mut table = problem.build_table().unwrap();
+            let configs = problem.configs_with_offsets(&table);
+            serial_sweep(&mut table, &PcmaxSpace::new(&configs));
+            table.values_row_major()
+        };
+        let mut scratch = DpScratch::new();
+        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        table.values[0] = 0;
+        bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 4, &mut scratch);
+        assert_eq!(table.values_row_major(), want);
+        assert_eq!(scratch.pool_parks, 0, "no pool, so no barrier to park at");
+        assert_eq!(scratch.kernel_allocs, 1, "the caller's one KernelScratch");
+
+        let mut scratch = DpScratch::new();
+        FaithfulDp::with_threads(4)
+            .solve_in(problem, &mut scratch)
+            .unwrap();
+        assert_eq!(scratch.pool_parks, 0, "the full scan shares the cutoff");
     }
 
     #[test]
@@ -891,12 +968,13 @@ mod tests {
         }
 
         let mut scratch = DpScratch::new();
-        let problem = &problems()[0];
+        let problem = &pooled_problem();
         // Prime the pool so the post-panic probe has buffers to reuse.
         ParallelDp::with_threads(2)
             .solve_in(problem, &mut scratch)
             .unwrap();
         let allocs = scratch.kernel_allocs;
+        assert_eq!(allocs, 2, "both workers of the pool hold a buffer");
 
         let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);

@@ -5,7 +5,9 @@
 //! ragged edges: radix-1 digits (count-0 classes contribute nothing to a
 //! level), single-class tables whose levels hold exactly one cell, and the
 //! degenerate one-cell table (every count zero), where a strip is all
-//! padding after lane 0.
+//! padding after lane 0. Each property also checks that its cases land on
+//! both sides of the wavefront's serial cutoff: some sweep inline on the
+//! caller, some on the pool.
 
 use pcmax_parallel::wavefront::bucketed_sweep_space_with;
 use pcmax_parallel::CellKernel;
@@ -13,16 +15,58 @@ use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace};
 use pcmax_ptas::table::DpScratch;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Cases per property.
+const CASES: u32 = 64;
+
+/// One property's cases counted by the side of the serial cutoff they
+/// swept on, told apart by the scratch's park counter.
+struct Sides {
+    inline: AtomicU32,
+    pooled: AtomicU32,
+}
+
+impl Sides {
+    const fn new() -> Self {
+        Self {
+            inline: AtomicU32::new(0),
+            pooled: AtomicU32::new(0),
+        }
+    }
+
+    /// Counts one case; the property's last case fails unless both sides
+    /// were reached.
+    fn record(&self, parks: u64) -> TestCaseResult {
+        let side = if parks > 0 {
+            &self.pooled
+        } else {
+            &self.inline
+        };
+        side.fetch_add(1, Ordering::SeqCst);
+        let inline = self.inline.load(Ordering::SeqCst);
+        let pooled = self.pooled.load(Ordering::SeqCst);
+        if inline + pooled == CASES {
+            prop_assert!(
+                inline > 0 && pooled > 0,
+                "{inline} cases swept inline and {pooled} on the pool: \
+                 the cases must cover both sides of the serial cutoff"
+            );
+        }
+        Ok(())
+    }
+}
 
 /// Level-major parallel sweep with an explicit cell kernel,
-/// returning the filled table in row-major order for comparison. `caps`
-/// selects the capacity-filtered [`QSpace`] over the plain [`PcmaxSpace`].
+/// returning the filled table in row-major order for comparison, and the
+/// sweep's pool parks. `caps` selects the capacity-filtered [`QSpace`]
+/// over the plain [`PcmaxSpace`].
 fn parallel_values(
     problem: &DpProblem,
     caps: Option<&[u64]>,
     kernel: CellKernel,
     threads: usize,
-) -> Vec<u16> {
+) -> (Vec<u16>, u64) {
     let mut scratch = DpScratch::new();
     let mut table = problem
         .build_level_major_table_in(&mut scratch)
@@ -40,7 +84,7 @@ fn parallel_values(
             bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
         }
     }
-    table.values_row_major()
+    (table.values_row_major(), scratch.pool_parks)
 }
 
 fn arb_counts() -> impl Strategy<Value = Vec<u32>> {
@@ -48,7 +92,7 @@ fn arb_counts() -> impl Strategy<Value = Vec<u32>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn strip_kernel_matches_scalar_per_cell(
@@ -62,8 +106,9 @@ proptest! {
             serial_sweep(&mut table, &PcmaxSpace::new(&configs));
             table.values_row_major()
         };
+        let mut parks = 0;
         for kernel in [CellKernel::Scalar, CellKernel::Strip] {
-            let got = parallel_values(&problem, None, kernel, threads);
+            let (got, kernel_parks) = parallel_values(&problem, None, kernel, threads);
             prop_assert_eq!(
                 &got,
                 &want,
@@ -71,7 +116,10 @@ proptest! {
                 kernel,
                 threads
             );
+            parks += kernel_parks;
         }
+        static SIDES: Sides = Sides::new();
+        SIDES.record(parks)?;
     }
 
     #[test]
@@ -92,8 +140,9 @@ proptest! {
         };
         // The capacity filter runs through `value_of_batch` inside the strip
         // kernel, so this exercises the overridden lane filter end to end.
+        let mut parks = 0;
         for kernel in [CellKernel::Scalar, CellKernel::Strip] {
-            let got = parallel_values(&problem, Some(&caps), kernel, threads);
+            let (got, kernel_parks) = parallel_values(&problem, Some(&caps), kernel, threads);
             prop_assert_eq!(
                 &got,
                 &want,
@@ -102,6 +151,9 @@ proptest! {
                 &caps,
                 threads
             );
+            parks += kernel_parks;
         }
+        static SIDES: Sides = Sides::new();
+        SIDES.record(parks)?;
     }
 }
