@@ -36,8 +36,8 @@ use pcmax_bench::timing::time_stable;
 use pcmax_core::json::{self, Value};
 use pcmax_parallel::wavefront::bucketed_sweep_space_with;
 use pcmax_parallel::{simd, CellKernel};
-use pcmax_ptas::dp::DpProblem;
-use pcmax_ptas::space::{PcmaxSpace, SerialEngine, SpaceEngine};
+use pcmax_ptas::dp::{DpProblem, IterativeDp};
+use pcmax_ptas::space::{PcmaxSpace, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
 use pcmax_ptas::{rounded_problem, EpsilonParams};
 use pcmax_workloads::{generate, Distribution, Family};
@@ -157,10 +157,10 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
     let problem = rounded(case);
     let mut scratch = DpScratch::new();
 
-    // Reference values from the serial generic engine, once.
+    // Reference values from the serial oracle, once.
     let mut reference = problem.build_table().expect("guarded size");
     let ref_configs = problem.configs_with_offsets(&reference);
-    SerialEngine.sweep(&mut reference, &PcmaxSpace::new(&ref_configs), &mut scratch);
+    IterativeDp.sweep(&mut reference, &PcmaxSpace::new(&ref_configs), &mut scratch);
     let want = reference.values_row_major();
     let cells = (reference.len - 1) as u64;
 

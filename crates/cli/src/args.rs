@@ -34,7 +34,9 @@ solve options:
                     (aliases: pptas, spec, qptas, speed-lpt, online)
   --eps E           PTAS accuracy (default 0.3)
   --threads T       most worker threads for the parallel solvers (DP tables
-                    too small to pay for a pool sweep on one)
+                    too small to pay for a pool sweep on one); unset,
+                    par-ptas uses all cores and ptas-q runs the serial
+                    IterativeDp engine
   --budget B        search-node budget for exact/milp
   --schedule        also print the full per-machine assignment
 
@@ -48,7 +50,9 @@ metrics options:
   --count C         instances per family (default 3)
   --eps E           PTAS accuracy (default 0.3)
   --threads T       most worker threads for the parallel solvers (DP tables
-                    too small to pay for a pool sweep on one)
+                    too small to pay for a pool sweep on one); unset,
+                    par-ptas uses all cores and ptas-q runs the serial
+                    IterativeDp engine
   --seed S          base RNG seed for the workload mix (default 1)
   --format F        registry export format: prom | json (default json)
   --out FILE        write the export to FILE (without --out, an explicit

@@ -46,7 +46,9 @@ impl Value {
         match *self {
             Value::UInt(v) => Some(v),
             Value::Int(v) if v >= 0 => Some(v as u64),
-            Value::Float(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, one past the range, so
+            // the bound is exclusive; `as` would saturate 2^64 to u64::MAX.
+            Value::Float(v) if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 => {
                 Some(v as u64)
             }
             _ => None,
@@ -207,11 +209,18 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T> {
     T::from_json(&parse(text)?)
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one hostile document can
+/// overflow the stack and abort the process. Every document the workspace
+/// writes (wire frames, instance files, metrics and trace exports, the
+/// bench JSON) nests at most 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse(text: &str) -> Result<Value> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(bad(format!("trailing characters at byte {pos}")));
@@ -238,8 +247,15 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<()> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(bad(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(bad("unexpected end of input")),
         Some(b'{') => {
@@ -255,7 +271,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -277,7 +293,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -475,5 +491,47 @@ mod tests {
         let v = parse("18446744073709551615").unwrap();
         assert_eq!(v.as_u64(), Some(u64::MAX));
         assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    /// `depth` nested arrays around one number, as the `times` of an
+    /// instance document.
+    fn nested_times(depth: usize) -> String {
+        format!(
+            r#"{{"times":{}1{},"machines":2}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let err = parse(&nested_times(100_000)).unwrap_err();
+        assert!(
+            matches!(&err, Error::BadModel(m) if m.starts_with("json: nesting deeper")),
+            "{err}"
+        );
+        // The object counts as one level: MAX_DEPTH levels in all parse,
+        // one more does not.
+        assert!(parse(&nested_times(MAX_DEPTH - 1)).is_ok());
+        assert!(parse(&nested_times(MAX_DEPTH)).is_err());
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        assert!(parse(&format!("[{objects}]")).is_err());
+    }
+
+    #[test]
+    fn two_to_the_64_is_out_of_range() {
+        // 2^64 overflows the u64 parse and falls back to f64; it must not
+        // saturate to u64::MAX.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        let err = from_str::<crate::Instance>(r#"{"times":[18446744073709551616,3],"machines":2}"#)
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::BadModel(m) if m.starts_with("json:")),
+            "{err}"
+        );
+        let max = from_str::<crate::Instance>(r#"{"times":[18446744073709551615,3],"machines":2}"#)
+            .unwrap();
+        assert_eq!(max.times()[0], u64::MAX);
     }
 }

@@ -548,6 +548,16 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_job_time_is_a_bad_request() {
+        let frame = r#"{"proto":"pcmax-wire/1","id":3,"op":"solve","solver":"lpt","eps":0.3,"instance":{"times":[18446744073709551616,3],"machines":2}}"#;
+        let err = WireRequest::from_json(&json::parse(frame).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, Error::BadModel(m) if m.starts_with("json:")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn wrong_protocol_is_rejected() {
         let mut v = sample_solve().to_json();
         if let Value::Object(members) = &mut v {

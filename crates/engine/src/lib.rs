@@ -54,8 +54,10 @@ use pcmax_ptas::{Ptas, QPtas};
 pub struct SolverParams {
     /// Relative error for the PTAS family and the FPTAS.
     pub epsilon: f64,
-    /// Most worker threads for the parallel solvers (`None` = all cores);
-    /// DP tables below the wavefront's serial cutoff sweep on one.
+    /// Most worker threads for the parallel solvers; DP tables below the
+    /// wavefront's serial cutoff sweep on one. Unset, `par-ptas` and
+    /// `spec-ptas` use all cores, while `ptas-q` runs the serial
+    /// `IterativeDp` engine (set it to run `ptas-q` on the wavefront).
     pub threads: Option<usize>,
     /// Search-node budget for the exact and MILP solvers.
     pub node_budget: Option<u64>,

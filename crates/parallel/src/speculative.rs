@@ -24,12 +24,9 @@ use pcmax_core::{
     Error, Instance, MakespanBounds, Result, Schedule, SolveReport, SolveRequest, SolveStats,
     Solver, Time,
 };
-use pcmax_ptas::config::Config;
-use pcmax_ptas::dp::{DpProblem, DpSolver};
-use pcmax_ptas::driver::reconstruct;
-use pcmax_ptas::rounding::{JobPartition, RoundedLongJobs};
+use pcmax_ptas::chassis::{self, Scenario};
 use pcmax_ptas::table::DpScratch;
-use pcmax_ptas::{rounded_problem, EpsilonParams};
+use pcmax_ptas::{EpsilonParams, Ptas};
 use std::time::{Duration, Instant};
 
 /// The speculative-bisection parallel PTAS.
@@ -38,11 +35,10 @@ pub struct SpeculativePtas {
     params: EpsilonParams,
     /// Candidate targets probed concurrently per round (`≥ 1`).
     pub width: usize,
-    max_entries: usize,
 }
 
-/// A feasible probe's payload: configs, rounding, partition, target.
-type Witness = (Vec<Config>, RoundedLongJobs, JobPartition, Time);
+/// A feasible probe's witness, as the `P||Cmax` scenario reconstructs it.
+type Witness = <Ptas<ParallelDp> as Scenario>::Witness;
 
 /// One pool worker's probe: its target, private scratch arena and verdict.
 type Probe = (Time, DpScratch, Result<Option<Witness>>);
@@ -53,7 +49,6 @@ impl SpeculativePtas {
         Ok(Self {
             params: EpsilonParams::new(epsilon)?,
             width: width.max(1),
-            max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
         })
     }
 
@@ -77,75 +72,6 @@ impl SpeculativePtas {
             .map(|(schedule, target, rounds, _)| (schedule, target, rounds))
     }
 
-    /// Probes all `candidates` concurrently as one level of the persistent
-    /// pool (one worker per candidate, each with a private scratch arena),
-    /// merging every probe's scratch counters and the round pool's own
-    /// park/wake traffic into the run's stats.
-    fn probe_round(
-        &self,
-        req: &SolveRequest<'_>,
-        candidates: &[Time],
-        stats: &mut SolveStats,
-    ) -> Result<Vec<(Time, Option<Witness>)>> {
-        let inst = req.instance;
-        let dp = ParallelDp {
-            threads: req.threads,
-        };
-        let probes: Vec<Probe> = candidates
-            .iter()
-            .map(|&t| (t, DpScratch::new(), Ok(None)))
-            .collect();
-        let (probes, round) = persistent::run_levels(probes, 0..1, |_, _, probe| {
-            let (t, scratch, witness) = probe;
-            let _probe_span = req.trace_span("probe", *t);
-            let (problem, rounded, partition) =
-                rounded_problem(inst, &self.params, *t, self.max_entries);
-            *witness = dp.solve_in(&problem, scratch).map(|outcome| {
-                outcome
-                    .schedule
-                    .map(|configs| (configs, rounded, partition, *t))
-            });
-        });
-        stats.pool_parks += round.parks;
-        stats.pool_wakes += round.wakes;
-        let mut out = Vec::with_capacity(probes.len());
-        for (t, scratch, witness) in probes {
-            stats.dp_entries_touched += scratch.entries_touched;
-            stats.dp_tables_allocated += scratch.tables_allocated;
-            stats.dp_tables_reused += scratch.tables_reused;
-            stats.dp_levels_swept += scratch.levels_swept;
-            stats.dp_cells += scratch.cells_computed;
-            stats.pool_parks += scratch.pool_parks;
-            stats.pool_wakes += scratch.pool_wakes;
-            stats.dp_kernel_allocs += scratch.kernel_allocs;
-            stats.bisection_probes += 1;
-            out.push((t, witness?));
-        }
-        Ok(out)
-    }
-
-    /// Budget gate evaluated between rounds.
-    fn check_budget(
-        &self,
-        req: &SolveRequest<'_>,
-        stats: &SolveStats,
-        lower: Time,
-        upper: Time,
-    ) -> Result<()> {
-        req.check_cancelled()?;
-        let entries_exhausted = req
-            .budget
-            .entry_limit
-            .is_some_and(|limit| stats.dp_entries_touched >= limit as u64);
-        if req.budget.deadline_exceeded() || entries_exhausted {
-            return Err(Error::BudgetExhausted {
-                incumbent: upper,
-                lower_bound: lower,
-            });
-        }
-        Ok(())
-    }
-
     /// Full solve under an engine request: cancellation and budget are
     /// checked between probe rounds; the returned stats account every
     /// concurrent probe of every round.
@@ -159,11 +85,18 @@ impl SpeculativePtas {
             let schedule = Schedule::from_assignment(vec![], inst.machines())?;
             return Ok((schedule, 0, 0, stats));
         }
+        let ptas = Ptas::with_solver(
+            self.params.epsilon,
+            ParallelDp {
+                threads: req.threads,
+            },
+        )?;
         let MakespanBounds {
             mut lower,
             mut upper,
         } = MakespanBounds::of(inst);
-        let mut best: Option<Witness> = None;
+        // Last feasible witness and the target it certifies.
+        let mut best: Option<(Witness, Time)> = None;
         let mut rounds = 0u32;
         // Wall time inside probe rounds, reported as the `"dp"` phase.
         let mut dp_wall = Duration::ZERO;
@@ -171,7 +104,7 @@ impl SpeculativePtas {
         let search_start = Instant::now();
         let search_span = req.trace_span("speculative-search", 0);
         while lower < upper {
-            self.check_budget(req, &stats, lower, upper)?;
+            chassis::check_budget(req, stats.dp_entries_touched, lower, upper)?;
             rounds += 1;
             // Candidates strictly inside [lower, upper), always including
             // the midpoint so each round at least halves the bracket.
@@ -188,16 +121,16 @@ impl SpeculativePtas {
             }
 
             let dp_start = Instant::now();
-            let probes = self.probe_round(req, &candidates, &mut stats)?;
+            let probes = probe_round(&ptas, req, &candidates, &mut stats)?;
             dp_wall += dp_start.elapsed();
 
-            let mut feasible_min: Option<Witness> = None;
+            let mut feasible_min: Option<(Witness, Time)> = None;
             let mut infeasible_max: Option<Time> = None;
             for (t, witness) in probes {
                 match witness {
                     Some(w) => {
-                        if feasible_min.as_ref().is_none_or(|f| t < f.3) {
-                            feasible_min = Some(w);
+                        if feasible_min.as_ref().is_none_or(|f| t < f.1) {
+                            feasible_min = Some((w, t));
                         }
                     }
                     None => {
@@ -208,7 +141,7 @@ impl SpeculativePtas {
                 }
             }
             if let Some(w) = feasible_min {
-                upper = w.3;
+                upper = w.1;
                 best = Some(w);
             }
             if let Some(t) = infeasible_max {
@@ -218,27 +151,26 @@ impl SpeculativePtas {
             }
         }
 
-        let (configs, rounded, partition, target) = match best {
-            Some(b) if b.3 == upper => b,
+        let (witness, target) = match best {
+            Some(b) if b.1 == upper => b,
             _ => {
                 // Zero-width bracket or the converged value was never probed
                 // feasible: certify it directly (always feasible, see the
                 // bisection invariant in pcmax-ptas).
-                self.check_budget(req, &stats, lower, upper)?;
+                chassis::check_budget(req, stats.dp_entries_touched, lower, upper)?;
                 let dp_start = Instant::now();
-                let mut probes = self.probe_round(req, &[upper], &mut stats)?;
+                let mut probes = probe_round(&ptas, req, &[upper], &mut stats)?;
                 dp_wall += dp_start.elapsed();
-                let (_, witness) = probes.pop().ok_or_else(|| Error::InvalidWitness {
+                let (t, witness) = probes.pop().ok_or_else(|| Error::InvalidWitness {
                     reason: "probe round returned no result for the converged target".into(),
                 })?;
-                let (configs, rounded, partition, t) =
-                    witness.ok_or_else(|| Error::InvalidWitness {
-                        reason: format!(
-                            "converged target {upper} probed infeasible, breaking the \
-                             bracket invariant"
-                        ),
-                    })?;
-                (configs, rounded, partition, t)
+                let witness = witness.ok_or_else(|| Error::InvalidWitness {
+                    reason: format!(
+                        "converged target {upper} probed infeasible, breaking the \
+                         bracket invariant"
+                    ),
+                })?;
+                (witness, t)
             }
         };
         drop(search_span);
@@ -247,12 +179,45 @@ impl SpeculativePtas {
 
         let recon_start = Instant::now();
         let recon_span = req.trace_span("reconstruct", 0);
-        let schedule = reconstruct(inst, &configs, &rounded, &partition)?;
+        let schedule = ptas.reconstruct(inst, witness, target)?;
         drop(recon_span);
         stats.push_phase("reconstruct", recon_start.elapsed());
         stats.wall = run_start.elapsed();
+        chassis::record_totals(&stats);
         Ok((schedule, target, rounds, stats))
     }
+}
+
+/// Probes all `candidates` concurrently as one level of the persistent
+/// pool (one worker per candidate, each with a private scratch arena)
+/// through `ptas`'s scenario probe, merging every probe's scratch
+/// counters and the round pool's own park/wake traffic into the run's
+/// stats.
+fn probe_round(
+    ptas: &Ptas<ParallelDp>,
+    req: &SolveRequest<'_>,
+    candidates: &[Time],
+    stats: &mut SolveStats,
+) -> Result<Vec<(Time, Option<Witness>)>> {
+    let inst = req.instance;
+    let probes: Vec<Probe> = candidates
+        .iter()
+        .map(|&t| (t, DpScratch::new(), Ok(None)))
+        .collect();
+    let (probes, round) = persistent::run_levels(probes, 0..1, |_, _, probe| {
+        let (t, scratch, witness) = probe;
+        let _probe_span = req.trace_span("probe", *t);
+        *witness = ptas.probe(inst, *t, scratch).map(|(_, w)| w);
+    });
+    stats.pool_parks += round.parks;
+    stats.pool_wakes += round.wakes;
+    let mut out = Vec::with_capacity(probes.len());
+    for (t, scratch, witness) in probes {
+        chassis::merge_scratch(stats, &scratch);
+        stats.bisection_probes += 1;
+        out.push((t, witness?));
+    }
+    Ok(out)
 }
 
 impl Solver for SpeculativePtas {
@@ -262,13 +227,7 @@ impl Solver for SpeculativePtas {
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
         let (schedule, target, _rounds, stats) = self.run(req)?;
-        Ok(SolveReport {
-            makespan: schedule.makespan(req.instance),
-            schedule,
-            certified_target: Some(target),
-            proven_optimal: false,
-            stats,
-        })
+        Ok(chassis::report(req.instance, schedule, target, stats))
     }
 }
 

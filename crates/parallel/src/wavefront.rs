@@ -16,8 +16,8 @@
 
 use crate::{persistent, simd, sync};
 use pcmax_ptas::config::Config;
-use pcmax_ptas::dp::{finish, fits, DpOutcome, DpProblem, DpSolver};
-use pcmax_ptas::space::{serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
+use pcmax_ptas::dp::fits;
+use pcmax_ptas::space::{serial_sweep, SpaceEngine, StateSpace};
 use pcmax_ptas::table::{
     decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, INFEASIBLE,
     STRIP_LANES,
@@ -61,26 +61,9 @@ impl ParallelDp {
     }
 }
 
-impl DpSolver for ParallelDp {
-    fn name(&self) -> &'static str {
-        "dp-parallel"
-    }
-
-    fn solve_in(
-        &self,
-        problem: &DpProblem,
-        scratch: &mut DpScratch,
-    ) -> pcmax_core::Result<DpOutcome> {
-        let mut table = problem.build_level_major_table_in(scratch)?;
-        let configs = problem.configs_with_offsets(&table);
-        self.sweep(&mut table, &PcmaxSpace::new(&configs), scratch);
-        finish(problem, table, &configs, scratch)
-    }
-}
-
 impl SpaceEngine for ParallelDp {
     fn engine_name(&self) -> &'static str {
-        DpSolver::name(self)
+        "dp-parallel"
     }
 
     fn level_major(&self) -> bool {
@@ -118,26 +101,9 @@ impl FaithfulDp {
     }
 }
 
-impl DpSolver for FaithfulDp {
-    fn name(&self) -> &'static str {
-        "dp-parallel-faithful"
-    }
-
-    fn solve_in(
-        &self,
-        problem: &DpProblem,
-        scratch: &mut DpScratch,
-    ) -> pcmax_core::Result<DpOutcome> {
-        let mut table = problem.build_table_in(scratch)?;
-        let configs = problem.configs_with_offsets(&table);
-        self.sweep(&mut table, &PcmaxSpace::new(&configs), scratch);
-        finish(problem, table, &configs, scratch)
-    }
-}
-
 impl SpaceEngine for FaithfulDp {
     fn engine_name(&self) -> &'static str {
-        DpSolver::name(self)
+        "dp-parallel-faithful"
     }
 
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch) {
@@ -345,7 +311,7 @@ fn tile_cells_for(k: usize) -> usize {
 /// `DpScratch::kernel_allocs`. Reads translate row-major ranks through the
 /// layout's permutation and target strictly lower (barrier-sealed) levels.
 /// The space's `step_allowed` filter is applied between the barrier-sealed
-/// read and the min-reduce; on [`PcmaxSpace`] it is the always-true default
+/// read and the min-reduce; on `PcmaxSpace` it is the always-true default
 /// and the sweep monomorphizes back to the identical-machine kernel.
 ///
 /// Public so the `pcmax-audit` interleaving suite can drive the sweep on a
@@ -761,7 +727,8 @@ fn faithful_sweep<S: StateSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcmax_ptas::dp::{verify_witness, IterativeDp};
+    use pcmax_ptas::dp::{verify_witness, DpProblem, DpSolver, IterativeDp};
+    use pcmax_ptas::space::PcmaxSpace;
 
     fn problems() -> Vec<DpProblem> {
         let mut out = Vec::new();
@@ -1057,7 +1024,7 @@ mod tests {
 
     #[test]
     fn q_space_engines_match_the_serial_engine() {
-        use pcmax_ptas::space::{QSpace, SerialEngine};
+        use pcmax_ptas::space::QSpace;
 
         /// Fills a fresh table in `engine`'s layout for the capacity-filtered
         /// space and returns it in row-major order.
@@ -1085,7 +1052,7 @@ mod tests {
         ];
         for problem in problems() {
             for caps in &caps_sets {
-                let want = q_values(&SerialEngine, &problem, caps);
+                let want = q_values(&IterativeDp, &problem, caps);
                 for (name, got) in [
                     ("parallel", q_values(&ParallelDp::default(), &problem, caps)),
                     (
@@ -1100,6 +1067,41 @@ mod tests {
                 ] {
                     assert_eq!(got, want, "{name} diverged on caps {caps:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_q_space_matches_the_serial_oracle() {
+        use pcmax_ptas::dp::{finish_with, DpOutcome, MemoizedDp};
+        use pcmax_ptas::space::QSpace;
+
+        /// `OPT(N)` and the witness `engine` extracts on the
+        /// capacity-filtered space. The memoized walk leaves unreachable
+        /// cells `UNVISITED`, so whole tables are not comparable.
+        fn q_outcome<E: SpaceEngine>(engine: &E, problem: &DpProblem, caps: &[u64]) -> DpOutcome {
+            let mut scratch = DpScratch::new();
+            let mut table = problem.build_table_for(engine, &mut scratch).unwrap();
+            let configs = problem.configs_with_offsets(&table);
+            let space = QSpace::new(&configs, &table.sizes, caps);
+            engine.sweep(&mut table, &space, &mut scratch);
+            finish_with(problem, table, &space, &mut scratch).unwrap()
+        }
+
+        // The caps sets of `q_space_engines_match_the_serial_engine`.
+        let caps_sets: Vec<Vec<u64>> = vec![
+            vec![30, 30, 30, 30],
+            vec![30, 20, 10, 6],
+            vec![30, 6],
+            vec![12, 4],
+        ];
+        for problem in problems() {
+            for caps in &caps_sets {
+                assert_eq!(
+                    q_outcome(&MemoizedDp, &problem, caps),
+                    q_outcome(&IterativeDp, &problem, caps),
+                    "memoized diverged on caps {caps:?}"
+                );
             }
         }
     }

@@ -2,21 +2,23 @@
 //! generalized over *what* is being bisected.
 //!
 //! A [`Scenario`] packages the scheduling-model-specific parts of a
-//! dual-approximation run: the initial makespan bracket, a feasibility
-//! `probe` at a target (rounding + DP + witness extraction), and the
-//! `reconstruct` step that turns a probe's witness back into a schedule over
-//! the original jobs. [`drive`] is the model-agnostic part — the bisection
-//! loop, the budget/cancellation gates, the trace spans, the re-probe that
+//! dual-approximation run: a feasibility `probe` at a target (rounding, DP
+//! and witness extraction), the `reconstruct` step that turns a probe's
+//! witness back into a schedule over the original jobs, and the
+//! profile-cache hooks. [`drive`] is the model-agnostic part — the
+//! bisection loop over the [`MakespanBounds`] bracket, the
+//! budget/cancellation gates, the trace spans, the re-probe that
 //! re-establishes the invariant at the converged target, and the stats
-//! bookkeeping — extracted verbatim from the original `P||Cmax` driver so
-//! `Ptas::solve_with` stays bit-identical.
+//! bookkeeping. [`report`], [`check_budget`], [`merge_scratch`] and
+//! [`record_totals`] are also what `pcmax_parallel::SpeculativePtas` runs
+//! its own w-ary search on.
 
 use crate::config::Config;
 use crate::driver::{BisectionLog, BisectionProbe, PtasOutput};
 use crate::table::DpScratch;
 use pcmax_core::{
-    Error, Instance, MakespanBounds, ProfileKey, ProfileVerdict, Result, Schedule, SolveRequest,
-    SolveStats, Time,
+    Error, Instance, MakespanBounds, ProfileKey, ProfileVerdict, Result, Schedule, SolveReport,
+    SolveRequest, SolveStats, Time,
 };
 use pcmax_metrics::Counter;
 use std::time::{Duration, Instant};
@@ -59,19 +61,12 @@ static PROFILE_CACHE_MISSES: Counter = Counter::new(
 
 /// A dual-approximation scheduling scenario the generic [`drive`] loop can
 /// bisect: `P||Cmax` (the original PTAS), `Q||Cmax` (uniform machines), or
-/// anything else with a monotone feasibility predicate over target makespans.
+/// anything else with a monotone feasibility predicate over target makespans
+/// whose probe at the speed-aware [`MakespanBounds`] upper end is feasible.
 pub trait Scenario {
     /// Whatever the probe must hand to [`reconstruct`](Self::reconstruct)
     /// to rebuild a schedule over the original jobs.
     type Witness;
-
-    /// Initial bisection bracket. The default — the speed-aware
-    /// [`MakespanBounds`] — is correct for both identical and uniform
-    /// machines; the contract [`drive`] relies on is that a probe at
-    /// `upper` is always feasible.
-    fn bounds(&self, inst: &Instance) -> MakespanBounds {
-        MakespanBounds::of(inst)
-    }
 
     /// DP-table entry count at `target`, used to pre-size the scratch arena
     /// so every probe of the run reuses one allocation. `None` skips the
@@ -98,34 +93,39 @@ pub trait Scenario {
     ) -> Result<Schedule>;
 
     /// The instance-profile cache key of the rounded subproblem at
-    /// `target`, or `None` when this scenario (or this particular probe)
-    /// does not support profile caching. Implementations must guarantee
-    /// that equal keys imply bit-identical probe verdicts *and* extracted
-    /// witness configs — see `pcmax_core::profile` for the soundness
-    /// argument. The default opts out.
-    fn profile_key(&self, inst: &Instance, target: Time) -> Option<ProfileKey> {
-        let _ = (inst, target);
-        None
-    }
+    /// `target`, or `None` when this particular probe does not support
+    /// profile caching. Implementations must guarantee that equal keys
+    /// imply bit-identical probe verdicts *and* extracted witness configs —
+    /// see `pcmax_core::profile` for the soundness argument.
+    fn profile_key(&self, inst: &Instance, target: Time) -> Option<ProfileKey>;
 
     /// Rebuilds a probe witness from cached configs: replays the cheap
     /// O(n) rounding for the per-instance reconstruction map and skips the
-    /// DP. Returning `None` forces a real probe. The default opts out.
-    fn rehydrate(
-        &self,
-        inst: &Instance,
-        target: Time,
-        configs: &[Config],
-    ) -> Option<Self::Witness> {
-        let _ = (inst, target, configs);
-        None
-    }
+    /// DP. Returning `None` forces a real probe.
+    fn rehydrate(&self, inst: &Instance, target: Time, configs: &[Config])
+        -> Option<Self::Witness>;
 
     /// The extracted per-machine configs inside a witness, for populating
-    /// the cache after a miss. The default opts out (nothing is stored).
-    fn witness_configs<'w>(&self, witness: &'w Self::Witness) -> Option<&'w [Config]> {
-        let _ = witness;
-        None
+    /// the cache after a miss.
+    fn witness_configs<'w>(&self, witness: &'w Self::Witness) -> &'w [Config];
+}
+
+/// A [`Scenario`]'s `Solver::solve`: [`drive`] the request, then [`report`]
+/// the result.
+pub fn solve<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<SolveReport> {
+    let (out, stats) = drive(sc, req)?;
+    Ok(report(req.instance, out.schedule, out.target, stats))
+}
+
+/// The engine report of every dual-approximation solve: the schedule, its
+/// makespan and the certified target `T*`, never claimed optimal.
+pub fn report(inst: &Instance, schedule: Schedule, target: Time, stats: SolveStats) -> SolveReport {
+    SolveReport {
+        makespan: schedule.makespan(inst),
+        schedule,
+        certified_target: Some(target),
+        proven_optimal: false,
+        stats,
     }
 }
 
@@ -153,7 +153,7 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     let MakespanBounds {
         mut lower,
         mut upper,
-    } = sc.bounds(inst);
+    } = MakespanBounds::of(inst);
     let mut log = BisectionLog::default();
     // Last feasible witness and the target it certifies.
     let mut best: Option<(Sc::Witness, Time)> = None;
@@ -179,7 +179,7 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     // understates DP throughput; `dp_phase_cells_per_sec` divides by this.
     let mut dp_wall = Duration::ZERO;
     while lower < upper {
-        check_budget(req, &scratch, lower, upper)?;
+        check_budget(req, scratch.entries_touched, lower, upper)?;
         let t = (lower + upper) / 2;
         let probe_span = req.trace_span("probe", t);
         let dp_start = Instant::now();
@@ -209,7 +209,7 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     let (witness, t_star) = match best {
         Some(b) if b.1 == target => b,
         _ => {
-            check_budget(req, &scratch, lower, upper)?;
+            check_budget(req, scratch.entries_touched, lower, upper)?;
             let probe_span = req.trace_span("probe", target);
             let dp_start = Instant::now();
             let (dp_machines, witness) = probe_cached(
@@ -246,7 +246,7 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     // probe was a hit reaches this point having spent almost no budget,
     // and a cancel raised during the bisection must still abort the
     // (per-instance, never cached) witness reconstruction.
-    check_budget(req, &scratch, t_star, t_star)?;
+    check_budget(req, scratch.entries_touched, t_star, t_star)?;
     let recon_start = Instant::now();
     let recon_span = req.trace_span("reconstruct", 0);
     let schedule = sc.reconstruct(inst, witness, t_star)?;
@@ -254,23 +254,9 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     stats.push_phase("reconstruct", recon_start.elapsed());
 
     stats.bisection_probes = log.evaluations() as u64;
-    stats.dp_entries_touched = scratch.entries_touched;
-    stats.dp_tables_allocated = scratch.tables_allocated;
-    stats.dp_tables_reused = scratch.tables_reused;
-    stats.dp_levels_swept = scratch.levels_swept;
-    stats.dp_cells = scratch.cells_computed;
-    stats.pool_parks = scratch.pool_parks;
-    stats.pool_wakes = scratch.pool_wakes;
-    stats.dp_kernel_allocs = scratch.kernel_allocs;
+    merge_scratch(&mut stats, &scratch);
     stats.wall = run_start.elapsed();
-    // Aggregate per-solve totals into the process-wide registry — once per
-    // solve, well off the probe/cell hot paths.
-    BISECTION_PROBES.inc_by(stats.bisection_probes);
-    DP_LEVELS.inc_by(stats.dp_levels_swept);
-    DP_CELLS.inc_by(stats.dp_cells);
-    DP_KERNEL_ALLOCS.inc_by(stats.dp_kernel_allocs);
-    PROFILE_CACHE_HITS.inc_by(stats.cache_hits);
-    PROFILE_CACHE_MISSES.inc_by(stats.cache_misses);
+    record_totals(&stats);
     Ok((
         PtasOutput {
             schedule,
@@ -327,28 +313,49 @@ fn probe_cached<Sc: Scenario>(
     let (machines, witness) = sc.probe(inst, target, scratch)?;
     if let Some((cache, key)) = keyed {
         let verdict = match &witness {
-            None => Some(ProfileVerdict::Infeasible { machines }),
-            Some(w) => sc
-                .witness_configs(w)
-                .map(|configs| ProfileVerdict::Feasible {
-                    machines,
-                    configs: configs.to_vec(),
-                }),
+            None => ProfileVerdict::Infeasible { machines },
+            Some(w) => ProfileVerdict::Feasible {
+                machines,
+                configs: sc.witness_configs(w).to_vec(),
+            },
         };
-        if let Some(verdict) = verdict {
-            self_stored.push(key.clone());
-            cache.put(key, verdict);
-        }
+        self_stored.push(key.clone());
+        cache.put(key, verdict);
     }
     Ok((machines, witness))
 }
 
+/// Adds the DP counters `scratch` accumulated (tables, entries, levels,
+/// cells, pool parks and wakes, kernel allocations) to `stats`.
+pub fn merge_scratch(stats: &mut SolveStats, scratch: &DpScratch) {
+    stats.dp_entries_touched += scratch.entries_touched;
+    stats.dp_tables_allocated += scratch.tables_allocated;
+    stats.dp_tables_reused += scratch.tables_reused;
+    stats.dp_levels_swept += scratch.levels_swept;
+    stats.dp_cells += scratch.cells_computed;
+    stats.pool_parks += scratch.pool_parks;
+    stats.pool_wakes += scratch.pool_wakes;
+    stats.dp_kernel_allocs += scratch.kernel_allocs;
+}
+
+/// Aggregates one finished solve's totals into the process-wide registry —
+/// once per solve, well off the probe/cell hot paths.
+pub fn record_totals(stats: &SolveStats) {
+    BISECTION_PROBES.inc_by(stats.bisection_probes);
+    DP_LEVELS.inc_by(stats.dp_levels_swept);
+    DP_CELLS.inc_by(stats.dp_cells);
+    DP_KERNEL_ALLOCS.inc_by(stats.dp_kernel_allocs);
+    PROFILE_CACHE_HITS.inc_by(stats.cache_hits);
+    PROFILE_CACHE_MISSES.inc_by(stats.cache_misses);
+}
+
 /// Pre-probe budget gate: cancellation, wall-clock deadline and the
-/// DP-entry limit. `[lower, upper]` is the current bracket, reported in
-/// the budget-exhausted error as the best-known bounds.
-fn check_budget(
+/// DP-entry limit against the `entries_touched` so far. `[lower, upper]` is
+/// the current bracket, reported in the budget-exhausted error as the
+/// best-known bounds.
+pub fn check_budget(
     req: &SolveRequest<'_>,
-    scratch: &DpScratch,
+    entries_touched: u64,
     lower: Time,
     upper: Time,
 ) -> Result<()> {
@@ -356,7 +363,7 @@ fn check_budget(
     let entries_exhausted = req
         .budget
         .entry_limit
-        .is_some_and(|limit| scratch.entries_touched >= limit as u64);
+        .is_some_and(|limit| entries_touched >= limit as u64);
     if req.budget.deadline_exceeded() || entries_exhausted {
         return Err(Error::BudgetExhausted {
             incumbent: upper,

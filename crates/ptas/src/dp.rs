@@ -1,6 +1,7 @@
-//! The dynamic program at the heart of the PTAS (Algorithm 2), behind the
-//! pluggable [`DpSolver`] trait so the sequential and parallel
-//! implementations are interchangeable inside the bisection driver.
+//! The dynamic program at the heart of the PTAS (Algorithm 2): the
+//! [`DpSolver`] entry point the `P||Cmax` bisection probes through, the
+//! sequential engines ([`IterativeDp`], the serial oracle every other engine
+//! is checked against, and [`MemoizedDp`]) and the shared probe epilogue.
 //!
 //! `OPT(v)` is the minimum number of machines that can run the rounded long
 //! jobs counted by `v` within the target makespan `T`:
@@ -11,6 +12,7 @@
 //! ```
 
 use crate::config::{enumerate_configs_sized, Config};
+use crate::space::{extract_schedule_with, serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
 use crate::table::{DpScratch, DpTable, INFEASIBLE};
 use pcmax_core::{Error, Result, Time};
 
@@ -65,6 +67,21 @@ impl DpProblem {
             .ok_or_else(|| self.table_error())
     }
 
+    /// Builds the dense table in the storage order `engine` sweeps:
+    /// level-major when [`SpaceEngine::level_major`] asks for it, row-major
+    /// otherwise. Every probe, `P||Cmax` or `Q||Cmax`, builds through here.
+    pub fn build_table_for<E: SpaceEngine>(
+        &self,
+        engine: &E,
+        scratch: &mut DpScratch,
+    ) -> Result<DpTable> {
+        if engine.level_major() {
+            self.build_level_major_table_in(scratch)
+        } else {
+            self.build_table_in(scratch)
+        }
+    }
+
     fn table_error(&self) -> Error {
         Error::BadModel(format!(
             "DP table would exceed {} entries; increase max_entries or epsilon",
@@ -117,9 +134,9 @@ impl DpOutcome {
     }
 }
 
-/// A dynamic-programming solver for rounded long-job scheduling. The
-/// sequential implementations live here; `pcmax_parallel::ParallelDp`
-/// implements the same trait with the paper's wavefront parallelization.
+/// The `P||Cmax` entry point to the DP: solve one rounded subproblem. Every
+/// [`SpaceEngine`] is a `DpSolver` through the blanket impl below; the only
+/// other implementation is the Line-17 ablation [`RegenerateConfigsDp`].
 pub trait DpSolver {
     /// Stable name for harness output.
     fn name(&self) -> &'static str;
@@ -135,6 +152,23 @@ pub trait DpSolver {
     }
 }
 
+/// Any engine solves a `P||Cmax` probe the same way: build the table in the
+/// engine's storage order, sweep the identical-machine space, and run the
+/// shared epilogue.
+impl<E: SpaceEngine> DpSolver for E {
+    fn name(&self) -> &'static str {
+        self.engine_name()
+    }
+
+    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
+        let mut table = problem.build_table_for(self, scratch)?;
+        let configs = problem.configs_with_offsets(&table);
+        let space = PcmaxSpace::new(&configs);
+        self.sweep(&mut table, &space, scratch);
+        finish_with(problem, table, &space, scratch)
+    }
+}
+
 /// Extracts a witness schedule by walking the optimal path backwards from
 /// `N`: at each step pick any configuration `s ≤ v` with
 /// `OPT(v−s) = OPT(v) − 1`. Works on any table with correct values on the
@@ -144,7 +178,7 @@ pub fn extract_schedule(
     configs: &[(Config, usize)],
     classes: usize,
 ) -> Result<Vec<Config>> {
-    crate::space::extract_schedule_with(table, &crate::space::PcmaxSpace::new(configs), classes)
+    extract_schedule_with(table, &PcmaxSpace::new(configs), classes)
 }
 
 /// Componentwise `c ≤ v`.
@@ -155,29 +189,28 @@ pub fn fits(c: &[u32], v: &[u32]) -> bool {
 
 /// Iterative bottom-up DP (dense sweep in row-major index order). Because
 /// `v − s` has a strictly smaller row-major index than `v` for `s ≠ 0`, a
-/// single ascending pass sees every dependency before its dependents — this
-/// is the sequential reference implementation.
+/// single ascending pass sees every dependency before its dependents. This
+/// is the serial oracle the other engines are checked against, on any
+/// [`StateSpace`]: the full sweeps reproduce its tables bit for bit, and
+/// [`MemoizedDp`] its `OPT(N)` and witnesses.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IterativeDp;
 
-impl DpSolver for IterativeDp {
-    fn name(&self) -> &'static str {
+impl SpaceEngine for IterativeDp {
+    fn engine_name(&self) -> &'static str {
         "dp-iterative"
     }
 
-    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
-        let mut table = problem.build_table_in(scratch)?;
-        let configs = problem.configs_with_offsets(&table);
-        // The generic sweep with the P||Cmax space monomorphizes to exactly
-        // the pre-chassis ascending row-major loop.
-        crate::space::serial_sweep(&mut table, &crate::space::PcmaxSpace::new(&configs));
-        finish(problem, table, &configs, scratch)
+    fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, _scratch: &mut DpScratch) {
+        serial_sweep(table, space);
     }
 }
 
 /// Memoized top-down DP — the literal shape of the paper's Algorithm 2: the
 /// recursion starts at `N` and visits only subproblems reachable from it,
-/// which can be far fewer than σ.
+/// which can be far fewer than σ. Entries it never reaches stay
+/// [`UNVISITED`], so only `OPT(N)` and the extracted witness are comparable
+/// with the full sweeps, not whole tables.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemoizedDp;
 
@@ -188,19 +221,19 @@ pub struct MemoizedDp;
 /// witness walk in [`crate::space`] both use.
 pub const UNVISITED: u16 = u16::MAX - 1;
 
-impl DpSolver for MemoizedDp {
-    fn name(&self) -> &'static str {
+impl SpaceEngine for MemoizedDp {
+    fn engine_name(&self) -> &'static str {
         "dp-memoized"
     }
 
-    fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
-        let mut table = problem.build_table_in(scratch)?;
-        let configs = problem.configs_with_offsets(&table);
+    fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, _scratch: &mut DpScratch) {
+        let transitions = space.transitions();
         table.values.fill(UNVISITED);
         table.values[0] = 0;
         // Explicit stack to avoid deep recursion on long optimal paths.
         // Post-order evaluation: push a frame, expand unvisited children,
-        // fold the minimum once all children are done.
+        // fold the minimum once all children are done. Children have
+        // smaller indices than their parent, so none is still in progress.
         let root = table.last_index();
         let mut stack: Vec<(usize, bool)> = vec![(root, false)];
         while let Some((idx, expanded)) = stack.pop() {
@@ -210,32 +243,47 @@ impl DpSolver for MemoizedDp {
             let v = table.decode(idx);
             if expanded {
                 let mut best = INFEASIBLE;
-                for (c, offset) in &configs {
+                for (t_idx, (c, offset)) in transitions.iter().enumerate() {
                     if fits(c, &v) {
-                        best = best.min(table.values[idx - offset]);
+                        let below = table.values[idx - offset];
+                        if space.step_allowed(t_idx, below) {
+                            best = best.min(below);
+                        }
                     }
                 }
                 table.values[idx] = best.saturating_add(1);
             } else {
                 stack.push((idx, true));
-                for (c, offset) in &configs {
+                for (c, offset) in transitions {
                     if fits(c, &v) && table.values[idx - offset] == UNVISITED {
                         stack.push((idx - offset, false));
                     }
                 }
             }
         }
-        finish(problem, table, &configs, scratch)
     }
 }
 
-/// Shared epilogue: read `OPT(N)`, extract the witness if feasible, then
-/// recycle the table's storage into the arena for the next probe. Reads go
-/// through [`DpTable::value_at`], so level-major tables work unchanged.
+/// The `P||Cmax` probe epilogue: [`finish_with`] over the identical-machine
+/// space of `configs`.
 pub fn finish(
     problem: &DpProblem,
     table: DpTable,
     configs: &[(Config, usize)],
+    scratch: &mut DpScratch,
+) -> Result<DpOutcome> {
+    finish_with(problem, table, &PcmaxSpace::new(configs), scratch)
+}
+
+/// The probe epilogue shared by every engine and scenario: read `OPT(N)`,
+/// extract the witness through `space` if it fits `problem.max_machines`,
+/// then recycle the table's storage into the arena for the next probe.
+/// Reads go through [`DpTable::value_at`], so level-major tables work
+/// unchanged.
+pub fn finish_with<S: StateSpace>(
+    problem: &DpProblem,
+    table: DpTable,
+    space: &S,
     scratch: &mut DpScratch,
 ) -> Result<DpOutcome> {
     let opt = table.value_at(table.last_index());
@@ -246,7 +294,7 @@ pub fn finish(
         opt as u32
     };
     let schedule = if machines as usize <= problem.max_machines {
-        Some(extract_schedule(&table, configs, problem.counts.len())?)
+        Some(extract_schedule_with(&table, space, problem.counts.len())?)
     } else {
         None
     };

@@ -58,17 +58,12 @@ pub struct PtasOutput {
 pub struct Ptas<S = IterativeDp> {
     params: EpsilonParams,
     solver: S,
-    max_entries: usize,
 }
 
 impl Ptas<IterativeDp> {
     /// Sequential PTAS with relative error `epsilon`.
     pub fn new(epsilon: f64) -> Result<Self> {
-        Ok(Self {
-            params: EpsilonParams::new(epsilon)?,
-            solver: IterativeDp,
-            max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
-        })
+        Self::with_solver(epsilon, IterativeDp)
     }
 }
 
@@ -78,14 +73,7 @@ impl<S: DpSolver> Ptas<S> {
         Ok(Self {
             params: EpsilonParams::new(epsilon)?,
             solver,
-            max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
         })
-    }
-
-    /// Overrides the dense-table size guard.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.max_entries = max_entries;
-        self
     }
 
     /// The `ε`/`k` parameters in use.
@@ -93,14 +81,9 @@ impl<S: DpSolver> Ptas<S> {
         &self.params
     }
 
-    /// The DP solver plugged into the bisection.
-    pub fn solver(&self) -> &S {
-        &self.solver
-    }
-
     /// Builds the rounded DP problem for `inst` at target `t`.
     fn problem_at(&self, inst: &Instance, t: Time) -> (DpProblem, RoundedLongJobs, JobPartition) {
-        rounded_problem(inst, &self.params, t, self.max_entries)
+        rounded_problem(inst, &self.params, t, DpProblem::DEFAULT_MAX_ENTRIES)
     }
 
     /// Runs the full PTAS and returns the schedule plus diagnostics.
@@ -129,7 +112,7 @@ impl<S: DpSolver> Scenario for Ptas<S> {
 
     fn reserve_hint(&self, inst: &Instance, target: Time) -> Option<usize> {
         let (problem, _, _) = self.problem_at(inst, target);
-        DpTable::entries_needed(&problem.counts, problem.unit, self.max_entries)
+        DpTable::entries_needed(&problem.counts, problem.unit, problem.max_entries)
     }
 
     fn probe(
@@ -188,8 +171,8 @@ impl<S: DpSolver> Scenario for Ptas<S> {
         Some((configs.to_vec(), rounded, partition))
     }
 
-    fn witness_configs<'w>(&self, witness: &'w Self::Witness) -> Option<&'w [Config]> {
-        Some(&witness.0)
+    fn witness_configs<'w>(&self, witness: &'w Self::Witness) -> &'w [Config] {
+        &witness.0
     }
 }
 
@@ -199,14 +182,7 @@ impl<S: DpSolver + Send + Sync> Solver for Ptas<S> {
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
-        let (out, stats) = self.solve_with(req)?;
-        Ok(SolveReport {
-            makespan: out.schedule.makespan(req.instance),
-            schedule: out.schedule,
-            certified_target: Some(out.target),
-            proven_optimal: false,
-            stats,
-        })
+        crate::chassis::solve(self, req)
     }
 }
 
@@ -237,21 +213,34 @@ pub fn rounded_problem(
 
 /// Lines 31–51 of Algorithm 1: replace each rounded job by an original long
 /// job of the matching class, then place the short jobs with LPT on the
-/// resulting loads. Public so alternative bisection drivers (e.g.
-/// `pcmax_parallel::SpeculativePtas`) can share the reconstruction.
+/// resulting loads. Public so alternative bisection drivers and the
+/// benchmark's layer replay can share the reconstruction.
 pub fn reconstruct(
     inst: &Instance,
     configs: &[Config],
     rounded: &RoundedLongJobs,
     partition: &JobPartition,
 ) -> Result<Schedule> {
-    let mut builder = ScheduleBuilder::new(inst);
-    // Per-class queues of original long-job ids.
-    let mut queues: Vec<std::collections::VecDeque<usize>> = rounded
-        .members
-        .iter()
-        .map(|v| v.iter().copied().collect())
-        .collect();
+    let (mut builder, shorts) = place_long_jobs(inst, configs, rounded, partition, |i| i)?;
+    pcmax_baselines::greedy_extend(inst, &mut builder, &shorts);
+    builder.build()
+}
+
+/// The reconstruction every PTAS scenario shares (Lines 31–41 of
+/// Algorithm 1): puts `configs[i]` on machine `machine_of(i)`, replacing
+/// each rounded job by the next original long job of its class, and
+/// returns the builder with the short jobs in non-increasing processing
+/// time (ties to the lower id) for the scenario's short-job rule. A witness
+/// that uses more than `m` machines, or does not account for every long
+/// job exactly once, is an `InvalidWitness` error; `machine_of` is only
+/// called for `i < m`.
+pub(crate) fn place_long_jobs<'a>(
+    inst: &'a Instance,
+    configs: &[Config],
+    rounded: &RoundedLongJobs,
+    partition: &JobPartition,
+    machine_of: impl Fn(usize) -> usize,
+) -> Result<(ScheduleBuilder<'a>, Vec<usize>)> {
     if configs.len() > inst.machines() {
         return Err(Error::InvalidWitness {
             reason: format!(
@@ -261,7 +250,15 @@ pub fn reconstruct(
             ),
         });
     }
-    for (machine, config) in configs.iter().enumerate() {
+    let mut builder = ScheduleBuilder::new(inst);
+    // Per-class queues of original long-job ids.
+    let mut queues: Vec<std::collections::VecDeque<usize>> = rounded
+        .members
+        .iter()
+        .map(|v| v.iter().copied().collect())
+        .collect();
+    for (i, config) in configs.iter().enumerate() {
+        let machine = machine_of(i);
         for (class_idx, &count) in config.iter().enumerate() {
             for _ in 0..count {
                 let j = queues[class_idx]
@@ -285,12 +282,9 @@ pub fn reconstruct(
             ),
         });
     }
-
-    // Short jobs in non-increasing processing time (Lines 41–51).
     let mut shorts = partition.short.clone();
     shorts.sort_by(|&a, &b| inst.time(b).cmp(&inst.time(a)).then(a.cmp(&b)));
-    pcmax_baselines::greedy_extend(inst, &mut builder, &shorts);
-    builder.build()
+    Ok((builder, shorts))
 }
 
 #[cfg(test)]

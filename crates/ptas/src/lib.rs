@@ -6,8 +6,9 @@
 //!   to multiples of `⌈T/k²⌉` (Lines 9–24 of Algorithm 1),
 //! * [`config`] — machine-configuration enumeration (Equation 3),
 //! * [`table`] — the mixed-radix dense DP table over job-count vectors,
-//! * [`dp`] — the [`DpSolver`] trait plus the sequential solvers
-//!   ([`IterativeDp`], [`MemoizedDp`]; Algorithm 2),
+//! * [`dp`] — the sequential engines ([`IterativeDp`], the serial oracle,
+//!   and [`MemoizedDp`]; Algorithm 2), the [`DpSolver`] entry point every
+//!   engine gets for `P||Cmax`, and the shared probe epilogue,
 //! * [`trace`] — per-subproblem cost capture for the simulated executor,
 //! * [`driver`] — the bisection search, schedule reconstruction and the
 //!   public [`Ptas`] scheduler.
@@ -19,14 +20,15 @@
 //!   classes + reconstruction map),
 //! * [`space`] — the [`StateSpace`] trait (transition set + per-step
 //!   feasibility filter) with the [`PcmaxSpace`]/[`QSpace`] instantiations,
-//!   and the [`SpaceEngine`] trait any sweep implementation satisfies,
-//! * [`chassis`] — the [`Scenario`] trait and the model-agnostic
-//!   `chassis::drive` bisection loop,
+//!   and the [`SpaceEngine`] trait, the one trait every DP engine
+//!   implements,
+//! * [`chassis`] — the [`Scenario`] trait, the model-agnostic
+//!   `chassis::drive` bisection loop, and the report, budget gate and stats
+//!   bookkeeping every dual-approximation solver shares,
 //! * [`uniform`] — the `Q||Cmax` instantiation ([`QPtas`], [`QRounding`]).
 //!
 //! The parallel DP of the paper (Algorithm 3) lives in the `pcmax-parallel`
-//! crate and plugs into [`Ptas`] through [`DpSolver`], and into the chassis
-//! through [`SpaceEngine`].
+//! crate as one more [`SpaceEngine`].
 //!
 //! # Quick start
 //!
@@ -57,7 +59,7 @@ pub use dp::{DpOutcome, DpProblem, DpSolver, IterativeDp, MemoizedDp, Regenerate
 pub use driver::{rounded_problem, BisectionLog, Ptas, PtasOutput};
 pub use params::EpsilonParams;
 pub use rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
-pub use space::{PcmaxSpace, QSpace, SerialEngine, SpaceEngine, StateSpace};
+pub use space::{PcmaxSpace, QSpace, SpaceEngine, StateSpace};
 pub use table::{decode_into, next_in_level, DpScratch, DpTable, LevelLayout};
 pub use trace::{dp_trace, DpTrace};
 pub use uniform::{QPtas, QRounding};

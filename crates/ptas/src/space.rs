@@ -1,14 +1,14 @@
 //! The state-space seam of the chassis: what a DP sweep needs to know about
-//! a scenario, and the engines that drive a sweep.
+//! a scenario, and the one trait every DP engine implements.
 //!
 //! The wavefront DP is one instance of a general shape — walk a mixed-radix
 //! table level by level, min-reduce over a transition set, add one. A
 //! [`StateSpace`] packages the scenario-specific parts of that kernel: the
 //! transition set (machine configurations with their flat table offsets) and
 //! an optional per-step feasibility filter. A [`SpaceEngine`] is anything
-//! that can fill a [`DpTable`] for any [`StateSpace`] — the serial reference
-//! sweep lives here; `pcmax_parallel::ParallelDp` implements the same trait
-//! with the paper's wavefront executors.
+//! that can fill a [`DpTable`] for any [`StateSpace`]: the serial oracle
+//! [`crate::IterativeDp`], [`crate::MemoizedDp`], and the wavefront
+//! executors of `pcmax-parallel`.
 //!
 //! * `P||Cmax` is [`PcmaxSpace`]: no filter, every transition is allowed —
 //!   the kernels monomorphize back to exactly the pre-chassis code.
@@ -187,13 +187,15 @@ impl StateSpace for QSpace<'_> {
 /// An engine that can fill a [`DpTable`] for any [`StateSpace`]: seeds
 /// `OPT(0) = 0` and computes every other entry with the min-reduce kernel.
 /// Engines may require a specific storage order via
-/// [`level_major`](SpaceEngine::level_major).
+/// [`level_major`](SpaceEngine::level_major). This is the only trait an
+/// engine implements; the `P||Cmax` entry point [`crate::DpSolver`] follows
+/// from it.
 pub trait SpaceEngine {
     /// Stable name for harness output.
     fn engine_name(&self) -> &'static str;
 
     /// Whether tables for this engine should be built in level-major order
-    /// (`DpProblem::build_level_major_table_in`).
+    /// (see `DpProblem::build_table_for`).
     fn level_major(&self) -> bool {
         false
     }
@@ -204,24 +206,9 @@ pub trait SpaceEngine {
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch);
 }
 
-/// The sequential reference engine: a single ascending row-major pass (every
-/// dependency of an entry has a smaller flat index). Exactly
-/// [`crate::IterativeDp`] generalized over the space.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SerialEngine;
-
-impl SpaceEngine for SerialEngine {
-    fn engine_name(&self) -> &'static str {
-        "dp-serial"
-    }
-
-    fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, _scratch: &mut DpScratch) {
-        serial_sweep(table, space);
-    }
-}
-
-/// The generic serial sweep (row-major ascending order). With
-/// [`PcmaxSpace`] this monomorphizes to the pre-chassis `IterativeDp` loop.
+/// The sweep of the serial oracle [`crate::IterativeDp`]: one ascending
+/// row-major pass, since every dependency of an entry has a smaller flat
+/// index.
 pub fn serial_sweep<S: StateSpace>(table: &mut DpTable, space: &S) {
     table.values[0] = 0;
     let transitions = space.transitions();

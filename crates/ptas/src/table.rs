@@ -59,12 +59,12 @@ impl KernelScratch {
     }
 }
 
-/// Reusable allocation arena threaded through `DpSolver::solve_in`: the
-/// dense value table, its level-major permutation and the per-worker kernel
-/// buffers are allocated once per PTAS run and recycled across bisection
-/// probes, so repeated probes stop paying the `O(σ)` allocation cost. The
-/// counters surface in `SolveStats`, making the reuse observable from the
-/// outside.
+/// Reusable allocation arena of a PTAS run: the dense value table, its
+/// level-major permutation and the per-worker kernel buffers are allocated
+/// once per run and recycled across bisection probes, so repeated probes
+/// stop paying the `O(σ)` allocation cost. The counters surface in
+/// `SolveStats` (see `chassis::merge_scratch`), making the reuse observable
+/// from the outside.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     /// Recycled backing store for [`DpTable::values`].

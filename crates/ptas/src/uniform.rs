@@ -16,8 +16,9 @@
 //!   fastest machine. (Peeling the least-capable used machine shows the
 //!   recurrence is exact; caps being non-increasing makes slack predecessors
 //!   only loosen the check.)
-//! * **Engine**: any [`SpaceEngine`] — the serial reference sweep or the
-//!   parallel wavefront executors from `pcmax-parallel`.
+//! * **Engine**: any [`SpaceEngine`] — the serial oracle [`IterativeDp`],
+//!   [`crate::MemoizedDp`], or the parallel wavefront executors from
+//!   `pcmax-parallel`.
 //! * **Driver**: the shared bisection [`drive`](crate::chassis::drive) loop;
 //!   the speed-aware [`pcmax_core::MakespanBounds`] bracket guarantees the
 //!   upper endpoint is always feasible (all rounded jobs fit the fastest
@@ -33,15 +34,16 @@
 //! earliest finishers) is accounted.
 
 use crate::chassis::Scenario;
-use crate::dp::{DpProblem, UNVISITED};
+use crate::dp::{finish_with, DpProblem, IterativeDp};
+use crate::driver::place_long_jobs;
 use crate::params::EpsilonParams;
 use crate::rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
-use crate::space::{extract_schedule_with, QSpace, SerialEngine, SpaceEngine};
+use crate::space::{QSpace, SpaceEngine};
 use crate::table::{DpScratch, DpTable};
 use crate::{Config, PtasOutput};
 use pcmax_core::{
-    profile, Error, Instance, ProfileKey, Result, Schedule, ScheduleBuilder, SolveReport,
-    SolveRequest, SolveStats, Solver, Time,
+    profile, Instance, ProfileKey, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver,
+    Time,
 };
 
 /// Uniform-machine rounding: identical-machine rounding evaluated at the
@@ -88,20 +90,19 @@ pub struct QWitness {
 /// The Hochbaum–Shmoys-style dual approximation for `Q||Cmax`, assembled
 /// from the chassis seams with a pluggable sweep engine.
 ///
-/// `QPtas::new(0.3)` runs the serial reference engine;
+/// `QPtas::new(0.3)` runs the serial oracle [`IterativeDp`];
 /// `QPtas::with_engine(0.3, pcmax_parallel::ParallelDp::default())` runs the
 /// parallel wavefront.
 #[derive(Debug, Clone)]
-pub struct QPtas<E = SerialEngine> {
+pub struct QPtas<E = IterativeDp> {
     params: EpsilonParams,
     engine: E,
-    max_entries: usize,
 }
 
-impl QPtas<SerialEngine> {
+impl QPtas<IterativeDp> {
     /// Serial `Q||Cmax` PTAS with relative error `epsilon`.
     pub fn new(epsilon: f64) -> Result<Self> {
-        Self::with_engine(epsilon, SerialEngine)
+        Self::with_engine(epsilon, IterativeDp)
     }
 }
 
@@ -111,19 +112,7 @@ impl<E: SpaceEngine> QPtas<E> {
         Ok(Self {
             params: EpsilonParams::new(epsilon)?,
             engine,
-            max_entries: DpProblem::DEFAULT_MAX_ENTRIES,
         })
-    }
-
-    /// Overrides the dense-table size guard.
-    pub fn with_max_entries(mut self, max_entries: usize) -> Self {
-        self.max_entries = max_entries;
-        self
-    }
-
-    /// The `ε`/`k` parameters in use.
-    pub fn params(&self) -> &EpsilonParams {
-        &self.params
     }
 
     /// Runs the full solve and returns the schedule plus diagnostics.
@@ -161,7 +150,7 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
             params: &self.params,
         }
         .round_at(inst, target);
-        DpTable::entries_needed(&counts, unit, self.max_entries)
+        DpTable::entries_needed(&counts, unit, DpProblem::DEFAULT_MAX_ENTRIES)
     }
 
     fn probe(
@@ -181,41 +170,21 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
             params: &self.params,
         }
         .round_at(inst, target);
-        let problem = DpProblem {
-            counts,
-            unit,
-            target: capmax,
-            max_machines: inst.machines(),
-            max_entries: self.max_entries,
-        };
-        let mut table = if self.engine.level_major() {
-            problem.build_level_major_table_in(scratch)?
-        } else {
-            problem.build_table_in(scratch)?
-        };
+        let problem = DpProblem::new(counts, unit, capmax, inst.machines());
+        let mut table = problem.build_table_for(&self.engine, scratch)?;
         let configs = problem.configs_with_offsets(&table);
         let space = QSpace::new(&configs, &table.sizes, &caps);
         self.engine.sweep(&mut table, &space, scratch);
-        let opt = table.value_at(table.last_index());
-        let machines = if opt >= UNVISITED {
-            u32::MAX
-        } else {
-            // audit:allow(cast): u16 -> u32 widening, lossless by construction.
-            opt as u32
-        };
-        let witness = if machines as usize <= inst.machines() {
-            let configs = extract_schedule_with(&table, &space, problem.counts.len())?;
-            Some(QWitness {
+        let outcome = finish_with(&problem, table, &space, scratch)?;
+        Ok((
+            outcome.machines,
+            outcome.schedule.map(|configs| QWitness {
                 configs,
                 rounded,
                 partition,
                 perm,
-            })
-        } else {
-            None
-        };
-        scratch.recycle(table);
-        Ok((machines, witness))
+            }),
+        ))
     }
 
     /// `Q||Cmax` profile key: the class-count vector plus *per-machine*
@@ -261,8 +230,8 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
         })
     }
 
-    fn witness_configs<'w>(&self, witness: &'w QWitness) -> Option<&'w [Config]> {
-        Some(&witness.configs)
+    fn witness_configs<'w>(&self, witness: &'w QWitness) -> &'w [Config] {
+        &witness.configs
     }
 
     fn reconstruct(&self, inst: &Instance, witness: QWitness, _target: Time) -> Result<Schedule> {
@@ -272,55 +241,17 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
             partition,
             perm,
         } = witness;
-        let mut builder = ScheduleBuilder::new(inst);
-        let mut queues: Vec<std::collections::VecDeque<usize>> = rounded
-            .members
-            .iter()
-            .map(|v| v.iter().copied().collect())
-            .collect();
-        let used = configs.len();
-        if used > inst.machines() {
-            return Err(Error::InvalidWitness {
-                reason: format!(
-                    "witness uses {used} machines but only {} are available",
-                    inst.machines()
-                ),
-            });
-        }
         // The walk peels configs top-down: the config extracted at value `q`
         // fits `caps[q−1]`, so `configs[step]` (0-based) belongs on the
         // `used−1−step`-th fastest machine.
-        for (step, config) in configs.iter().enumerate() {
-            let machine = perm[used - 1 - step];
-            for (class_idx, &count) in config.iter().enumerate() {
-                for _ in 0..count {
-                    let j = queues[class_idx]
-                        .pop_front()
-                        .ok_or_else(|| Error::InvalidWitness {
-                            reason: format!(
-                                "witness config counts exceed the population of class {}",
-                                class_idx + 1
-                            ),
-                        })?;
-                    builder.assign(j, machine);
-                }
-            }
-        }
-        if let Some(class_idx) = queues.iter().position(|q| !q.is_empty()) {
-            return Err(Error::InvalidWitness {
-                reason: format!(
-                    "witness leaves {} long jobs of class {} unscheduled",
-                    queues[class_idx].len(),
-                    class_idx + 1
-                ),
-            });
-        }
-
+        let used = configs.len();
+        let (mut builder, shorts) =
+            place_long_jobs(inst, &configs, &rounded, &partition, |step| {
+                perm[used - 1 - step]
+            })?;
         // Short jobs in non-increasing time on the earliest-finishing
         // machine — the speed-aware generalization of the LPT finish.
         let speeds = inst.speeds();
-        let mut shorts = partition.short.clone();
-        shorts.sort_by(|&a, &b| inst.time(b).cmp(&inst.time(a)).then(a.cmp(&b)));
         for &j in &shorts {
             let mach =
                 pcmax_baselines::uniform::earliest_finish(builder.loads(), &speeds, inst.time(j));
@@ -336,14 +267,7 @@ impl<E: SpaceEngine + Send + Sync> Solver for QPtas<E> {
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
-        let (out, stats) = self.solve_with(req)?;
-        Ok(SolveReport {
-            makespan: out.schedule.makespan(req.instance),
-            schedule: out.schedule,
-            certified_target: Some(out.target),
-            proven_optimal: false,
-            stats,
-        })
+        crate::chassis::solve(self, req)
     }
 }
 
@@ -435,6 +359,34 @@ mod tests {
         assert_eq!(report.certified_target, Some(detailed.target));
         assert!(!report.proven_optimal);
         let _ = Scheduler::makespan(&qptas(), &inst).unwrap();
+    }
+
+    #[test]
+    fn memoized_engine_matches_the_serial_oracle_end_to_end() {
+        // The second family reaches probes where the capacity filter decides
+        // the verdict: a memoized walk that ignored it diverges on seeds 2
+        // and 7 there.
+        for (fam, seeds) in [
+            (
+                SpeedFamily::new(Family::new(3, 12, Distribution::U1To100), 4),
+                0..4,
+            ),
+            (
+                SpeedFamily::new(Family::new(4, 16, Distribution::U1To100), 6),
+                0..8,
+            ),
+        ] {
+            for seed in seeds {
+                let inst = generate_uniform(fam, seed);
+                let serial = qptas().solve_detailed(&inst).unwrap();
+                let memoized = QPtas::with_engine(0.3, crate::MemoizedDp)
+                    .unwrap()
+                    .solve_detailed(&inst)
+                    .unwrap();
+                assert_eq!(serial.target, memoized.target, "{fam:?} seed {seed}");
+                assert_eq!(serial.schedule, memoized.schedule, "{fam:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end daemon tests: real TCP, real frames, real engine.
 
-use pcmax_core::wire::{WireOutcome, WireSolve};
+use pcmax_core::wire::{read_frame, WireOutcome, WireSolve};
 use pcmax_core::{Instance, Time};
 use pcmax_engine::EngineConfig;
 use pcmax_serve::{run_loadtest, Client, LoadtestConfig, Server, ServerConfig};
@@ -149,6 +149,45 @@ fn errors_do_not_wedge_the_connection() {
         .expect("good solve");
     assert!(matches!(ok.outcome, WireOutcome::Ok { .. }));
     client.shutdown().expect("bye");
+    server.join().expect("server thread").expect("server io");
+}
+
+#[test]
+fn a_deeply_nested_frame_only_loses_its_own_connection() {
+    use std::io::Write;
+
+    let (server, addr) = small_server();
+    // 100,000 nested arrays as the instance's job times: about 200 KB,
+    // far inside the frame cap, and far deeper than the JSON parser's
+    // nesting bound.
+    let depth = 100_000;
+    let payload = format!(
+        r#"{{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"lpt","eps":0.4,"instance":{{"times":{}1{},"machines":2}}}}"#,
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+    raw.write_all(&(payload.len() as u32).to_be_bytes())
+        .expect("send length");
+    raw.write_all(payload.as_bytes()).expect("send payload");
+    // The undecodable frame closes this connection without an answer.
+    assert!(
+        !matches!(read_frame(&mut raw), Ok(Some(_))),
+        "a frame the server cannot parse gets no response"
+    );
+
+    // The daemon survived: a fresh client is served and says goodbye.
+    let instance = sample_instance();
+    let mut client = Client::connect(addr).expect("connect");
+    let response = client
+        .solve(solve_frame("lpt", instance.clone()))
+        .expect("solve");
+    match response.outcome {
+        WireOutcome::Ok { assignment, .. } => assert_eq!(assignment.len(), instance.jobs()),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    let bye = client.shutdown().expect("bye");
+    assert!(matches!(bye.outcome, WireOutcome::Bye { .. }), "{bye:?}");
     server.join().expect("server thread").expect("server io");
 }
 
