@@ -83,7 +83,8 @@ impl Solver for Multifit {
                 break;
             }
             stats.bisection_probes += 1;
-            let cap = (lo + hi) / 2;
+            // `lo + hi` can exceed u64::MAX; this midpoint cannot.
+            let cap = lo + (hi - lo) / 2;
             let _probe_span = req.trace_span("probe", cap);
             match ffd_fits(inst, &order, cap) {
                 Some(builder) => {

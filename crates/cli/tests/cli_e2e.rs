@@ -51,6 +51,33 @@ fn solve_reads_instance_from_file() {
 }
 
 #[test]
+fn an_instance_whose_total_wraps_is_an_error() {
+    let path = std::env::temp_dir().join("pcmax_e2e_wrapping_total.json");
+    std::fs::write(
+        &path,
+        r#"{"times":[18446744073709551615,18446744073709551615],"machines":1}"#,
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    for args in [
+        vec!["bounds", "-i", file],
+        vec!["solve", "-i", file, "--algo", "lpt"],
+        vec!["solve", "-i", file, "--algo", "exact"],
+        vec!["solve", "-i", file, "--algo", "par-ptas"],
+    ] {
+        let out = pcmax(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.starts_with("error:") && stderr.contains("overflows u64"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is reported");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn unknown_flags_fail_with_usage() {
     let out = pcmax(&["solve", "-i", "x.json", "--frobnicate"]);
     assert!(!out.status.success());

@@ -34,14 +34,26 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// Builds an instance, validating that `m ≥ 1` and every processing time
-    /// is a positive integer (the model of the paper).
+    /// Builds an instance, validating that `m ≥ 1`, that every processing
+    /// time is a positive integer (the model of the paper), and that
+    /// `Σ tⱼ + max tⱼ` fits in a [`Time`]: that sum bounds the makespan
+    /// bracket, every probed target and every machine load.
     pub fn new(times: Vec<Time>, machines: usize) -> Result<Self> {
         if machines == 0 {
             return Err(Error::NoMachines);
         }
         if let Some(job) = times.iter().position(|&t| t == 0) {
             return Err(Error::NonPositiveTime { job });
+        }
+        let max = times.iter().copied().max().unwrap_or(0);
+        if times
+            .iter()
+            .try_fold(max, |sum, &t| sum.checked_add(t))
+            .is_none()
+        {
+            return Err(Error::BadModel(
+                "instance: Σ tⱼ + max tⱼ overflows u64".into(),
+            ));
         }
         Ok(Self {
             times,
@@ -51,8 +63,9 @@ impl Instance {
     }
 
     /// Builds a uniform-machine (`Q||Cmax`) instance: one positive integer
-    /// speed per machine. A speed vector of all ones is normalized away so
-    /// the instance compares equal to its identical-machine twin.
+    /// speed per machine, with `Σ sᵢ` fitting in a [`Time`]. A speed vector
+    /// of all ones is normalized away so the instance compares equal to its
+    /// identical-machine twin.
     pub fn with_speeds(times: Vec<Time>, speeds: Vec<Time>) -> Result<Self> {
         let machines = speeds.len();
         let mut inst = Self::new(times, machines)?;
@@ -60,6 +73,13 @@ impl Instance {
             return Err(Error::BadModel(format!(
                 "machine {machine} has zero speed; speeds must be >= 1"
             )));
+        }
+        if speeds
+            .iter()
+            .try_fold(0, |sum: Time, &s| sum.checked_add(s))
+            .is_none()
+        {
+            return Err(Error::BadModel("instance: Σ sᵢ overflows u64".into()));
         }
         if speeds.iter().any(|&s| s != 1) {
             inst.speeds = speeds;
@@ -210,6 +230,19 @@ mod tests {
     fn rejects_zero_time_and_names_the_job() {
         let err = Instance::new(vec![3, 0, 5], 4).unwrap_err();
         assert_eq!(err, Error::NonPositiveTime { job: 1 });
+    }
+
+    #[test]
+    fn rejects_totals_that_overflow() {
+        // Σ tⱼ alone overflows; so does Σ tⱼ + max tⱼ with Σ tⱼ = 2^63 + 2^62.
+        for times in [vec![u64::MAX, u64::MAX], vec![1 << 63, 1 << 62]] {
+            let err = Instance::new(times, 1).unwrap_err();
+            assert!(matches!(&err, Error::BadModel(m) if m.contains("overflows")));
+        }
+        // 2^62 + 2^62 = 2^63 and 2^63 + 2^62 both fit.
+        Instance::new(vec![1 << 62, 1 << 62], 1).unwrap();
+        let err = Instance::with_speeds(vec![1], vec![u64::MAX, 1]).unwrap_err();
+        assert!(matches!(&err, Error::BadModel(m) if m.contains("overflows")));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use gantt::render_gantt;
 pub use instance::Instance;
-pub use profile::{ProfileCache, ProfileKey, ProfileVerdict};
+pub use profile::{DpOutcome, ProfileCache, ProfileKey};
 pub use schedule::{Schedule, ScheduleBuilder};
 pub use scheduler::{ApproxRatio, Scheduler};
 

@@ -1,12 +1,12 @@
-//! Instance-profile caching: the fingerprint seam that turns repeat
-//! traffic into O(1) DP lookups.
+//! Instance-profile caching: the key that turns repeat traffic into O(1)
+//! DP lookups.
 //!
 //! The PTAS rounds every instance into at most `k²` job-size classes and
 //! probes a target makespan `T` with a DP whose feasibility predicate is
 //! `Σ (i+1)·s_i·unit ≤ cap` per machine — every config load is a multiple
 //! of the rounding unit, so the predicate is equivalent to
 //! `Σ (i+1)·s_i ≤ ⌊cap/unit⌋` and the *unit scales out entirely*. The DP
-//! verdict (minimum machine count) and the deterministically extracted
+//! outcome (minimum machine count) and the deterministically extracted
 //! witness configs are therefore a pure function of
 //!
 //! * the class-count vector `N` (which encodes `k`, hence ε, structurally),
@@ -16,17 +16,16 @@
 //!
 //! [`ProfileKey`] captures exactly that (plus ε in fixed point, belt and
 //! braces against two ε values colliding on the same class layout), and a
-//! [`ProfileCache`] memoizes [`ProfileVerdict`]s across solves. On a hit
-//! the prober skips the DP entirely and only replays the cheap O(n)
-//! rounding to rebuild the per-instance witness map; on a miss it stores
-//! the freshly computed verdict. Wildly different raw instances collapse
-//! onto the same key — the property that makes a serving layer's profile
-//! memo effective under repeat traffic.
+//! [`ProfileCache`] memoizes [`DpOutcome`]s across solves. A probe rounds
+//! the instance once, builds the key from that rounding, and on a hit skips
+//! the DP; on a miss it stores the freshly computed outcome. Wildly
+//! different raw instances collapse onto the same key — the property that
+//! makes a serving layer's profile memo effective under repeat traffic.
 
 use crate::Time;
 
 /// Cache fingerprint of one rounded DP subproblem. Two probes with equal
-/// keys have bit-identical DP verdicts and witness configs.
+/// keys have bit-identical DP outcomes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProfileKey {
     /// Scenario tag (`"p"` identical machines, `"q"` uniform machines).
@@ -34,7 +33,7 @@ pub struct ProfileKey {
     /// ε in micro-units (`round(ε·1e6)`); redundant with the class layout
     /// but keeps distinct ε values from ever sharing an entry.
     pub eps_micros: u64,
-    /// Machine count `m` (the feasibility threshold for the DP verdict).
+    /// Machine count `m` (the feasibility threshold for the DP outcome).
     pub machines: u32,
     /// Machine capacities in rounding units, `⌊cap/unit⌋`: a single entry
     /// for identical machines, the fastest-first per-machine vector for
@@ -44,46 +43,38 @@ pub struct ProfileKey {
     pub counts: Vec<u32>,
 }
 
-/// Memoized outcome of one DP probe.
+/// Outcome of one DP probe: what the DP computes, and what a
+/// [`ProfileCache`] stores.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileVerdict {
-    /// The target is infeasible: the DP needs `machines` machines
-    /// (`u32::MAX` when no packing exists at all), which exceeded `m`.
-    Infeasible {
-        /// Minimum machine count the DP computed.
-        machines: u32,
-    },
-    /// The target is feasible with `machines ≤ m`; `configs` is the
-    /// deterministically extracted per-machine class-count witness.
-    Feasible {
-        /// Minimum machine count the DP computed.
-        machines: u32,
-        /// One class-count vector per used machine, in extraction order.
-        configs: Vec<Vec<u32>>,
-    },
+pub struct DpOutcome {
+    /// `OPT(N)` — minimum machines for the rounded long jobs within `T`
+    /// (`u32::MAX` if the vector is not schedulable at all, which cannot
+    /// happen for vectors produced by rounding).
+    pub machines: u32,
+    /// Per-machine configurations (full `k²` width), extracted only when
+    /// `machines ≤ m`; length = `machines`, in extraction order.
+    pub schedule: Option<Vec<Vec<u32>>>,
 }
 
-impl ProfileVerdict {
-    /// The DP's minimum machine count, feasible or not.
-    pub fn machines(&self) -> u32 {
-        match self {
-            Self::Infeasible { machines } | Self::Feasible { machines, .. } => *machines,
-        }
+impl DpOutcome {
+    /// Whether the rounded jobs fit on the machine budget.
+    pub fn feasible(&self) -> bool {
+        self.schedule.is_some()
     }
 }
 
-/// A shared memo of DP verdicts keyed on rounded-instance profiles.
+/// A shared memo of DP outcomes keyed on rounded-instance profiles.
 ///
 /// Implementations must be safe to consult from concurrent solves; the
 /// serving engine provides the production implementation (a bounded map
 /// behind the audit-visible sync seam). `get`/`put` racing on the same key
-/// is benign by construction: every writer computes the same verdict.
+/// is benign by construction: every writer computes the same outcome.
 pub trait ProfileCache: Send + Sync {
-    /// Looks up the verdict for `key`, if cached.
-    fn get(&self, key: &ProfileKey) -> Option<ProfileVerdict>;
+    /// Looks up the outcome for `key`, if cached.
+    fn get(&self, key: &ProfileKey) -> Option<DpOutcome>;
 
-    /// Stores the verdict for `key`. Implementations may evict arbitrarily.
-    fn put(&self, key: ProfileKey, verdict: ProfileVerdict);
+    /// Stores the outcome for `key`. Implementations may evict arbitrarily.
+    fn put(&self, key: ProfileKey, outcome: DpOutcome);
 }
 
 /// ε in micro-units for [`ProfileKey::eps_micros`].
@@ -97,10 +88,10 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Mutex;
 
-    struct MapCache(Mutex<HashMap<ProfileKey, ProfileVerdict>>);
+    struct MapCache(Mutex<HashMap<ProfileKey, DpOutcome>>);
 
     impl ProfileCache for MapCache {
-        fn get(&self, key: &ProfileKey) -> Option<ProfileVerdict> {
+        fn get(&self, key: &ProfileKey) -> Option<DpOutcome> {
             self.0
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
@@ -108,11 +99,11 @@ mod tests {
                 .cloned()
         }
 
-        fn put(&self, key: ProfileKey, verdict: ProfileVerdict) {
+        fn put(&self, key: ProfileKey, outcome: DpOutcome) {
             self.0
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
-                .insert(key, verdict);
+                .insert(key, outcome);
         }
     }
 
@@ -133,13 +124,13 @@ mod tests {
         assert_eq!(cache.get(&k), None);
         cache.put(
             k.clone(),
-            ProfileVerdict::Feasible {
+            DpOutcome {
                 machines: 2,
-                configs: vec![vec![0, 2, 0, 0], vec![0, 0, 0, 3]],
+                schedule: Some(vec![vec![0, 2, 0, 0], vec![0, 0, 0, 3]]),
             },
         );
-        let hit = cache.get(&k).expect("stored verdict");
-        assert_eq!(hit.machines(), 2);
+        let hit = cache.get(&k).expect("stored outcome");
+        assert_eq!(hit.machines, 2);
         // A different cap-in-units is a different profile.
         assert_eq!(cache.get(&key(vec![14], vec![0, 2, 0, 3])), None);
     }

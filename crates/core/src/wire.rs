@@ -558,6 +558,16 @@ mod tests {
     }
 
     #[test]
+    fn wrapping_job_total_is_a_bad_request() {
+        let frame = r#"{"proto":"pcmax-wire/1","id":3,"op":"solve","solver":"lpt","eps":0.3,"instance":{"times":[18446744073709551615,18446744073709551615],"machines":1}}"#;
+        let err = WireRequest::from_json(&json::parse(frame).unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, Error::BadModel(m) if m.contains("overflows u64")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn wrong_protocol_is_rejected() {
         let mut v = sample_solve().to_json();
         if let Value::Object(members) = &mut v {

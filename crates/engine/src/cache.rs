@@ -3,19 +3,19 @@
 //! [`ProfileMemo`] is the concrete [`ProfileCache`] the session engine
 //! attaches to every cached submission: a bounded FIFO memo from the rounded
 //! `(m, ε, class-vector)` fingerprint ([`pcmax_core::ProfileKey`]) to the
-//! memoized DP verdict ([`pcmax_core::ProfileVerdict`]). The map lives
+//! memoized DP outcome ([`pcmax_core::DpOutcome`]). The map lives
 //! behind the audited [`pcmax_parallel::sync::Mutex`], so the audit
 //! explorer can interleave worker threads *through* the cache and prove the
 //! session/cache seam race-free — the same seam discipline as the wavefront
 //! pool.
 //!
-//! What a hit saves and what it must not skip: the verdict carries machine
+//! What a hit saves and what it must not skip: the outcome carries machine
 //! counts and witness *configs* only — per-instance witness reconstruction
 //! (mapping configs back to this request's concrete job ids) always re-runs
 //! under the caller's own `Budget`/`CancelToken`, and per-solve stats are
 //! counted fresh. A hit is a DP shortcut, never a reused answer.
 
-use pcmax_core::{ProfileCache, ProfileKey, ProfileVerdict};
+use pcmax_core::{DpOutcome, ProfileCache, ProfileKey};
 use pcmax_metrics::Gauge;
 use pcmax_parallel::sync::{self, AtomicCounter};
 use std::collections::{HashMap, VecDeque};
@@ -28,12 +28,12 @@ static CACHE_ENTRIES: Gauge = Gauge::new(
     "Entries resident in the engine instance-profile cache",
 );
 
-/// A bounded FIFO memo of DP verdicts keyed by instance profile.
+/// A bounded FIFO memo of DP outcomes keyed by instance profile.
 ///
 /// Thread-safe (implements [`ProfileCache`], which is `Send + Sync`);
 /// eviction is oldest-inserted-first, so a long-running daemon's resident
 /// set follows the traffic mix. Refreshing an existing key replaces the
-/// verdict in place without extending its lifetime.
+/// outcome in place without extending its lifetime.
 #[derive(Debug)]
 pub struct ProfileMemo {
     capacity: usize,
@@ -44,12 +44,12 @@ pub struct ProfileMemo {
 
 #[derive(Debug, Default)]
 struct MemoState {
-    map: HashMap<ProfileKey, ProfileVerdict>,
+    map: HashMap<ProfileKey, DpOutcome>,
     order: VecDeque<ProfileKey>,
 }
 
 impl ProfileMemo {
-    /// A memo holding at most `capacity` verdicts (at least one).
+    /// A memo holding at most `capacity` outcomes (at least one).
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
@@ -59,22 +59,22 @@ impl ProfileMemo {
         }
     }
 
-    /// Number of resident verdicts.
+    /// Number of resident outcomes.
     pub fn len(&self) -> usize {
         self.state.lock().map.len()
     }
 
-    /// Whether the memo holds no verdicts.
+    /// Whether the memo holds no outcomes.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Maximum resident verdicts before FIFO eviction kicks in.
+    /// Maximum resident outcomes before FIFO eviction kicks in.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Lookups that found a verdict, over the memo's lifetime.
+    /// Lookups that found an outcome, over the memo's lifetime.
     pub fn hits(&self) -> u64 {
         // audit:allow(relaxed): monotonic statistic, read for reporting only.
         self.hits.load(Ordering::Relaxed) as u64
@@ -86,7 +86,7 @@ impl ProfileMemo {
         self.misses.load(Ordering::Relaxed) as u64
     }
 
-    /// Drops every resident verdict (the lifetime hit/miss totals stay).
+    /// Drops every resident outcome (the lifetime hit/miss totals stay).
     pub fn clear(&self) {
         let mut st = self.state.lock();
         st.map.clear();
@@ -96,7 +96,7 @@ impl ProfileMemo {
 }
 
 impl ProfileCache for ProfileMemo {
-    fn get(&self, key: &ProfileKey) -> Option<ProfileVerdict> {
+    fn get(&self, key: &ProfileKey) -> Option<DpOutcome> {
         let found = self.state.lock().map.get(key).cloned();
         let ctr = if found.is_some() {
             &self.hits
@@ -108,11 +108,11 @@ impl ProfileCache for ProfileMemo {
         found
     }
 
-    fn put(&self, key: ProfileKey, verdict: ProfileVerdict) {
+    fn put(&self, key: ProfileKey, outcome: DpOutcome) {
         let mut st = self.state.lock();
         // Refresh in place without extending the key's FIFO lifetime.
         if let std::collections::hash_map::Entry::Occupied(mut e) = st.map.entry(key.clone()) {
-            e.insert(verdict);
+            e.insert(outcome);
             return;
         }
         while st.map.len() >= self.capacity {
@@ -124,7 +124,7 @@ impl ProfileCache for ProfileMemo {
             }
         }
         st.order.push_back(key.clone());
-        st.map.insert(key, verdict);
+        st.map.insert(key, outcome);
         CACHE_ENTRIES.set(st.map.len() as f64);
     }
 }
@@ -143,15 +143,19 @@ mod tests {
         }
     }
 
+    fn infeasible(machines: u32) -> DpOutcome {
+        DpOutcome {
+            machines,
+            schedule: None,
+        }
+    }
+
     #[test]
     fn get_put_roundtrip_counts_hits_and_misses() {
         let memo = ProfileMemo::new(8);
         assert!(memo.get(&key(2)).is_none());
-        memo.put(key(2), ProfileVerdict::Infeasible { machines: 3 });
-        match memo.get(&key(2)) {
-            Some(ProfileVerdict::Infeasible { machines }) => assert_eq!(machines, 3),
-            other => panic!("expected the stored verdict, got {other:?}"),
-        }
+        memo.put(key(2), infeasible(3));
+        assert_eq!(memo.get(&key(2)), Some(infeasible(3)));
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
         assert_eq!(memo.len(), 1);
     }
@@ -159,9 +163,9 @@ mod tests {
     #[test]
     fn eviction_is_fifo_and_bounded() {
         let memo = ProfileMemo::new(2);
-        memo.put(key(1), ProfileVerdict::Infeasible { machines: 1 });
-        memo.put(key(2), ProfileVerdict::Infeasible { machines: 2 });
-        memo.put(key(3), ProfileVerdict::Infeasible { machines: 3 });
+        memo.put(key(1), infeasible(1));
+        memo.put(key(2), infeasible(2));
+        memo.put(key(3), infeasible(3));
         assert_eq!(memo.len(), 2);
         assert!(memo.get(&key(1)).is_none(), "oldest entry evicted");
         assert!(memo.get(&key(2)).is_some() && memo.get(&key(3)).is_some());
@@ -170,25 +174,22 @@ mod tests {
     #[test]
     fn refresh_replaces_without_growing() {
         let memo = ProfileMemo::new(2);
-        memo.put(key(1), ProfileVerdict::Infeasible { machines: 1 });
+        memo.put(key(1), infeasible(1));
         memo.put(
             key(1),
-            ProfileVerdict::Feasible {
+            DpOutcome {
                 machines: 1,
-                configs: vec![vec![1, 0, 0]],
+                schedule: Some(vec![vec![1, 0, 0]]),
             },
         );
         assert_eq!(memo.len(), 1);
-        assert!(matches!(
-            memo.get(&key(1)),
-            Some(ProfileVerdict::Feasible { .. })
-        ));
+        assert!(memo.get(&key(1)).is_some_and(|o| o.feasible()));
     }
 
     #[test]
     fn clear_resets_entries_but_not_totals() {
         let memo = ProfileMemo::new(4);
-        memo.put(key(1), ProfileVerdict::Infeasible { machines: 1 });
+        memo.put(key(1), infeasible(1));
         let _ = memo.get(&key(1));
         memo.clear();
         assert!(memo.is_empty());

@@ -104,7 +104,8 @@ pub enum SolverKind {
 /// The scheduling model a registered solver targets. Every solver accepts
 /// identical-machine instances (speeds default to 1); this kind records what
 /// the algorithm is *designed* for, so the CLI can group comparison output
-/// and filter solver sets per instance family.
+/// and filter solver sets per instance family. The engine refuses an
+/// instance with machine speeds for an `Identical` solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// Identical parallel machines (`P||Cmax`) — the paper's model.

@@ -25,11 +25,15 @@
 //! entire engine lifecycle and race-check the session/cache seam.
 //!
 //! Cached submissions share the engine's [`ProfileMemo`]: the rounded
-//! instance-profile fingerprint memoizes DP verdicts across requests, while
+//! instance-profile key memoizes DP outcomes across requests, while
 //! witness reconstruction and stats stay per-request (see [`crate::cache`]).
+//!
+//! A submission that pairs an identical-machine solver with an instance
+//! that has machine speeds fails with a typed error before any solver is
+//! built: such a solver would answer for the wrong model.
 
 use crate::cache::ProfileMemo;
-use crate::{lookup, record_metered, SolverParams, SolverSpec};
+use crate::{lookup, record_metered, ScenarioKind, SolverParams, SolverSpec};
 use pcmax_core::profile::eps_micros;
 use pcmax_core::{
     Budget, CancelToken, Error, Instance, Result, SolveReport, SolveRequest, Solver, TraceSink,
@@ -465,6 +469,12 @@ fn execute(shared: &Shared, job: &Job) -> Result<SolveReport> {
     let spec = lookup(&sub.solver).ok_or_else(|| Error::UnknownSolver {
         name: sub.solver.clone(),
     })?;
+    if spec.scenario == ScenarioKind::Identical && sub.instance.is_uniform() {
+        return Err(Error::BadModel(format!(
+            "`{}` solves identical machines (P||Cmax), but the instance has machine speeds",
+            spec.name
+        )));
+    }
     let solver = solver_for(shared, spec, &sub.params)?;
     let mut req = SolveRequest::new(&sub.instance)
         .with_budget(sub.budget.clone())
@@ -666,6 +676,50 @@ mod tests {
         assert_eq!(warm.stats.cache_misses, 0);
         assert_eq!(warm.makespan, cold.makespan);
         assert_eq!(warm.schedule.assignment(), cold.schedule.assignment());
+    }
+
+    #[test]
+    fn identical_machine_solvers_refuse_machine_speeds() {
+        // OPT = 3: both jobs on the speed-3 machine. A solver that ignores
+        // the speeds would answer 4.
+        let inst = Instance::with_speeds(vec![4, 4], vec![3, 1]).unwrap();
+        let engine = small_engine();
+        for name in ["exact", "ptas", "lpt"] {
+            let err = engine
+                .submit(Submission::new(inst.clone(), name))
+                .unwrap()
+                .wait()
+                .unwrap_err();
+            assert!(
+                matches!(&err, Error::BadModel(m) if m.contains("machine speeds")),
+                "{name}: {err}"
+            );
+        }
+        let q = engine
+            .submit(Submission::new(inst, "ptas-q"))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(q.makespan, 3);
+    }
+
+    #[test]
+    fn a_bracket_near_u64_max_does_not_overflow_the_midpoint() {
+        // Σ tⱼ = 2^63 fits, but the bracket [2^63, 2^63 + 2^62] has
+        // `lower + upper` above u64::MAX.
+        // Solved on the test thread, so an overflow fails the test instead
+        // of a worker.
+        let inst = Instance::new(vec![1 << 62, 1 << 62], 1).unwrap();
+        for name in ["ptas", "par-ptas", "ptas-q", "spec-ptas", "multifit"] {
+            let report = crate::build(name, &SolverParams::default())
+                .unwrap()
+                .solve(&SolveRequest::new(&inst))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(report.makespan, 1 << 63, "{name}");
+            if name != "multifit" {
+                assert_eq!(report.certified_target, Some(1 << 63), "{name}");
+            }
+        }
     }
 
     #[test]

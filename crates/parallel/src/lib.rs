@@ -38,7 +38,7 @@ pub use speculative::SpeculativePtas;
 pub use wavefront::{CellKernel, FaithfulDp, ParallelDp};
 
 use pcmax_core::{Result, SolveReport, SolveRequest, Solver};
-use pcmax_ptas::Ptas;
+use pcmax_ptas::{Ptas, Scenario};
 use std::sync::OnceLock;
 
 /// Resolves a configured worker count: `None` means all available cores,

@@ -38,7 +38,7 @@ pub struct SpeculativePtas {
 }
 
 /// A feasible probe's witness, as the `P||Cmax` scenario reconstructs it.
-type Witness = <Ptas<ParallelDp> as Scenario>::Witness;
+type Witness = chassis::Witness<<Ptas<ParallelDp> as Scenario>::Map>;
 
 /// One pool worker's probe: its target, private scratch arena and verdict.
 type Probe = (Time, DpScratch, Result<Option<Witness>>);
@@ -107,12 +107,15 @@ impl SpeculativePtas {
             chassis::check_budget(req, stats.dp_entries_touched, lower, upper)?;
             rounds += 1;
             // Candidates strictly inside [lower, upper), always including
-            // the midpoint so each round at least halves the bracket.
-            let span = upper - lower;
-            let mut candidates: Vec<Time> = (1..=self.width as Time)
-                .map(|i| lower + span * i / (self.width as Time + 1))
+            // the midpoint so each round at least halves the bracket. The
+            // offsets are computed in u128: `span * i` can exceed u64::MAX.
+            let span = u128::from(upper - lower);
+            let parts = self.width as u128 + 1;
+            let mut candidates: Vec<Time> = (1..parts)
+                // audit:allow(cast): span * i / parts < span, which is a u64.
+                .map(|i| lower + (span * i / parts) as Time)
                 .collect();
-            candidates.push((lower + upper) / 2);
+            candidates.push(lower + (upper - lower) / 2);
             candidates.sort_unstable();
             candidates.dedup();
             candidates.retain(|&t| t >= lower && t < upper);
@@ -151,7 +154,7 @@ impl SpeculativePtas {
             }
         }
 
-        let (witness, target) = match best {
+        let ((configs, map), target) = match best {
             Some(b) if b.1 == upper => b,
             _ => {
                 // Zero-width bracket or the converged value was never probed
@@ -179,7 +182,7 @@ impl SpeculativePtas {
 
         let recon_start = Instant::now();
         let recon_span = req.trace_span("reconstruct", 0);
-        let schedule = ptas.reconstruct(inst, witness, target)?;
+        let schedule = ptas.reconstruct(inst, &configs, &map)?;
         drop(recon_span);
         stats.push_phase("reconstruct", recon_start.elapsed());
         stats.wall = run_start.elapsed();
@@ -190,9 +193,9 @@ impl SpeculativePtas {
 
 /// Probes all `candidates` concurrently as one level of the persistent
 /// pool (one worker per candidate, each with a private scratch arena)
-/// through `ptas`'s scenario probe, merging every probe's scratch
-/// counters and the round pool's own park/wake traffic into the run's
-/// stats.
+/// through the chassis probe, without the profile cache, merging every
+/// probe's scratch counters and the round pool's own park/wake traffic
+/// into the run's stats.
 fn probe_round(
     ptas: &Ptas<ParallelDp>,
     req: &SolveRequest<'_>,
@@ -207,7 +210,7 @@ fn probe_round(
     let (probes, round) = persistent::run_levels(probes, 0..1, |_, _, probe| {
         let (t, scratch, witness) = probe;
         let _probe_span = req.trace_span("probe", *t);
-        *witness = ptas.probe(inst, *t, scratch).map(|(_, w)| w);
+        *witness = chassis::probe(ptas, inst, *t, scratch, None).map(|(_, w)| w);
     });
     stats.pool_parks += round.parks;
     stats.pool_wakes += round.wakes;

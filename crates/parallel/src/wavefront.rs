@@ -278,8 +278,10 @@ const POOL_MIN_WORK_PER_LEVEL: u64 = if cfg!(feature = "audit") { 0 } else { 10_
 /// could only drop the barriers of a pooled sweep's narrow edge levels.
 fn sweep_workers(threads: usize, cells: usize, transitions: usize, levels: u32) -> usize {
     let swept = u64::from(levels.saturating_sub(1).max(1));
-    let work_per_level = (cells as u64).saturating_mul(transitions as u64) / swept;
-    if work_per_level < POOL_MIN_WORK_PER_LEVEL {
+    let work = (cells as u64).saturating_mul(transitions as u64);
+    // `⌊work ÷ swept⌋ < MIN` exactly, multiplied out: the product is not a
+    // constant, so the audit build's MIN = 0 is no always-false comparison.
+    if work < POOL_MIN_WORK_PER_LEVEL * swept {
         1
     } else {
         threads.max(1)

@@ -2,23 +2,27 @@
 //! generalized over *what* is being bisected.
 //!
 //! A [`Scenario`] packages the scheduling-model-specific parts of a
-//! dual-approximation run: a feasibility `probe` at a target (rounding, DP
-//! and witness extraction), the `reconstruct` step that turns a probe's
-//! witness back into a schedule over the original jobs, and the
-//! profile-cache hooks. [`drive`] is the model-agnostic part — the
-//! bisection loop over the [`MakespanBounds`] bracket, the
-//! budget/cancellation gates, the trace spans, the re-probe that
-//! re-establishes the invariant at the converged target, and the stats
-//! bookkeeping. [`report`], [`check_budget`], [`merge_scratch`] and
-//! [`record_totals`] are also what `pcmax_parallel::SpeculativePtas` runs
-//! its own w-ary search on.
+//! dual-approximation run: rounding the instance at a target (Lines 6–24),
+//! the DP on the rounded problem, and the `reconstruct` step that turns the
+//! DP's witness configs back into a schedule over the original jobs.
+//! [`probe`] is the one feasibility probe: it rounds once, keys the
+//! request's profile cache on that rounding, and takes the [`DpOutcome`]
+//! from the cache or from the scenario's DP. [`drive`] is the
+//! model-agnostic part — the bisection loop over the [`MakespanBounds`]
+//! bracket, the budget/cancellation gates, the trace spans, the re-probe
+//! that re-establishes the invariant at the converged target, and the stats
+//! bookkeeping. [`probe`], [`report`], [`check_budget`], [`merge_scratch`]
+//! and [`record_totals`] are also what `pcmax_parallel::SpeculativePtas`
+//! runs its own w-ary search on.
 
 use crate::config::Config;
+use crate::dp::DpProblem;
 use crate::driver::{BisectionLog, BisectionProbe, PtasOutput};
-use crate::table::DpScratch;
+use crate::params::EpsilonParams;
+use crate::table::{DpScratch, DpTable};
 use pcmax_core::{
-    Error, Instance, MakespanBounds, ProfileKey, ProfileVerdict, Result, Schedule, SolveReport,
-    SolveRequest, SolveStats, Time,
+    profile, DpOutcome, Error, Instance, MakespanBounds, ProfileCache, ProfileKey, Result,
+    Schedule, SolveReport, SolveRequest, SolveStats, Time,
 };
 use pcmax_metrics::Counter;
 use std::time::{Duration, Instant};
@@ -64,51 +68,50 @@ static PROFILE_CACHE_MISSES: Counter = Counter::new(
 /// anything else with a monotone feasibility predicate over target makespans
 /// whose probe at the speed-aware [`MakespanBounds`] upper end is feasible.
 pub trait Scenario {
-    /// Whatever the probe must hand to [`reconstruct`](Self::reconstruct)
-    /// to rebuild a schedule over the original jobs.
-    type Witness;
+    /// The [`ProfileKey::scenario`] tag of this scenario's probes.
+    const TAG: &'static str;
 
-    /// DP-table entry count at `target`, used to pre-size the scratch arena
-    /// so every probe of the run reuses one allocation. `None` skips the
-    /// reservation (probes then allocate on first use).
-    fn reserve_hint(&self, inst: &Instance, target: Time) -> Option<usize>;
+    /// What [`reconstruct`](Self::reconstruct) needs besides the witness
+    /// configs to rebuild a schedule over the original jobs.
+    type Map;
 
-    /// Probes feasibility at `target`: rounds the instance, runs the DP, and
-    /// returns `OPT(N)` (machine count, `u32::MAX` for unschedulable)
-    /// together with a witness iff the target is feasible.
-    fn probe(
-        &self,
-        inst: &Instance,
-        target: Time,
-        scratch: &mut DpScratch,
-    ) -> Result<(u32, Option<Self::Witness>)>;
+    /// The `ε`/`k` parameterization; its ε joins the profile key.
+    fn params(&self) -> &EpsilonParams;
 
-    /// Rebuilds a full schedule from the witness of a feasible probe at
-    /// `target` (long jobs from the witness, short jobs greedily on top).
-    fn reconstruct(
-        &self,
-        inst: &Instance,
-        witness: Self::Witness,
-        target: Time,
-    ) -> Result<Schedule>;
+    /// Rounds `inst` at `target`: the DP problem, the machine capacities
+    /// its configurations are checked against, and the reconstruction map.
+    /// `None` when some job fits no machine by `target`, which makes the
+    /// target infeasible outright.
+    fn round(&self, inst: &Instance, target: Time) -> Option<Rounded<Self::Map>>;
 
-    /// The instance-profile cache key of the rounded subproblem at
-    /// `target`, or `None` when this particular probe does not support
-    /// profile caching. Implementations must guarantee that equal keys
-    /// imply bit-identical probe verdicts *and* extracted witness configs —
-    /// see `pcmax_core::profile` for the soundness argument.
-    fn profile_key(&self, inst: &Instance, target: Time) -> Option<ProfileKey>;
+    /// Runs the DP on a rounded problem: `OPT(N)` and, when it fits the
+    /// machine budget, the extracted per-machine configs.
+    fn dp(&self, rounded: &Rounded<Self::Map>, scratch: &mut DpScratch) -> Result<DpOutcome>;
 
-    /// Rebuilds a probe witness from cached configs: replays the cheap
-    /// O(n) rounding for the per-instance reconstruction map and skips the
-    /// DP. Returning `None` forces a real probe.
-    fn rehydrate(&self, inst: &Instance, target: Time, configs: &[Config])
-        -> Option<Self::Witness>;
-
-    /// The extracted per-machine configs inside a witness, for populating
-    /// the cache after a miss.
-    fn witness_configs<'w>(&self, witness: &'w Self::Witness) -> &'w [Config];
+    /// Rebuilds a full schedule from the configs of a feasible probe and
+    /// its rounding's map (long jobs from the configs, short jobs greedily
+    /// on top).
+    fn reconstruct(&self, inst: &Instance, configs: &[Config], map: &Self::Map)
+        -> Result<Schedule>;
 }
+
+/// One rounding of an instance at a target, as [`Scenario::round`] returns
+/// it.
+#[derive(Debug)]
+pub struct Rounded<M> {
+    /// The rounded DP subproblem.
+    pub problem: DpProblem,
+    /// Machine capacities the configurations are checked against: the
+    /// target alone for identical machines, the fastest-first work
+    /// capacities for uniform machines.
+    pub caps: Vec<Time>,
+    /// The scenario's reconstruction map.
+    pub map: M,
+}
+
+/// A feasible probe's witness: the DP's per-machine configs and the map of
+/// the rounding they came from.
+pub type Witness<M> = (Vec<Config>, M);
 
 /// A [`Scenario`]'s `Solver::solve`: [`drive`] the request, then [`report`]
 /// the result.
@@ -156,21 +159,18 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     } = MakespanBounds::of(inst);
     let mut log = BisectionLog::default();
     // Last feasible witness and the target it certifies.
-    let mut best: Option<(Sc::Witness, Time)> = None;
+    let mut best: Option<(Witness<Sc::Map>, Time)> = None;
 
     // One arena for the whole run. Reserving the largest table of the
     // bracket (table size grows as the target shrinks, and no probe goes
     // below the initial lower bound) makes every probe a reuse.
     let mut scratch = DpScratch::new();
-    if let Some(entries) = sc.reserve_hint(inst, lower.max(1)) {
+    if let Some(entries) = sc.round(inst, lower.max(1)).and_then(|r| {
+        DpTable::entries_needed(&r.problem.counts, r.problem.unit, r.problem.max_entries)
+    }) {
         scratch.reserve(entries);
     }
-    // Keys this solve stored itself: the converged-target re-probe may
-    // revisit a target the bisection loop already probed, and reading back
-    // our own verdict would report a cross-request `cache_hit` on a cold
-    // cache. Self-stored keys bypass the cache instead (same work as an
-    // uncached solve).
-    let mut self_stored: Vec<ProfileKey> = Vec::new();
+    let mut cache = req.cache.as_deref().map(SolveCache::new);
 
     let bisect_start = Instant::now();
     let bisect_span = req.trace_span("bisection", 0);
@@ -180,11 +180,11 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     let mut dp_wall = Duration::ZERO;
     while lower < upper {
         check_budget(req, scratch.entries_touched, lower, upper)?;
-        let t = (lower + upper) / 2;
+        // `lower + upper` can exceed u64::MAX; this midpoint cannot.
+        let t = lower + (upper - lower) / 2;
         let probe_span = req.trace_span("probe", t);
         let dp_start = Instant::now();
-        let (dp_machines, witness) =
-            probe_cached(sc, req, inst, t, &mut scratch, &mut stats, &mut self_stored)?;
+        let (dp_machines, witness) = probe(sc, inst, t, &mut scratch, cache.as_mut())?;
         dp_wall += dp_start.elapsed();
         drop(probe_span);
         log.probes.push(BisectionProbe {
@@ -206,21 +206,13 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     // loop body ran and found a feasible probe; otherwise (zero-width
     // bracket, or all probes infeasible) certify the final target
     // directly — the initial UB is always feasible, so this succeeds.
-    let (witness, t_star) = match best {
+    let ((configs, map), t_star) = match best {
         Some(b) if b.1 == target => b,
         _ => {
             check_budget(req, scratch.entries_touched, lower, upper)?;
             let probe_span = req.trace_span("probe", target);
             let dp_start = Instant::now();
-            let (dp_machines, witness) = probe_cached(
-                sc,
-                req,
-                inst,
-                target,
-                &mut scratch,
-                &mut stats,
-                &mut self_stored,
-            )?;
+            let (dp_machines, witness) = probe(sc, inst, target, &mut scratch, cache.as_mut())?;
             dp_wall += dp_start.elapsed();
             drop(probe_span);
             log.probes.push(BisectionProbe {
@@ -249,11 +241,15 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     check_budget(req, scratch.entries_touched, t_star, t_star)?;
     let recon_start = Instant::now();
     let recon_span = req.trace_span("reconstruct", 0);
-    let schedule = sc.reconstruct(inst, witness, t_star)?;
+    let schedule = sc.reconstruct(inst, &configs, &map)?;
     drop(recon_span);
     stats.push_phase("reconstruct", recon_start.elapsed());
 
     stats.bisection_probes = log.evaluations() as u64;
+    if let Some(cache) = cache {
+        stats.cache_hits = cache.hits;
+        stats.cache_misses = cache.misses;
+    }
     merge_scratch(&mut stats, &scratch);
     stats.wall = run_start.elapsed();
     record_totals(&stats);
@@ -267,62 +263,90 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     ))
 }
 
-/// One feasibility probe, routed through the request's instance-profile
-/// cache when both the request carries one and the scenario exposes a
-/// [`profile_key`](Scenario::profile_key) for this target. A hit skips the
-/// DP and [rehydrates](Scenario::rehydrate) the witness from the cached
-/// configs (replaying only the O(n) rounding); a miss runs the real probe
-/// and stores its verdict. Hits/misses are counted into `stats` *for this
-/// solve* — a hit never reuses the populating solve's stats, and a key in
-/// `self_stored` (written by this very solve) bypasses the cache so a cold
-/// request never reports a hit against itself.
-#[allow(clippy::too_many_arguments)]
-fn probe_cached<Sc: Scenario>(
+/// One solve's use of the request's instance-profile cache: the hits and
+/// misses of this solve alone, and the keys it stored itself. A key this
+/// solve stored bypasses the cache: reading back our own outcome would
+/// report a cross-request hit on a cold cache (same work as an uncached
+/// probe). [`drive`] makes one per cached solve; other callers [`probe`]
+/// without one.
+pub struct SolveCache<'a> {
+    cache: &'a dyn ProfileCache,
+    self_stored: Vec<ProfileKey>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<'a> SolveCache<'a> {
+    fn new(cache: &'a dyn ProfileCache) -> Self {
+        Self {
+            cache,
+            self_stored: Vec::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The outcome cached under `key`, or `dp()`'s, which is then stored.
+    fn outcome(
+        &mut self,
+        key: ProfileKey,
+        dp: impl FnOnce() -> Result<DpOutcome>,
+    ) -> Result<DpOutcome> {
+        if self.self_stored.contains(&key) {
+            return dp();
+        }
+        if let Some(hit) = self.cache.get(&key) {
+            self.hits += 1;
+            return Ok(hit);
+        }
+        self.misses += 1;
+        let outcome = dp()?;
+        self.self_stored.push(key.clone());
+        self.cache.put(key, outcome.clone());
+        Ok(outcome)
+    }
+}
+
+/// One feasibility probe at `target`: rounds the instance once and, when a
+/// `cache` is given, keys it on that rounding — a hit skips the DP, a miss
+/// runs it and stores the outcome. Returns `OPT(N)` (machine count,
+/// `u32::MAX` when unschedulable) together with the witness iff the target
+/// is feasible.
+pub fn probe<Sc: Scenario>(
     sc: &Sc,
-    req: &SolveRequest<'_>,
     inst: &Instance,
     target: Time,
     scratch: &mut DpScratch,
-    stats: &mut SolveStats,
-    self_stored: &mut Vec<ProfileKey>,
-) -> Result<(u32, Option<Sc::Witness>)> {
-    let keyed = match &req.cache {
-        Some(cache) => sc
-            .profile_key(inst, target)
-            .filter(|key| !self_stored.contains(key))
-            .map(|key| (cache, key)),
-        None => None,
+    cache: Option<&mut SolveCache<'_>>,
+) -> Result<(u32, Option<Witness<Sc::Map>>)> {
+    let Some(rounded) = sc.round(inst, target) else {
+        return Ok((u32::MAX, None));
     };
-    if let Some((cache, key)) = &keyed {
-        if let Some(verdict) = cache.get(key) {
-            let rehydrated = match verdict {
-                ProfileVerdict::Infeasible { machines } => Some((machines, None)),
-                ProfileVerdict::Feasible { machines, configs } => sc
-                    .rehydrate(inst, target, &configs)
-                    .map(|w| (machines, Some(w))),
-            };
-            // A verdict the scenario cannot rehydrate (shouldn't happen
-            // with a sound key) falls through to a real probe.
-            if let Some(hit) = rehydrated {
-                stats.cache_hits += 1;
-                return Ok(hit);
-            }
-        }
-        stats.cache_misses += 1;
+    let outcome = match cache {
+        Some(cache) => cache.outcome(profile_key(sc, &rounded), || sc.dp(&rounded, scratch))?,
+        None => sc.dp(&rounded, scratch)?,
+    };
+    Ok((
+        outcome.machines,
+        outcome.schedule.map(|configs| (configs, rounded.map)),
+    ))
+}
+
+/// The profile key of one rounding: its class counts and its capacities in
+/// rounding units. Every config load the DP checks is a multiple of the
+/// unit, so these determine the DP outcome exactly (see
+/// `pcmax_core::profile`); ε and `m` ride along.
+fn profile_key<Sc: Scenario>(sc: &Sc, rounded: &Rounded<Sc::Map>) -> ProfileKey {
+    let problem = &rounded.problem;
+    ProfileKey {
+        scenario: Sc::TAG,
+        eps_micros: profile::eps_micros(sc.params().epsilon),
+        // Saturating is sound: OPT(N) is a u16, so every m ≥ u32::MAX
+        // gives the same outcome.
+        machines: u32::try_from(problem.max_machines).unwrap_or(u32::MAX),
+        caps_units: rounded.caps.iter().map(|&c| c / problem.unit).collect(),
+        counts: problem.counts.clone(),
     }
-    let (machines, witness) = sc.probe(inst, target, scratch)?;
-    if let Some((cache, key)) = keyed {
-        let verdict = match &witness {
-            None => ProfileVerdict::Infeasible { machines },
-            Some(w) => ProfileVerdict::Feasible {
-                machines,
-                configs: sc.witness_configs(w).to_vec(),
-            },
-        };
-        self_stored.push(key.clone());
-        cache.put(key, verdict);
-    }
-    Ok((machines, witness))
 }
 
 /// Adds the DP counters `scratch` accumulated (tables, entries, levels,

@@ -14,6 +14,7 @@
 use crate::config::{enumerate_configs_sized, Config};
 use crate::space::{extract_schedule_with, serial_sweep, PcmaxSpace, SpaceEngine, StateSpace};
 use crate::table::{DpScratch, DpTable, INFEASIBLE};
+pub use pcmax_core::DpOutcome;
 use pcmax_core::{Error, Result, Time};
 
 /// One rounded scheduling subproblem handed to a [`DpSolver`]: the class
@@ -112,25 +113,6 @@ impl DpProblem {
             "config enumeration must yield strictly ascending offsets"
         );
         configs
-    }
-}
-
-/// Outcome of a DP solve.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DpOutcome {
-    /// `OPT(N)` — minimum machines for the rounded long jobs within `T`
-    /// (`u32::MAX` if the vector is not schedulable at all, which cannot
-    /// happen for vectors produced by rounding).
-    pub machines: u32,
-    /// Per-machine configurations (full `k²` width), extracted only when
-    /// `machines ≤ max_machines`; length = `machines`.
-    pub schedule: Option<Vec<Config>>,
-}
-
-impl DpOutcome {
-    /// Whether the rounded jobs fit on the machine budget.
-    pub fn feasible(&self) -> bool {
-        self.schedule.is_some()
     }
 }
 

@@ -2,15 +2,15 @@
 //! keep the smallest feasible target, then reconstruct a real schedule from
 //! the rounded witness and finish with LPT on the short jobs.
 
-use crate::chassis::Scenario;
+use crate::chassis::{Rounded, Scenario};
 use crate::config::Config;
-use crate::dp::{DpProblem, DpSolver, IterativeDp};
+use crate::dp::{DpOutcome, DpProblem, DpSolver, IterativeDp};
 use crate::params::EpsilonParams;
-use crate::rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
-use crate::table::{DpScratch, DpTable};
+use crate::rounding::{JobPartition, RoundedLongJobs};
+use crate::table::DpScratch;
 use pcmax_core::{
-    profile, Error, Instance, ProfileKey, Result, Schedule, ScheduleBuilder, SolveReport,
-    SolveRequest, SolveStats, Solver, Time,
+    Error, Instance, Result, Schedule, ScheduleBuilder, SolveReport, SolveRequest, SolveStats,
+    Solver, Time,
 };
 
 /// One bisection probe: the target tried and what the DP said.
@@ -76,16 +76,6 @@ impl<S: DpSolver> Ptas<S> {
         })
     }
 
-    /// The `ε`/`k` parameters in use.
-    pub fn params(&self) -> &EpsilonParams {
-        &self.params
-    }
-
-    /// Builds the rounded DP problem for `inst` at target `t`.
-    fn problem_at(&self, inst: &Instance, t: Time) -> (DpProblem, RoundedLongJobs, JobPartition) {
-        rounded_problem(inst, &self.params, t, DpProblem::DEFAULT_MAX_ENTRIES)
-    }
-
     /// Runs the full PTAS and returns the schedule plus diagnostics.
     pub fn solve_detailed(&self, inst: &Instance) -> Result<PtasOutput> {
         self.solve_with(&SolveRequest::new(inst))
@@ -106,73 +96,39 @@ impl<S: DpSolver> Ptas<S> {
 }
 
 impl<S: DpSolver> Scenario for Ptas<S> {
-    /// Per-machine configs plus the rounding/partition metadata needed to
-    /// map them back to original jobs.
-    type Witness = (Vec<Config>, RoundedLongJobs, JobPartition);
+    const TAG: &'static str = "p";
 
-    fn reserve_hint(&self, inst: &Instance, target: Time) -> Option<usize> {
-        let (problem, _, _) = self.problem_at(inst, target);
-        DpTable::entries_needed(&problem.counts, problem.unit, problem.max_entries)
+    /// The rounding/partition metadata that maps configs back to original
+    /// jobs.
+    type Map = (RoundedLongJobs, JobPartition);
+
+    fn params(&self) -> &EpsilonParams {
+        &self.params
     }
 
-    fn probe(
-        &self,
-        inst: &Instance,
-        target: Time,
-        scratch: &mut DpScratch,
-    ) -> Result<(u32, Option<Self::Witness>)> {
-        let (problem, rounded, partition) = self.problem_at(inst, target);
-        let outcome = self.solver.solve_in(&problem, scratch)?;
-        Ok((
-            outcome.machines,
-            outcome
-                .schedule
-                .map(|configs| (configs, rounded, partition)),
-        ))
+    /// Every machine checks configs against the target itself. The bracket
+    /// never goes below `max tⱼ`, so every job fits.
+    fn round(&self, inst: &Instance, target: Time) -> Option<Rounded<Self::Map>> {
+        let (problem, rounded, partition) =
+            rounded_problem(inst, &self.params, target, DpProblem::DEFAULT_MAX_ENTRIES);
+        Some(Rounded {
+            problem,
+            caps: vec![target],
+            map: (rounded, partition),
+        })
+    }
+
+    fn dp(&self, rounded: &Rounded<Self::Map>, scratch: &mut DpScratch) -> Result<DpOutcome> {
+        self.solver.solve_in(&rounded.problem, scratch)
     }
 
     fn reconstruct(
         &self,
         inst: &Instance,
-        witness: Self::Witness,
-        _target: Time,
-    ) -> Result<Schedule> {
-        let (configs, rounded, partition) = witness;
-        reconstruct(inst, &configs, &rounded, &partition)
-    }
-
-    /// `P||Cmax` profile key: the class-count vector plus the single shared
-    /// capacity `⌊target/unit⌋` — every machine checks configs against the
-    /// target itself. ε and `m` ride along per the cache-key soundness
-    /// argument in `pcmax_core::profile`.
-    fn profile_key(&self, inst: &Instance, target: Time) -> Option<ProfileKey> {
-        let rounding = PcmaxRounding {
-            params: &self.params,
-        };
-        let (counts, unit) = rounding.fingerprint(inst, target);
-        Some(ProfileKey {
-            scenario: "p",
-            eps_micros: profile::eps_micros(self.params.epsilon),
-            machines: inst.machines() as u32,
-            caps_units: vec![target / unit],
-            counts,
-        })
-    }
-
-    /// Cache-hit witness: replay the rounding (for the per-instance
-    /// class→job map) and adopt the cached configs unchanged.
-    fn rehydrate(
-        &self,
-        inst: &Instance,
-        target: Time,
         configs: &[Config],
-    ) -> Option<Self::Witness> {
-        let (_, rounded, partition) = self.problem_at(inst, target);
-        Some((configs.to_vec(), rounded, partition))
-    }
-
-    fn witness_configs<'w>(&self, witness: &'w Self::Witness) -> &'w [Config] {
-        &witness.0
+        (rounded, partition): &Self::Map,
+    ) -> Result<Schedule> {
+        reconstruct(inst, configs, rounded, partition)
     }
 }
 
@@ -525,14 +481,10 @@ mod tests {
 
     /// Unbounded map cache for exercising the chassis cache path in tests.
     #[derive(Default)]
-    struct MapCache(
-        std::sync::Mutex<
-            std::collections::HashMap<pcmax_core::ProfileKey, pcmax_core::ProfileVerdict>,
-        >,
-    );
+    struct MapCache(std::sync::Mutex<std::collections::HashMap<pcmax_core::ProfileKey, DpOutcome>>);
 
     impl pcmax_core::ProfileCache for MapCache {
-        fn get(&self, key: &pcmax_core::ProfileKey) -> Option<pcmax_core::ProfileVerdict> {
+        fn get(&self, key: &pcmax_core::ProfileKey) -> Option<DpOutcome> {
             self.0
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
@@ -540,11 +492,11 @@ mod tests {
                 .cloned()
         }
 
-        fn put(&self, key: pcmax_core::ProfileKey, verdict: pcmax_core::ProfileVerdict) {
+        fn put(&self, key: pcmax_core::ProfileKey, outcome: DpOutcome) {
             self.0
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
-                .insert(key, verdict);
+                .insert(key, outcome);
         }
     }
 

@@ -17,15 +17,19 @@
 //! engine reusable across scheduling models:
 //!
 //! * [`rounding`] also hosts the [`Rounding`] trait (instance → size
-//!   classes + reconstruction map),
+//!   classes + reconstruction map) and its [`PcmaxRounding`] implementation,
+//!   which both scenarios round with,
 //! * [`space`] — the [`StateSpace`] trait (transition set + per-step
 //!   feasibility filter) with the [`PcmaxSpace`]/[`QSpace`] instantiations,
 //!   and the [`SpaceEngine`] trait, the one trait every DP engine
 //!   implements,
-//! * [`chassis`] — the [`Scenario`] trait, the model-agnostic
-//!   `chassis::drive` bisection loop, and the report, budget gate and stats
-//!   bookkeeping every dual-approximation solver shares,
-//! * [`uniform`] — the `Q||Cmax` instantiation ([`QPtas`], [`QRounding`]).
+//! * [`chassis`] — the [`Scenario`] trait (round, DP, reconstruct), the
+//!   one feasibility probe `chassis::probe` (round once, key the profile
+//!   cache on that rounding, take the DP outcome from the cache or the DP),
+//!   the model-agnostic `chassis::drive` bisection loop, and the report,
+//!   budget gate and stats bookkeeping every dual-approximation solver
+//!   shares,
+//! * [`uniform`] — the `Q||Cmax` instantiation ([`QPtas`]).
 //!
 //! The parallel DP of the paper (Algorithm 3) lives in the `pcmax-parallel`
 //! crate as one more [`SpaceEngine`].
@@ -62,4 +66,4 @@ pub use rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
 pub use space::{PcmaxSpace, QSpace, SpaceEngine, StateSpace};
 pub use table::{decode_into, next_in_level, DpScratch, DpTable, LevelLayout};
 pub use trace::{dp_trace, DpTrace};
-pub use uniform::{QPtas, QRounding};
+pub use uniform::QPtas;

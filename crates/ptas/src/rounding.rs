@@ -7,9 +7,8 @@ use pcmax_core::{Instance, Time};
 /// The rounding seam of the chassis: maps an instance at a target makespan
 /// to the class-count vector `N` and the rounding unit, plus whatever
 /// metadata the scenario needs later to map rounded jobs back to original
-/// ones. `P||Cmax` rounds against the target itself ([`PcmaxRounding`]);
-/// `Q||Cmax` rounds against the fastest machine's work capacity
-/// (`pcmax_ptas::uniform::QRounding`).
+/// ones. Both scenarios round with [`PcmaxRounding`]: `P||Cmax` against the
+/// target itself, `Q||Cmax` against the fastest machine's work capacity.
 pub trait Rounding {
     /// Reconstruction metadata carried from the rounding to the witness
     /// mapping (for the PTAS scenarios: the per-class member job ids plus
@@ -20,13 +19,13 @@ pub trait Rounding {
     /// `N`, the rounding unit, and the reconstruction map.
     fn round_at(&self, inst: &Instance, target: Time) -> (Vec<u32>, Time, Self::Map);
 
-    /// The profile-cache fingerprint of the rounded subproblem at `target`:
-    /// the class-count vector `N` and the rounding unit, *without* building
-    /// the reconstruction map. Every config load the DP checks is a
-    /// multiple of the unit, so `(N, ⌊capacity/unit⌋)` determines the DP
-    /// verdict and the extracted witness configs exactly — the seam
-    /// `pcmax_core::profile` keys its cache on. The default delegates to
-    /// [`round_at`](Self::round_at); implementations may skip the map.
+    /// The class-count vector `N` and the rounding unit at `target`,
+    /// *without* building the reconstruction map; equal to the first two
+    /// parts of [`round_at`](Self::round_at). No solve calls it: the
+    /// chassis keys its profile cache on the rounding the DP solves. It is
+    /// kept for the benchmark's per-layer replay, which times this pass.
+    /// The default delegates to `round_at`; implementations may skip the
+    /// map.
     fn fingerprint(&self, inst: &Instance, target: Time) -> (Vec<u32>, Time) {
         let (counts, unit, _) = self.round_at(inst, target);
         (counts, unit)
@@ -51,7 +50,7 @@ impl Rounding for PcmaxRounding<'_> {
     }
 
     /// Counts-only override: one pass over the times, no per-class member
-    /// lists — the fingerprint is computed once per probe on the cache path.
+    /// lists.
     fn fingerprint(&self, inst: &Instance, target: Time) -> (Vec<u32>, Time) {
         let k2 = self.params.classes();
         let unit = self.params.unit(target);

@@ -4,10 +4,12 @@
 //! `s·T` by time `T`. [`QPtas`] reuses the whole `P||Cmax` pipeline through
 //! the chassis seams:
 //!
-//! * **Rounding** ([`QRounding`]): jobs are split and rounded against the
-//!   *fastest machine's* capacity `capmax = s_max·T` — the largest load any
-//!   single machine can carry — with the same `T/k` threshold and `⌈·/k²⌉`
-//!   unit formulas as the identical case.
+//! * **Rounding** ([`QPtas`]'s [`Scenario::round`]): jobs are split and
+//!   rounded by [`PcmaxRounding`] against the *fastest machine's* capacity
+//!   `capmax = s_max·T` — the largest load any single machine can carry —
+//!   with the same `T/k` threshold and `⌈·/k²⌉` unit formulas as the
+//!   identical case. A target at which some job exceeds `capmax` is
+//!   infeasible outright and rounds to nothing.
 //! * **State space** ([`QSpace`]): machines are sorted fastest-first with
 //!   capacities `caps[j] = s_j·T` (non-increasing), and `OPT(v)` becomes the
 //!   minimum *prefix of fastest machines* that can run `v`: a transition
@@ -19,10 +21,12 @@
 //! * **Engine**: any [`SpaceEngine`] — the serial oracle [`IterativeDp`],
 //!   [`crate::MemoizedDp`], or the parallel wavefront executors from
 //!   `pcmax-parallel`.
-//! * **Driver**: the shared bisection [`drive`](crate::chassis::drive) loop;
-//!   the speed-aware [`pcmax_core::MakespanBounds`] bracket guarantees the
-//!   upper endpoint is always feasible (all rounded jobs fit the fastest
-//!   machine at `T = ⌈Σt/s_max⌉`).
+//! * **Driver**: the shared bisection [`drive`](crate::chassis::drive) loop
+//!   and its one [`probe`](crate::chassis::probe), which keys the profile
+//!   cache on the per-machine capacities in units; the speed-aware
+//!   [`pcmax_core::MakespanBounds`] bracket guarantees the upper endpoint is
+//!   always feasible (all rounded jobs fit the fastest machine at
+//!   `T = ⌈Σt/s_max⌉`).
 //!
 //! Short jobs are placed greedily on the earliest-finishing machine
 //! (the same rule as the `LPT-Q` baseline). The certified target `T*` is a
@@ -33,59 +37,15 @@
 //! `1 + s_max/(k·s)` before the short-job greedy (which only targets
 //! earliest finishers) is accounted.
 
-use crate::chassis::Scenario;
-use crate::dp::{finish_with, DpProblem, IterativeDp};
+use crate::chassis::{Rounded, Scenario};
+use crate::dp::{finish_with, DpOutcome, DpProblem, IterativeDp};
 use crate::driver::place_long_jobs;
 use crate::params::EpsilonParams;
 use crate::rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
 use crate::space::{QSpace, SpaceEngine};
-use crate::table::{DpScratch, DpTable};
+use crate::table::DpScratch;
 use crate::{Config, PtasOutput};
-use pcmax_core::{
-    profile, Instance, ProfileKey, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver,
-    Time,
-};
-
-/// Uniform-machine rounding: identical-machine rounding evaluated at the
-/// fastest machine's capacity `capmax = s_max·target` — the threshold and
-/// unit formulas depend only on the capacity, so the `P||Cmax` partition and
-/// rounding code is reused wholesale.
-#[derive(Debug, Clone, Copy)]
-pub struct QRounding<'a> {
-    /// The `ε`/`k` parameterization.
-    pub params: &'a EpsilonParams,
-}
-
-impl Rounding for QRounding<'_> {
-    type Map = (RoundedLongJobs, JobPartition);
-
-    fn round_at(&self, inst: &Instance, target: Time) -> (Vec<u32>, Time, Self::Map) {
-        let capmax = inst.max_speed().saturating_mul(target);
-        PcmaxRounding {
-            params: self.params,
-        }
-        .round_at(inst, capmax)
-    }
-
-    fn fingerprint(&self, inst: &Instance, target: Time) -> (Vec<u32>, Time) {
-        let capmax = inst.max_speed().saturating_mul(target);
-        PcmaxRounding {
-            params: self.params,
-        }
-        .fingerprint(inst, capmax)
-    }
-}
-
-/// The witness a feasible `Q||Cmax` probe hands to reconstruction: the
-/// extracted per-machine configs (walk order = machines in *decreasing*
-/// prefix position, see [`QPtas`]'s `reconstruct`), the rounding metadata,
-/// and the fastest-first machine permutation.
-pub struct QWitness {
-    configs: Vec<Config>,
-    rounded: RoundedLongJobs,
-    partition: JobPartition,
-    perm: Vec<usize>,
-}
+use pcmax_core::{Instance, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver, Time};
 
 /// The Hochbaum–Shmoys-style dual approximation for `Q||Cmax`, assembled
 /// from the chassis seams with a pluggable sweep engine.
@@ -126,129 +86,72 @@ impl<E: SpaceEngine> QPtas<E> {
     pub fn solve_with(&self, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
         crate::chassis::drive(self, req)
     }
-
-    /// Machines sorted fastest-first (ties to the lowest original index):
-    /// `perm[j]` is the original id of the `j`-th fastest machine and
-    /// `caps[j]` its work capacity at `target`.
-    fn sorted_caps(&self, inst: &Instance, target: Time) -> (Vec<usize>, Vec<Time>) {
-        let speeds = inst.speeds();
-        let mut perm: Vec<usize> = (0..inst.machines()).collect();
-        perm.sort_by(|&a, &b| speeds[b].cmp(&speeds[a]).then(a.cmp(&b)));
-        let caps = perm
-            .iter()
-            .map(|&i| speeds[i].saturating_mul(target))
-            .collect();
-        (perm, caps)
-    }
 }
 
 impl<E: SpaceEngine> Scenario for QPtas<E> {
-    type Witness = QWitness;
+    const TAG: &'static str = "q";
 
-    fn reserve_hint(&self, inst: &Instance, target: Time) -> Option<usize> {
-        let (counts, unit, _) = QRounding {
-            params: &self.params,
-        }
-        .round_at(inst, target);
-        DpTable::entries_needed(&counts, unit, DpProblem::DEFAULT_MAX_ENTRIES)
+    /// The rounding/partition metadata plus the fastest-first machine
+    /// permutation: `perm[j]` is the original id of the `j`-th fastest
+    /// machine.
+    type Map = (RoundedLongJobs, JobPartition, Vec<usize>);
+
+    fn params(&self) -> &EpsilonParams {
+        &self.params
     }
 
-    fn probe(
-        &self,
-        inst: &Instance,
-        target: Time,
-        scratch: &mut DpScratch,
-    ) -> Result<(u32, Option<QWitness>)> {
-        let (perm, caps) = self.sorted_caps(inst, target);
+    /// Sorts the machines fastest-first (ties to the lowest original index)
+    /// with capacities `caps[j] = s_j·target`, and rounds against the
+    /// fastest capacity `capmax = caps[0]`: the threshold and unit formulas
+    /// depend only on the capacity, so the `P||Cmax` rounding is reused
+    /// wholesale.
+    fn round(&self, inst: &Instance, target: Time) -> Option<Rounded<Self::Map>> {
+        let speeds = inst.speeds();
+        let mut perm: Vec<usize> = (0..inst.machines()).collect();
+        perm.sort_by(|&a, &b| speeds[b].cmp(&speeds[a]).then(a.cmp(&b)));
+        let caps: Vec<Time> = perm
+            .iter()
+            .map(|&i| speeds[i].saturating_mul(target))
+            .collect();
         let capmax = caps[0];
-        // A job no machine can finish by the target: infeasible outright
-        // (and the rounding invariant `t ≤ capacity` would not hold).
-        if inst.times().iter().any(|&t| t > capmax) {
-            return Ok((u32::MAX, None));
+        // A job no machine can finish by the target (the rounding invariant
+        // `t ≤ capacity` would not hold).
+        if inst.max_time() > capmax {
+            return None;
         }
-        let (counts, unit, (rounded, partition)) = QRounding {
+        let (counts, unit, (rounded, partition)) = PcmaxRounding {
             params: &self.params,
         }
-        .round_at(inst, target);
-        let problem = DpProblem::new(counts, unit, capmax, inst.machines());
+        .round_at(inst, capmax);
+        Some(Rounded {
+            problem: DpProblem::new(counts, unit, capmax, inst.machines()),
+            caps,
+            map: (rounded, partition, perm),
+        })
+    }
+
+    fn dp(&self, rounded: &Rounded<Self::Map>, scratch: &mut DpScratch) -> Result<DpOutcome> {
+        let problem = &rounded.problem;
         let mut table = problem.build_table_for(&self.engine, scratch)?;
         let configs = problem.configs_with_offsets(&table);
-        let space = QSpace::new(&configs, &table.sizes, &caps);
+        let space = QSpace::new(&configs, &table.sizes, &rounded.caps);
         self.engine.sweep(&mut table, &space, scratch);
-        let outcome = finish_with(&problem, table, &space, scratch)?;
-        Ok((
-            outcome.machines,
-            outcome.schedule.map(|configs| QWitness {
-                configs,
-                rounded,
-                partition,
-                perm,
-            }),
-        ))
+        finish_with(problem, table, &space, scratch)
     }
 
-    /// `Q||Cmax` profile key: the class-count vector plus *per-machine*
-    /// capacities in units (fastest-first) — the step filter checks configs
-    /// against each prefix machine's capacity, so every `⌊caps[j]/unit⌋`
-    /// joins the fingerprint. Probes with a job no machine can finish are
-    /// trivially infeasible and opt out (matching the early return in
-    /// [`probe`](Self::probe), whose rounding invariant they would break).
-    fn profile_key(&self, inst: &Instance, target: Time) -> Option<ProfileKey> {
-        let (_, caps) = self.sorted_caps(inst, target);
-        if inst.times().iter().any(|&t| t > caps[0]) {
-            return None;
-        }
-        let rounding = QRounding {
-            params: &self.params,
-        };
-        let (counts, unit) = rounding.fingerprint(inst, target);
-        Some(ProfileKey {
-            scenario: "q",
-            eps_micros: profile::eps_micros(self.params.epsilon),
-            // audit:allow(cast): machine counts are bounded by the job count,
-            // which Instance stores as a Vec length far below u32::MAX.
-            machines: inst.machines() as u32,
-            caps_units: caps.iter().map(|&c| c / unit).collect(),
-            counts,
-        })
-    }
-
-    fn rehydrate(&self, inst: &Instance, target: Time, configs: &[Config]) -> Option<QWitness> {
-        let (perm, caps) = self.sorted_caps(inst, target);
-        if inst.times().iter().any(|&t| t > caps[0]) {
-            return None;
-        }
-        let (_, _, (rounded, partition)) = QRounding {
-            params: &self.params,
-        }
-        .round_at(inst, target);
-        Some(QWitness {
-            configs: configs.to_vec(),
-            rounded,
-            partition,
-            perm,
-        })
-    }
-
-    fn witness_configs<'w>(&self, witness: &'w QWitness) -> &'w [Config] {
-        &witness.configs
-    }
-
-    fn reconstruct(&self, inst: &Instance, witness: QWitness, _target: Time) -> Result<Schedule> {
-        let QWitness {
-            configs,
-            rounded,
-            partition,
-            perm,
-        } = witness;
+    fn reconstruct(
+        &self,
+        inst: &Instance,
+        configs: &[Config],
+        (rounded, partition, perm): &Self::Map,
+    ) -> Result<Schedule> {
         // The walk peels configs top-down: the config extracted at value `q`
         // fits `caps[q−1]`, so `configs[step]` (0-based) belongs on the
         // `used−1−step`-th fastest machine.
         let used = configs.len();
-        let (mut builder, shorts) =
-            place_long_jobs(inst, &configs, &rounded, &partition, |step| {
-                perm[used - 1 - step]
-            })?;
+        let (mut builder, shorts) = place_long_jobs(inst, configs, rounded, partition, |step| {
+            perm[used - 1 - step]
+        })?;
         // Short jobs in non-increasing time on the earliest-finishing
         // machine — the speed-aware generalization of the LPT finish.
         let speeds = inst.speeds();

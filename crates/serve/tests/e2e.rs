@@ -192,6 +192,56 @@ fn a_deeply_nested_frame_only_loses_its_own_connection() {
 }
 
 #[test]
+fn instances_no_solver_can_take_get_typed_errors_and_the_connection_serves_on() {
+    use pcmax_core::json::FromJson;
+    use pcmax_core::wire::WireResponse;
+    use std::io::Write;
+
+    let (server, addr) = small_server();
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+    let frames = [
+        // An identical-machine solver on an instance with machine speeds.
+        r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"exact","eps":0.4,"instance":{"times":[4,4],"machines":2,"speeds":[3,1]}}"#,
+        // Σ tⱼ overflows u64: the instance does not decode.
+        r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[18446744073709551615,18446744073709551615],"machines":1}}"#,
+        r#"{"proto":"pcmax-wire/1","id":3,"op":"solve","solver":"ptas-q","eps":0.4,"instance":{"times":[4,4],"machines":2,"speeds":[3,1]}}"#,
+        r#"{"proto":"pcmax-wire/1","id":4,"op":"shutdown"}"#,
+    ];
+    for payload in frames {
+        raw.write_all(&(payload.len() as u32).to_be_bytes())
+            .expect("send length");
+        raw.write_all(payload.as_bytes()).expect("send payload");
+    }
+    let mut next = || {
+        let frame = read_frame(&mut raw).expect("read").expect("a frame");
+        WireResponse::from_json(&frame).expect("decode")
+    };
+    let refused = next();
+    assert_eq!(refused.id, 1);
+    match refused.outcome {
+        WireOutcome::Error { message, .. } => {
+            assert!(message.contains("machine speeds"), "{message}")
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    match next().outcome {
+        WireOutcome::Error { code, message } => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains("overflows u64"), "{message}");
+        }
+        other => panic!("expected bad-request, got {other:?}"),
+    }
+    let served = next();
+    assert_eq!(served.id, 3);
+    match served.outcome {
+        WireOutcome::Ok { makespan, .. } => assert_eq!(makespan, 3),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    assert!(matches!(next().outcome, WireOutcome::Bye { .. }));
+    server.join().expect("server thread").expect("server io");
+}
+
+#[test]
 fn pipelined_submissions_answer_in_order() {
     let (server, addr) = small_server();
     let instances = generate_batch(Family::new(8, 50, Distribution::U1To10), 3, 6);
