@@ -1,8 +1,8 @@
 //! The solver-engine layer: budgeted, cancellable, stats-reporting solves.
 //!
 //! Every algorithm in the workspace implements [`Solver`], taking a
-//! [`SolveRequest`] (instance + [`Budget`] + [`CancelToken`] + thread
-//! configuration) and returning a [`SolveReport`] (schedule, makespan,
+//! [`SolveRequest`] (instance + [`Budget`] + [`CancelToken`] + optional
+//! trace sink and profile cache) and returning a [`SolveReport`] (schedule, makespan,
 //! certified target where applicable, and structured [`SolveStats`]).
 //! The legacy [`Scheduler`] trait is kept alive through a blanket impl, so
 //! `solver.schedule(&inst)` keeps working everywhere.
@@ -151,8 +151,6 @@ pub struct SolveRequest<'a> {
     pub budget: Budget,
     /// Cooperative cancellation flag (default: never cancelled).
     pub cancel: CancelToken,
-    /// Worker-thread count for parallel solvers (`None` = solver default).
-    pub threads: Option<usize>,
     /// Optional receiver for span/instant/counter events (default: none).
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Optional instance-profile cache consulted per DP probe (default:
@@ -167,7 +165,6 @@ impl std::fmt::Debug for SolveRequest<'_> {
             .field("instance", &self.instance)
             .field("budget", &self.budget)
             .field("cancel", &self.cancel)
-            .field("threads", &self.threads)
             .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
             .field("cache", &self.cache.as_ref().map(|_| "<cache>"))
             .finish()
@@ -175,13 +172,12 @@ impl std::fmt::Debug for SolveRequest<'_> {
 }
 
 impl<'a> SolveRequest<'a> {
-    /// A request with default budget, token and thread count.
+    /// A request with default budget and token, and no sink or cache.
     pub fn new(instance: &'a Instance) -> Self {
         Self {
             instance,
             budget: Budget::default(),
             cancel: CancelToken::new(),
-            threads: None,
             trace: None,
             cache: None,
         }
@@ -196,12 +192,6 @@ impl<'a> SolveRequest<'a> {
     /// Replaces the cancellation token.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Sets the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 

@@ -28,7 +28,8 @@ pub struct WireSolve {
     pub solver: String,
     /// PTAS accuracy parameter ε.
     pub eps: f64,
-    /// Worker-thread count (`None` = solver default).
+    /// Most worker threads for the parallel solvers (`None` = solver
+    /// default). An upper bound: the daemon clamps it to its host's cores.
     pub threads: Option<usize>,
     /// Wall-clock budget in milliseconds (`None` = unlimited).
     pub timeout_ms: Option<u64>,

@@ -54,8 +54,10 @@ use pcmax_ptas::{Ptas, QPtas};
 pub struct SolverParams {
     /// Relative error for the PTAS family and the FPTAS.
     pub epsilon: f64,
-    /// Most worker threads for the parallel solvers; DP tables below the
-    /// wavefront's serial cutoff sweep on one. Unset, `par-ptas` and
+    /// Most worker threads for the parallel solvers, fixed when the solver
+    /// is built (a solve request carries no thread count); DP tables below
+    /// the wavefront's serial cutoff sweep on one. `spec-ptas` applies it
+    /// to each of a round's concurrent probes. Unset, `par-ptas` and
     /// `spec-ptas` use all cores, while `ptas-q` runs the serial
     /// `IterativeDp` engine (set it to run `ptas-q` on the wavefront).
     pub threads: Option<usize>,
@@ -254,7 +256,11 @@ static REGISTRY: &[SolverSpec] = &[
         aliases: &["spec"],
         summary: "speculative w-ary bisection PTAS (1 + eps)",
         guarantee: Guarantee::Epsilon,
-        build: |p| Ok(Box::new(SpeculativePtas::new(p.epsilon, p.width)?)),
+        build: |p| {
+            let mut spec = SpeculativePtas::new(p.epsilon, p.width)?;
+            spec.threads = p.threads;
+            Ok(Box::new(spec))
+        },
     },
     SolverSpec {
         name: "exact",

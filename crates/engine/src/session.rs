@@ -8,9 +8,11 @@
 //! [`poll`](SolveHandle::poll), blocking [`wait`](SolveHandle::wait) and
 //! handle-owned [`cancel`](SolveHandle::cancel).
 //!
-//! Behind the surface sits a persistent worker pool (shared across
-//! sessions — solver instances are built once per parameterization and
-//! reused) fed by a bounded FIFO admission queue. Admission is enforced at
+//! Behind the surface sits a persistent worker pool shared across
+//! sessions, fed by a bounded FIFO admission queue. Each submission builds
+//! its solver from the registry: construction only validates ε, and every
+//! parallel solver takes its thread count from the submission's
+//! [`SolverParams::threads`] at construction. Admission is enforced at
 //! `submit`: beyond `capacity` in-flight submissions the engine answers
 //! [`Error::Overloaded`] instead of queueing unboundedly, and each accepted
 //! job runs under its *own* [`Budget`] and [`CancelToken`] — a queued job
@@ -33,8 +35,7 @@
 //! built: such a solver would answer for the wrong model.
 
 use crate::cache::ProfileMemo;
-use crate::{lookup, record_metered, ScenarioKind, SolverParams, SolverSpec};
-use pcmax_core::profile::eps_micros;
+use crate::{lookup, record_metered, ScenarioKind, SolverParams};
 use pcmax_core::{
     Budget, CancelToken, Error, Instance, Result, SolveReport, SolveRequest, Solver, TraceSink,
 };
@@ -116,7 +117,7 @@ impl Submission {
     }
 
     /// Sets the solver construction parameters (ε, threads, node budget,
-    /// speculation width). `params.threads` also pins the solve request.
+    /// speculation width).
     pub fn with_params(mut self, params: SolverParams) -> Self {
         self.params = params;
         self
@@ -270,12 +271,7 @@ struct Shared {
     ready: sync::Condvar,
     capacity: usize,
     cache: Arc<ProfileMemo>,
-    /// Built solver instances shared across sessions, keyed by
-    /// `(name, ε in µs, threads, node budget, width)`.
-    solvers: sync::Mutex<Vec<(SolverFingerprint, Arc<dyn Solver>)>>,
 }
-
-type SolverFingerprint = (&'static str, u64, Option<usize>, Option<u64>, usize);
 
 /// Lifetime totals returned by [`Engine::shutdown`] — the numbers the
 /// daemon's `bye` frame reports.
@@ -318,7 +314,6 @@ impl Engine {
             ready: sync::Condvar::new(),
             capacity: config.capacity.max(1),
             cache: Arc::new(ProfileMemo::new(config.cache_capacity)),
-            solvers: sync::Mutex::new(Vec::new()),
         });
         let mut workers = Vec::with_capacity(config.workers);
         for worker in 0..config.workers {
@@ -475,13 +470,10 @@ fn execute(shared: &Shared, job: &Job) -> Result<SolveReport> {
             spec.name
         )));
     }
-    let solver = solver_for(shared, spec, &sub.params)?;
+    let solver = spec.build(&sub.params)?;
     let mut req = SolveRequest::new(&sub.instance)
         .with_budget(sub.budget.clone())
         .with_cancel(sub.cancel.clone());
-    if let Some(threads) = sub.params.threads {
-        req = req.with_threads(threads);
-    }
     if let Some(sink) = &sub.trace {
         req = req.with_trace(Arc::clone(sink));
     }
@@ -492,30 +484,6 @@ fn execute(shared: &Shared, job: &Job) -> Result<SolveReport> {
     let result = solver.solve(&req);
     record_metered(spec.name, start, &result);
     result
-}
-
-/// Returns the shared solver instance for `(spec, params)`, building and
-/// memoizing it on first use — the "pool sharing" seam: a parallel solver's
-/// configuration is constructed once and reused by every session.
-fn solver_for(
-    shared: &Shared,
-    spec: &'static SolverSpec,
-    params: &SolverParams,
-) -> Result<Arc<dyn Solver>> {
-    let fp: SolverFingerprint = (
-        spec.name,
-        eps_micros(params.epsilon),
-        params.threads,
-        params.node_budget,
-        params.width,
-    );
-    let mut built = shared.solvers.lock();
-    if let Some((_, solver)) = built.iter().find(|(key, _)| *key == fp) {
-        return Ok(Arc::clone(solver));
-    }
-    let solver: Arc<dyn Solver> = Arc::from(spec.build(params)?);
-    built.push((fp, Arc::clone(&solver)));
-    Ok(solver)
 }
 
 #[cfg(test)]
@@ -736,24 +704,6 @@ mod tests {
             assert_eq!(report.stats.cache_misses, 0);
         }
         assert!(engine.cache().is_empty());
-    }
-
-    #[test]
-    fn solver_instances_are_shared_across_sessions() {
-        let engine = small_engine();
-        let inst = instance();
-        for _ in 0..3 {
-            engine
-                .submit(Submission::new(inst.clone(), "par-ptas"))
-                .unwrap()
-                .wait()
-                .unwrap();
-        }
-        assert_eq!(
-            engine.shared.solvers.lock().len(),
-            1,
-            "one parameterization, one shared instance"
-        );
     }
 
     #[test]

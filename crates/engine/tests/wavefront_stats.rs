@@ -52,6 +52,32 @@ fn parallel_ptas_reports_wavefront_counters() {
 }
 
 #[test]
+fn spec_ptas_takes_its_thread_count_from_construction() {
+    // Same instance and ε as above, so every probe table is above the
+    // serial cutoff: a sweep allowed two workers would hold two kernel
+    // buffers. One thread means one buffer per probe arena at most.
+    let inst = generate(Family::new(10, 30, Distribution::U1To100), 1);
+    let params = SolverParams {
+        epsilon: 0.2,
+        threads: Some(1),
+        ..SolverParams::default()
+    };
+    let report = build("spec-ptas", &params)
+        .unwrap()
+        .solve(&SolveRequest::new(&inst))
+        .unwrap();
+    let stats = &report.stats;
+    assert!(stats.bisection_probes > 1, "want a multi-probe search");
+    assert!(
+        stats.dp_kernel_allocs <= stats.bisection_probes,
+        "{} kernel allocations over {} probes: the sweeps ran on more than \
+         the one thread the solver was built with",
+        stats.dp_kernel_allocs,
+        stats.bisection_probes
+    );
+}
+
+#[test]
 fn sequential_ptas_leaves_wavefront_counters_zero() {
     let inst = instance();
     let solver = build("ptas", &SolverParams::default()).unwrap();

@@ -8,12 +8,19 @@ use pcmax_core::{
 };
 use std::time::Instant;
 
-/// Builds the assignment formulation:
+/// Most entries the root simplex tableau of an [`AssignmentIp`] solve may
+/// hold: 2²⁴ `f64`s (128 MiB), the budget of the PTAS's DP-table guard.
+const MAX_TABLEAU_ENTRIES: usize = 1 << 24;
+
+/// Builds the assignment formulation over `min(m, n)` machines — on
+/// identical machines no optimal schedule needs more machines than jobs:
 /// variables `x_{ij}` (job `j` on machine `i`, binary, laid out row-major by
-/// machine) followed by the continuous `C_max`.
+/// machine) followed by the continuous `C_max`. It allocates `O((m·n)²)`;
+/// [`AssignmentIp`] refuses a model whose root simplex tableau would hold
+/// more than 2²⁴ entries before building it.
 pub fn assignment_model(inst: &Instance) -> MilpProblem {
-    let m = inst.machines();
     let n = inst.jobs();
+    let m = inst.machines().min(n);
     let cmax_var = m * n;
     let mut objective = vec![0.0; m * n + 1];
     objective[cmax_var] = 1.0;
@@ -66,6 +73,9 @@ impl AssignmentIp {
         if inst.jobs() == 0 {
             return Ok((Schedule::from_assignment(vec![], inst.machines())?, 0));
         }
+        let n = inst.jobs();
+        let m = inst.machines().min(n);
+        check_model_size(m, n)?;
         let model = assignment_model(inst);
         let sol = self.solver.solve(&model)?;
         if !sol.proven {
@@ -74,17 +84,36 @@ impl AssignmentIp {
                 lower_bound: 0,
             });
         }
-        let m = inst.machines();
-        let n = inst.jobs();
         let mut assignment = vec![usize::MAX; n];
         for (j, slot) in assignment.iter_mut().enumerate() {
             *slot = (0..m)
                 .find(|&i| sol.x[i * n + j] > 0.5)
                 .ok_or_else(|| Error::BadModel(format!("job {j} unassigned in MILP solution")))?;
         }
-        let schedule = Schedule::from_assignment(assignment, m)?;
+        let schedule = Schedule::from_assignment(assignment, inst.machines())?;
         Ok((schedule, sol.objective.round() as Time))
     }
+}
+
+/// Refuses an assignment model over `m` machines and `n` jobs whose root
+/// simplex tableau would hold more than [`MAX_TABLEAU_ENTRIES`] entries,
+/// before anything is allocated. The tableau has `n` equality rows and
+/// `m + m·n` `≤` rows; its columns are the `m·n + 1` variables, a slack per
+/// `≤` row, an artificial per equality row and the right-hand side.
+fn check_model_size(m: usize, n: usize) -> Result<()> {
+    let entries = m.checked_mul(n).and_then(|x| {
+        let le_rows = m.checked_add(x)?;
+        let rows = n.checked_add(le_rows)?;
+        let cols = x.checked_add(le_rows)?.checked_add(n)?.checked_add(2)?;
+        rows.checked_mul(cols)
+    });
+    if entries.is_none_or(|e| e > MAX_TABLEAU_ENTRIES) {
+        return Err(Error::BadModel(format!(
+            "assignment IP over {m} machines and {n} jobs exceeds \
+             {MAX_TABLEAU_ENTRIES} simplex tableau entries"
+        )));
+    }
+    Ok(())
 }
 
 impl Solver for AssignmentIp {
@@ -193,6 +222,42 @@ mod tests {
             Err(Error::BudgetExhausted { .. }) => {}
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn more_machines_than_jobs_builds_the_model_over_the_jobs() {
+        let inst = Instance::new(vec![3, 4], 10_000).unwrap();
+        let model = assignment_model(&inst);
+        // Two machines: 4 binaries + C_max; 2 job rows, 2 machine rows, 4
+        // upper bounds.
+        assert_eq!(model.lp.vars(), 5);
+        assert_eq!(model.lp.constraints.len(), 8);
+        let report = AssignmentIp::default()
+            .solve(&SolveRequest::new(&inst))
+            .unwrap();
+        assert_eq!(report.makespan, 4);
+        assert_eq!(report.certified_target, Some(4));
+        assert!(report.proven_optimal);
+        assert_eq!(report.schedule.machines(), 10_000);
+        report.schedule.validate(&inst).unwrap();
+    }
+
+    #[test]
+    fn a_model_over_the_tableau_bound_is_refused_before_it_is_built() {
+        // 100 × 100: 10⁴ binaries, a tableau of about 2·10⁸ entries.
+        let inst = Instance::new(vec![7; 100], 100).unwrap();
+        match AssignmentIp::default().solve(&SolveRequest::new(&inst)) {
+            Err(Error::BadModel(msg)) => assert!(msg.contains("simplex tableau"), "{msg}"),
+            other => panic!("expected BadModel, got {other:?}"),
+        }
+        assert!(
+            check_model_size(40, 40).is_ok(),
+            "40 × 40 is under the bound"
+        );
+        assert!(
+            check_model_size(usize::MAX, 2).is_err(),
+            "overflow is refused"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use speculative::SpeculativePtas;
 pub use wavefront::{CellKernel, FaithfulDp, ParallelDp};
 
 use pcmax_core::{Result, SolveReport, SolveRequest, Solver};
-use pcmax_ptas::{Ptas, Scenario};
+use pcmax_ptas::Ptas;
 use std::sync::OnceLock;
 
 /// Resolves a configured worker count: `None` means all available cores,
@@ -93,16 +93,7 @@ impl Solver for ParallelPtas {
     }
 
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
-        match req.threads {
-            // A request-level thread count overrides the construction-time
-            // pinning: rebuild the driver around a re-pinned wavefront DP.
-            Some(threads) => Ptas::with_solver(
-                self.inner.params().epsilon,
-                ParallelDp::with_threads(threads),
-            )?
-            .solve(req),
-            None => self.inner.solve(req),
-        }
+        self.inner.solve(req)
     }
 }
 
@@ -146,20 +137,6 @@ mod tests {
                 .makespan(&inst)
                 .unwrap();
             assert_eq!(ms, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn request_thread_override_matches_default() {
-        let inst = Instance::new(vec![9, 8, 7, 6, 5, 4, 3, 2, 1, 10, 11, 12, 13, 14], 3).unwrap();
-        let algo = ParallelPtas::new(0.3).unwrap();
-        let default = algo.solve(&SolveRequest::new(&inst)).unwrap();
-        for threads in [1, 2] {
-            let pinned = algo
-                .solve(&SolveRequest::new(&inst).with_threads(threads))
-                .unwrap();
-            assert_eq!(pinned.makespan, default.makespan, "threads = {threads}");
-            assert_eq!(pinned.certified_target, default.certified_target);
         }
     }
 

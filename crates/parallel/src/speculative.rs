@@ -4,14 +4,12 @@
 //! bisection itself sequential. When the DP tables are small (short jobs,
 //! few classes), per-level parallelism is starved; a complementary source of
 //! parallelism is to probe **several candidate targets concurrently** each
-//! round (`w`-ary search instead of binary). Soundness is unchanged because
-//! the bracket updates rest on the same one-sided proofs as binary search:
-//!
-//! * an infeasible probe at `t` proves `OPT > t` (rounded sizes never exceed
-//!   originals), so the lower end can jump past the largest infeasible
-//!   candidate below the new upper end;
-//! * a feasible probe at `t` yields a witness schedule, so the upper end can
-//!   drop to the smallest feasible candidate.
+//! round (`w`-ary search instead of binary). The search is the chassis'
+//! one loop, [`chassis::search`], run with `w` candidates per round; this
+//! module is only its round prober, which probes a round's candidates as
+//! one level of the persistent worker pool. Soundness is unchanged, since
+//! the bracket updates rest on the same one-sided proofs as binary search
+//! (see `search`).
 //!
 //! The converged target may differ from plain bisection's by the usual
 //! rounding non-monotonicity of the dual-approximation framework, but it
@@ -21,13 +19,11 @@
 use crate::persistent;
 use crate::wavefront::ParallelDp;
 use pcmax_core::{
-    Error, Instance, MakespanBounds, Result, Schedule, SolveReport, SolveRequest, SolveStats,
-    Solver, Time,
+    Instance, MakespanBounds, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver, Time,
 };
-use pcmax_ptas::chassis::{self, Scenario};
+use pcmax_ptas::chassis;
 use pcmax_ptas::table::DpScratch;
 use pcmax_ptas::{EpsilonParams, Ptas};
-use std::time::{Duration, Instant};
 
 /// The speculative-bisection parallel PTAS.
 #[derive(Debug, Clone)]
@@ -35,20 +31,18 @@ pub struct SpeculativePtas {
     params: EpsilonParams,
     /// Candidate targets probed concurrently per round (`≥ 1`).
     pub width: usize,
+    /// Most worker threads of each probe's DP sweep (`None` = all cores).
+    pub threads: Option<usize>,
 }
 
-/// A feasible probe's witness, as the `P||Cmax` scenario reconstructs it.
-type Witness = chassis::Witness<<Ptas<ParallelDp> as Scenario>::Map>;
-
-/// One pool worker's probe: its target, private scratch arena and verdict.
-type Probe = (Time, DpScratch, Result<Option<Witness>>);
-
 impl SpeculativePtas {
-    /// Speculative PTAS probing `width` targets per round.
+    /// Speculative PTAS probing `width` targets per round, each probe
+    /// sweeping on all cores.
     pub fn new(epsilon: f64, width: usize) -> Result<Self> {
         Ok(Self {
             params: EpsilonParams::new(epsilon)?,
             width: width.max(1),
+            threads: None,
         })
     }
 
@@ -72,155 +66,46 @@ impl SpeculativePtas {
             .map(|(schedule, target, rounds, _)| (schedule, target, rounds))
     }
 
-    /// Full solve under an engine request: cancellation and budget are
-    /// checked between probe rounds; the returned stats account every
-    /// concurrent probe of every round.
+    /// Full solve under an engine request: [`chassis::search`] with `width`
+    /// candidates per round. Each round's candidates are probed
+    /// concurrently, one pool worker and one scratch arena per candidate,
+    /// without the profile cache. Returns the schedule, the certified
+    /// target, the number of search rounds and the stats of every probe.
     pub fn run(&self, req: &SolveRequest<'_>) -> Result<(Schedule, Time, u32, SolveStats)> {
-        let inst = req.instance;
-        let run_start = Instant::now();
-        let mut stats = SolveStats::default();
-        req.check_cancelled()?;
-        if inst.jobs() == 0 {
-            stats.wall = run_start.elapsed();
-            let schedule = Schedule::from_assignment(vec![], inst.machines())?;
-            return Ok((schedule, 0, 0, stats));
-        }
         let ptas = Ptas::with_solver(
             self.params.epsilon,
             ParallelDp {
-                threads: req.threads,
+                threads: self.threads,
             },
         )?;
-        let MakespanBounds {
-            mut lower,
-            mut upper,
-        } = MakespanBounds::of(inst);
-        // Last feasible witness and the target it certifies.
-        let mut best: Option<(Witness, Time)> = None;
-        let mut rounds = 0u32;
-        // Wall time inside probe rounds, reported as the `"dp"` phase.
-        let mut dp_wall = Duration::ZERO;
-
-        let search_start = Instant::now();
-        let search_span = req.trace_span("speculative-search", 0);
-        while lower < upper {
-            chassis::check_budget(req, stats.dp_entries_touched, lower, upper)?;
-            rounds += 1;
-            // Candidates strictly inside [lower, upper), always including
-            // the midpoint so each round at least halves the bracket. The
-            // offsets are computed in u128: `span * i` can exceed u64::MAX.
-            let span = u128::from(upper - lower);
-            let parts = self.width as u128 + 1;
-            let mut candidates: Vec<Time> = (1..parts)
-                // audit:allow(cast): span * i / parts < span, which is a u64.
-                .map(|i| lower + (span * i / parts) as Time)
-                .collect();
-            candidates.push(lower + (upper - lower) / 2);
-            candidates.sort_unstable();
-            candidates.dedup();
-            candidates.retain(|&t| t >= lower && t < upper);
-            if candidates.is_empty() {
-                candidates.push(lower);
-            }
-
-            let dp_start = Instant::now();
-            let probes = probe_round(&ptas, req, &candidates, &mut stats)?;
-            dp_wall += dp_start.elapsed();
-
-            let mut feasible_min: Option<(Witness, Time)> = None;
-            let mut infeasible_max: Option<Time> = None;
-            for (t, witness) in probes {
-                match witness {
-                    Some(w) => {
-                        if feasible_min.as_ref().is_none_or(|f| t < f.1) {
-                            feasible_min = Some((w, t));
-                        }
-                    }
-                    None => {
-                        if infeasible_max.is_none_or(|x| t > x) {
-                            infeasible_max = Some(t);
-                        }
-                    }
+        let (out, stats) = chassis::search(
+            &ptas,
+            req,
+            self.width,
+            DpScratch::new(),
+            |candidates, run, _| {
+                let probes = candidates
+                    .iter()
+                    .map(|&(t, ..)| (t, DpScratch::new(), Ok((u32::MAX, None))))
+                    .collect();
+                let (probes, round) =
+                    persistent::run_levels(probes, 0..1, |_, _, (t, scratch, probed)| {
+                        let _probe_span = req.trace_span("probe", *t);
+                        *probed = chassis::probe(&ptas, req.instance, *t, scratch, None);
+                    });
+                run.pool_parks += round.parks;
+                run.pool_wakes += round.wakes;
+                for ((_, dp_machines, witness), (_, scratch, probed)) in
+                    candidates.iter_mut().zip(probes)
+                {
+                    run.absorb(&scratch);
+                    (*dp_machines, *witness) = probed?;
                 }
-            }
-            if let Some(w) = feasible_min {
-                upper = w.1;
-                best = Some(w);
-            }
-            if let Some(t) = infeasible_max {
-                if t + 1 > lower && t < upper {
-                    lower = t + 1;
-                }
-            }
-        }
-
-        let ((configs, map), target) = match best {
-            Some(b) if b.1 == upper => b,
-            _ => {
-                // Zero-width bracket or the converged value was never probed
-                // feasible: certify it directly (always feasible, see the
-                // bisection invariant in pcmax-ptas).
-                chassis::check_budget(req, stats.dp_entries_touched, lower, upper)?;
-                let dp_start = Instant::now();
-                let mut probes = probe_round(&ptas, req, &[upper], &mut stats)?;
-                dp_wall += dp_start.elapsed();
-                let (t, witness) = probes.pop().ok_or_else(|| Error::InvalidWitness {
-                    reason: "probe round returned no result for the converged target".into(),
-                })?;
-                let witness = witness.ok_or_else(|| Error::InvalidWitness {
-                    reason: format!(
-                        "converged target {upper} probed infeasible, breaking the \
-                         bracket invariant"
-                    ),
-                })?;
-                (witness, t)
-            }
-        };
-        drop(search_span);
-        stats.push_phase("speculative-search", search_start.elapsed());
-        stats.push_phase("dp", dp_wall);
-
-        let recon_start = Instant::now();
-        let recon_span = req.trace_span("reconstruct", 0);
-        let schedule = ptas.reconstruct(inst, &configs, &map)?;
-        drop(recon_span);
-        stats.push_phase("reconstruct", recon_start.elapsed());
-        stats.wall = run_start.elapsed();
-        chassis::record_totals(&stats);
-        Ok((schedule, target, rounds, stats))
+                Ok(())
+            },
+        )?;
+        Ok((out.schedule, out.target, out.log.rounds, stats))
     }
-}
-
-/// Probes all `candidates` concurrently as one level of the persistent
-/// pool (one worker per candidate, each with a private scratch arena)
-/// through the chassis probe, without the profile cache, merging every
-/// probe's scratch counters and the round pool's own park/wake traffic
-/// into the run's stats.
-fn probe_round(
-    ptas: &Ptas<ParallelDp>,
-    req: &SolveRequest<'_>,
-    candidates: &[Time],
-    stats: &mut SolveStats,
-) -> Result<Vec<(Time, Option<Witness>)>> {
-    let inst = req.instance;
-    let probes: Vec<Probe> = candidates
-        .iter()
-        .map(|&t| (t, DpScratch::new(), Ok(None)))
-        .collect();
-    let (probes, round) = persistent::run_levels(probes, 0..1, |_, _, probe| {
-        let (t, scratch, witness) = probe;
-        let _probe_span = req.trace_span("probe", *t);
-        *witness = chassis::probe(ptas, inst, *t, scratch, None).map(|(_, w)| w);
-    });
-    stats.pool_parks += round.parks;
-    stats.pool_wakes += round.wakes;
-    let mut out = Vec::with_capacity(probes.len());
-    for (t, scratch, witness) in probes {
-        chassis::merge_scratch(stats, &scratch);
-        stats.bisection_probes += 1;
-        out.push((t, witness?));
-    }
-    Ok(out)
 }
 
 impl Solver for SpeculativePtas {
@@ -237,7 +122,7 @@ impl Solver for SpeculativePtas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcmax_core::lower_bound;
+    use pcmax_core::{lower_bound, Error};
     use pcmax_ptas::Ptas;
 
     fn instance() -> Instance {
@@ -343,5 +228,81 @@ mod tests {
         let req = SolveRequest::new(&inst).with_cancel(cancel);
         let algo = SpeculativePtas::new(0.3, 2).unwrap();
         assert!(matches!(algo.run(&req), Err(Error::Cancelled)));
+    }
+
+    /// U(1,100), m = 10, n = 30, seed 1: a bracket wide enough for several
+    /// w-ary rounds.
+    fn u100_instance() -> Instance {
+        use pcmax_workloads::{generate, Distribution, Family};
+        generate(Family::new(10, 30, Distribution::U1To100), 1)
+    }
+
+    #[test]
+    fn search_results_are_pinned_per_width() {
+        let inst = u100_instance();
+        // (width, certified target, rounds, probes, makespan)
+        for (width, target, rounds, probes, makespan) in [
+            (1, 164, 7, 7, 168),
+            (3, 164, 4, 10, 168),
+            (4, 164, 3, 13, 168),
+        ] {
+            let (schedule, t, r, stats) = SpeculativePtas::new(0.3, width)
+                .unwrap()
+                .run(&SolveRequest::new(&inst))
+                .unwrap();
+            assert_eq!(
+                (t, r, stats.bisection_probes, schedule.makespan(&inst)),
+                (target, rounds, probes, makespan),
+                "width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cancel_raised_by_the_last_probe_stops_reconstruction() {
+        use pcmax_core::{CancelToken, TraceSink};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// Cancels its token as the `at`-th `probe` span closes, on
+        /// whichever pool worker closes it.
+        struct CancelAtProbe {
+            token: CancelToken,
+            closed: AtomicU64,
+            at: u64,
+        }
+
+        impl TraceSink for CancelAtProbe {
+            fn span_enter(&self, _name: &'static str, _arg: u64) {}
+
+            fn span_exit(&self, name: &'static str) {
+                if name == "probe" && self.closed.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
+                    self.token.cancel();
+                }
+            }
+
+            fn instant(&self, _name: &'static str, _arg: u64) {}
+
+            fn counter(&self, _name: &'static str, _value: u64) {}
+        }
+
+        let inst = u100_instance();
+        // Width 4 on this instance makes 13 probes; the 13th is the last.
+        let token = CancelToken::new();
+        let sink = Arc::new(CancelAtProbe {
+            token: token.clone(),
+            closed: AtomicU64::new(0),
+            at: 13,
+        });
+        let req = SolveRequest::new(&inst)
+            .with_cancel(token)
+            .with_trace(sink.clone());
+        let result = SpeculativePtas::new(0.3, 4).unwrap().run(&req);
+        assert_eq!(sink.closed.load(Ordering::SeqCst), 13, "all probes ran");
+        assert!(
+            matches!(result, Err(Error::Cancelled)),
+            "a cancel raised before reconstruction must abort, got {:?}",
+            result.map(|(schedule, ..)| schedule.makespan(&inst))
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! The scenario seam of the chassis: the bisection driver (Algorithm 1)
-//! generalized over *what* is being bisected.
+//! The scenario seam of the chassis: the search of Algorithm 1 generalized
+//! over *what* is being searched.
 //!
 //! A [`Scenario`] packages the scheduling-model-specific parts of a
 //! dual-approximation run: rounding the instance at a target (Lines 6–24),
@@ -7,13 +7,14 @@
 //! DP's witness configs back into a schedule over the original jobs.
 //! [`probe`] is the one feasibility probe: it rounds once, keys the
 //! request's profile cache on that rounding, and takes the [`DpOutcome`]
-//! from the cache or from the scenario's DP. [`drive`] is the
-//! model-agnostic part — the bisection loop over the [`MakespanBounds`]
-//! bracket, the budget/cancellation gates, the trace spans, the re-probe
-//! that re-establishes the invariant at the converged target, and the stats
-//! bookkeeping. [`probe`], [`report`], [`check_budget`], [`merge_scratch`]
-//! and [`record_totals`] are also what `pcmax_parallel::SpeculativePtas`
-//! runs its own w-ary search on.
+//! from the cache or from the scenario's DP. [`search`] is the one search
+//! loop, model-agnostic and generic over how a round probes its
+//! candidates: the [`MakespanBounds`] bracket, the budget/cancellation
+//! gates, the trace spans, the re-probe that certifies the final target,
+//! the probe log and the stats bookkeeping. [`drive`] is `search` with one
+//! candidate per round, probed on the caller; `pcmax_parallel`'s
+//! `SpeculativePtas` is `search` with `w` candidates per round, probed
+//! concurrently on the worker pool.
 
 use crate::config::Config;
 use crate::dp::DpProblem;
@@ -63,7 +64,7 @@ static PROFILE_CACHE_MISSES: Counter = Counter::new(
     "DP probes that consulted the instance-profile cache and missed",
 );
 
-/// A dual-approximation scheduling scenario the generic [`drive`] loop can
+/// A dual-approximation scheduling scenario the generic [`search`] loop can
 /// bisect: `P||Cmax` (the original PTAS), `Q||Cmax` (uniform machines), or
 /// anything else with a monotone feasibility predicate over target makespans
 /// whose probe at the speed-aware [`MakespanBounds`] upper end is feasible.
@@ -113,6 +114,10 @@ pub struct Rounded<M> {
 /// the rounding they came from.
 pub type Witness<M> = (Vec<Config>, M);
 
+/// One candidate of a [`search`] round: its target and, once probed,
+/// `OPT(N)` (`u32::MAX` when unschedulable) and the witness iff feasible.
+pub type Candidate<M> = (Time, u32, Option<Witness<M>>);
+
 /// A [`Scenario`]'s `Solver::solve`: [`drive`] the request, then [`report`]
 /// the result.
 pub fn solve<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<SolveReport> {
@@ -133,11 +138,58 @@ pub fn report(inst: &Instance, schedule: Schedule, target: Time, stats: SolveSta
 }
 
 /// Runs a full dual-approximation solve for any [`Scenario`] under an engine
-/// request: bisect the bracket, probing feasibility with budget and
-/// cancellation gates before every probe, then reconstruct from the witness
-/// at the converged target. Returns the schedule, the certified target `T*`,
-/// the probe log, and per-phase stats.
+/// request: [`search`] with one candidate per round — the bisection of
+/// Algorithm 1 — probing on the caller through the request's profile cache.
+/// Returns the schedule, the certified target `T*`, the probe log, and
+/// per-phase stats.
 pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
+    let inst = req.instance;
+    // One arena for the whole run. Reserving the largest table of the
+    // bracket (table size grows as the target shrinks, and no probe goes
+    // below the initial lower bound) makes every probe a reuse.
+    let mut scratch = DpScratch::new();
+    let lower = MakespanBounds::of(inst).lower;
+    if let Some(entries) = sc.round(inst, lower.max(1)).and_then(|r| {
+        DpTable::entries_needed(&r.problem.counts, r.problem.unit, r.problem.max_entries)
+    }) {
+        scratch.reserve(entries);
+    }
+    search(sc, req, 1, scratch, |candidates, scratch, mut cache| {
+        for (t, dp_machines, witness) in candidates {
+            let _probe_span = req.trace_span("probe", *t);
+            (*dp_machines, *witness) = probe(sc, inst, *t, scratch, cache.as_deref_mut())?;
+        }
+        Ok(())
+    })
+}
+
+/// The search loop of every dual-approximation solve: Algorithm 1's
+/// bisection over the [`MakespanBounds`] bracket, generalized to `width`
+/// candidates per round.
+///
+/// Each round passes its candidates, in ascending order, to `probe_round`
+/// together with the run's arena and the request's profile cache (`None`
+/// without one); it fills in each candidate's `OPT(N)` and witness, and
+/// must add the DP counters of its probes to the arena. The budget and
+/// cancellation gate runs before every round. The upper end drops to the
+/// smallest feasible candidate, and the lower end rises past the largest
+/// infeasible candidate below the new upper end: both rest on one-sided
+/// proofs (a feasible probe yields a schedule; an infeasible probe at `t`
+/// proves `OPT > t`, since rounded sizes never exceed the originals), so
+/// any width certifies the same `(1+ε)` guarantee. When no round found the
+/// final target feasible it is re-probed, then the gate runs once more
+/// before reconstruction.
+pub fn search<Sc: Scenario>(
+    sc: &Sc,
+    req: &SolveRequest<'_>,
+    width: usize,
+    mut scratch: DpScratch,
+    mut probe_round: impl FnMut(
+        &mut [Candidate<Sc::Map>],
+        &mut DpScratch,
+        Option<&mut SolveCache<'_>>,
+    ) -> Result<()>,
+) -> Result<(PtasOutput, SolveStats)> {
     let inst = req.instance;
     let run_start = Instant::now();
     let mut stats = SolveStats::default();
@@ -158,77 +210,72 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
         mut upper,
     } = MakespanBounds::of(inst);
     let mut log = BisectionLog::default();
-    // Last feasible witness and the target it certifies.
-    let mut best: Option<(Witness<Sc::Map>, Time)> = None;
-
-    // One arena for the whole run. Reserving the largest table of the
-    // bracket (table size grows as the target shrinks, and no probe goes
-    // below the initial lower bound) makes every probe a reuse.
-    let mut scratch = DpScratch::new();
-    if let Some(entries) = sc.round(inst, lower.max(1)).and_then(|r| {
-        DpTable::entries_needed(&r.problem.counts, r.problem.unit, r.problem.max_entries)
-    }) {
-        scratch.reserve(entries);
-    }
     let mut cache = req.cache.as_deref().map(SolveCache::new);
-
-    let bisect_start = Instant::now();
-    let bisect_span = req.trace_span("bisection", 0);
     // Wall time spent inside probes only, reported as the `"dp"` phase:
     // `dp_cells_per_sec` divides by the *total* solve wall and so
     // understates DP throughput; `dp_phase_cells_per_sec` divides by this.
     let mut dp_wall = Duration::ZERO;
-    while lower < upper {
+    let mut round = |candidates: &mut [Candidate<Sc::Map>], lower: Time, upper: Time| {
         check_budget(req, scratch.entries_touched, lower, upper)?;
-        // `lower + upper` can exceed u64::MAX; this midpoint cannot.
-        let t = lower + (upper - lower) / 2;
-        let probe_span = req.trace_span("probe", t);
         let dp_start = Instant::now();
-        let (dp_machines, witness) = probe(sc, inst, t, &mut scratch, cache.as_mut())?;
+        probe_round(candidates, &mut scratch, cache.as_mut())?;
         dp_wall += dp_start.elapsed();
-        drop(probe_span);
-        log.probes.push(BisectionProbe {
-            target: t,
-            dp_machines,
-            feasible: witness.is_some(),
-        });
-        match witness {
-            Some(w) => {
-                upper = t;
-                best = Some((w, t));
+        log.probes.extend(
+            candidates
+                .iter()
+                .map(|(target, dp_machines, witness)| BisectionProbe {
+                    target: *target,
+                    dp_machines: *dp_machines,
+                    feasible: witness.is_some(),
+                }),
+        );
+        Ok::<_, Error>(())
+    };
+
+    let bisect_start = Instant::now();
+    let bisect_span = req.trace_span("bisection", 0);
+    // The smallest feasible candidate so far, with its witness; its target
+    // is always `upper`.
+    let mut best: Option<(Witness<Sc::Map>, Time)> = None;
+    let mut rounds = 0;
+    // One buffer for every round, so a round allocates nothing.
+    let mut candidates = Vec::new();
+    while lower < upper {
+        fill_candidates(lower, upper, width, &mut candidates);
+        rounds += 1;
+        round(&mut candidates, lower, upper)?;
+        for (t, _, witness) in candidates.drain(..) {
+            // Candidates ascend: the first feasible one is the smallest, and
+            // the infeasible ones before it lie below the new upper end.
+            match witness {
+                Some(w) if t < upper => {
+                    upper = t;
+                    best = Some((w, t));
+                }
+                None if t < upper => lower = t + 1,
+                _ => {}
             }
-            None => lower = t + 1,
         }
     }
-
-    let target = upper;
-    // The loop's invariant keeps `best` at T = final upper whenever the
-    // loop body ran and found a feasible probe; otherwise (zero-width
-    // bracket, or all probes infeasible) certify the final target
-    // directly — the initial UB is always feasible, so this succeeds.
-    let ((configs, map), t_star) = match best {
-        Some(b) if b.1 == target => b,
-        _ => {
-            check_budget(req, scratch.entries_touched, lower, upper)?;
-            let probe_span = req.trace_span("probe", target);
-            let dp_start = Instant::now();
-            let (dp_machines, witness) = probe(sc, inst, target, &mut scratch, cache.as_mut())?;
-            dp_wall += dp_start.elapsed();
-            drop(probe_span);
-            log.probes.push(BisectionProbe {
-                target,
-                dp_machines,
-                feasible: witness.is_some(),
-            });
+    // A zero-width bracket, or no feasible candidate: certify the final
+    // target directly — the initial upper end is always feasible, so this
+    // succeeds.
+    let ((configs, map), target) = match best {
+        Some(best) => best,
+        None => {
+            let mut last = [(upper, u32::MAX, None)];
+            round(&mut last, lower, upper)?;
+            let [(_, _, witness)] = last;
             let witness = witness.ok_or_else(|| Error::InvalidWitness {
                 reason: format!(
-                    "converged target {target} probed infeasible, breaking the \
+                    "converged target {upper} probed infeasible, breaking the \
                      bisection invariant"
                 ),
             })?;
-            (witness, target)
+            (witness, upper)
         }
     };
+    log.rounds = rounds;
     drop(bisect_span);
     stats.push_phase("bisection", bisect_start.elapsed());
     stats.push_phase("dp", dp_wall);
@@ -236,9 +283,9 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     // Reconstruction runs under the same budget/cancel regime as the
     // probes. This matters most on the cache path: a solve whose every
     // probe was a hit reaches this point having spent almost no budget,
-    // and a cancel raised during the bisection must still abort the
+    // and a cancel raised during the search must still abort the
     // (per-instance, never cached) witness reconstruction.
-    check_budget(req, scratch.entries_touched, t_star, t_star)?;
+    check_budget(req, scratch.entries_touched, target, target)?;
     let recon_start = Instant::now();
     let recon_span = req.trace_span("reconstruct", 0);
     let schedule = sc.reconstruct(inst, &configs, &map)?;
@@ -256,18 +303,35 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
     Ok((
         PtasOutput {
             schedule,
-            target: t_star,
+            target,
             log,
         },
         stats,
     ))
 }
 
+/// Fills `candidates` with one round's targets, ascending and distinct,
+/// not yet probed: `width` evenly spaced targets plus the midpoint, which
+/// for `width = 1` is the midpoint alone. Each lies in `[lower, upper)`.
+fn fill_candidates<M>(lower: Time, upper: Time, width: usize, candidates: &mut Vec<Candidate<M>>) {
+    candidates.clear();
+    // The offsets are computed in u128: `span * i` can exceed u64::MAX.
+    let span = u128::from(upper - lower);
+    let parts = width as u128 + 1;
+    // audit:allow(cast): span * i / parts < span, which is a u64.
+    let spaced = (1..parts).map(|i| lower + (span * i / parts) as Time);
+    // `lower + upper` can exceed u64::MAX; this midpoint cannot.
+    let midpoint = lower + (upper - lower) / 2;
+    candidates.extend(spaced.chain([midpoint]).map(|t| (t, u32::MAX, None)));
+    candidates.sort_unstable_by_key(|c| c.0);
+    candidates.dedup_by_key(|c| c.0);
+}
+
 /// One solve's use of the request's instance-profile cache: the hits and
 /// misses of this solve alone, and the keys it stored itself. A key this
 /// solve stored bypasses the cache: reading back our own outcome would
 /// report a cross-request hit on a cold cache (same work as an uncached
-/// probe). [`drive`] makes one per cached solve; other callers [`probe`]
+/// probe). [`search`] makes one per cached solve; other callers [`probe`]
 /// without one.
 pub struct SolveCache<'a> {
     cache: &'a dyn ProfileCache,
@@ -351,7 +415,7 @@ fn profile_key<Sc: Scenario>(sc: &Sc, rounded: &Rounded<Sc::Map>) -> ProfileKey 
 
 /// Adds the DP counters `scratch` accumulated (tables, entries, levels,
 /// cells, pool parks and wakes, kernel allocations) to `stats`.
-pub fn merge_scratch(stats: &mut SolveStats, scratch: &DpScratch) {
+fn merge_scratch(stats: &mut SolveStats, scratch: &DpScratch) {
     stats.dp_entries_touched += scratch.entries_touched;
     stats.dp_tables_allocated += scratch.tables_allocated;
     stats.dp_tables_reused += scratch.tables_reused;
@@ -364,7 +428,7 @@ pub fn merge_scratch(stats: &mut SolveStats, scratch: &DpScratch) {
 
 /// Aggregates one finished solve's totals into the process-wide registry —
 /// once per solve, well off the probe/cell hot paths.
-pub fn record_totals(stats: &SolveStats) {
+fn record_totals(stats: &SolveStats) {
     BISECTION_PROBES.inc_by(stats.bisection_probes);
     DP_LEVELS.inc_by(stats.dp_levels_swept);
     DP_CELLS.inc_by(stats.dp_cells);
@@ -377,7 +441,7 @@ pub fn record_totals(stats: &SolveStats) {
 /// DP-entry limit against the `entries_touched` so far. `[lower, upper]` is
 /// the current bracket, reported in the budget-exhausted error as the
 /// best-known bounds.
-pub fn check_budget(
+fn check_budget(
     req: &SolveRequest<'_>,
     entries_touched: u64,
     lower: Time,

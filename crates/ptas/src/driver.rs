@@ -27,8 +27,11 @@ pub struct BisectionProbe {
 /// Full record of a bisection run, for tests, the harness and the examples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BisectionLog {
-    /// Probes in execution order.
+    /// Probes in execution order (ascending targets within a round).
     pub probes: Vec<BisectionProbe>,
+    /// Search rounds run. The re-probe that certifies a final target no
+    /// round found feasible is not a round.
+    pub rounds: u32,
 }
 
 impl BisectionLog {
@@ -88,8 +91,9 @@ impl<S: DpSolver> Ptas<S> {
     /// entries, table (re)allocations and per-phase wall time.
     ///
     /// This is the [`Scenario`] instantiation of the generic
-    /// [`drive`](crate::chassis::drive) loop — the bisection itself is
-    /// shared with every other scenario on the chassis.
+    /// [`search`](crate::chassis::search) loop, one candidate per round —
+    /// the bisection itself is shared with every other scenario on the
+    /// chassis.
     pub fn solve_with(&self, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
         crate::chassis::drive(self, req)
     }

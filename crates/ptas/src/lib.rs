@@ -26,9 +26,11 @@
 //! * [`chassis`] — the [`Scenario`] trait (round, DP, reconstruct), the
 //!   one feasibility probe `chassis::probe` (round once, key the profile
 //!   cache on that rounding, take the DP outcome from the cache or the DP),
-//!   the model-agnostic `chassis::drive` bisection loop, and the report,
-//!   budget gate and stats bookkeeping every dual-approximation solver
-//!   shares,
+//!   and the one model-agnostic search loop `chassis::search` with its
+//!   budget gates, probe log and stats bookkeeping. Every
+//!   dual-approximation solver runs it: `chassis::drive` with one
+//!   candidate per round for [`Ptas`] and [`QPtas`], and
+//!   `pcmax_parallel::SpeculativePtas` with `w` concurrent candidates,
 //! * [`uniform`] — the `Q||Cmax` instantiation ([`QPtas`]).
 //!
 //! The parallel DP of the paper (Algorithm 3) lives in the `pcmax-parallel`

@@ -121,6 +121,19 @@ impl DpScratch {
         }
     }
 
+    /// Adds the counters of `other` to this arena's — how a run whose
+    /// concurrent probes each had an arena of their own accounts them.
+    pub fn absorb(&mut self, other: &DpScratch) {
+        self.tables_allocated += other.tables_allocated;
+        self.tables_reused += other.tables_reused;
+        self.entries_touched += other.entries_touched;
+        self.levels_swept += other.levels_swept;
+        self.cells_computed += other.cells_computed;
+        self.pool_parks += other.pool_parks;
+        self.pool_wakes += other.pool_wakes;
+        self.kernel_allocs += other.kernel_allocs;
+    }
+
     /// Returns a finished table's backing store (values and, for level-major
     /// tables, the permutation arrays) for the next probe.
     pub fn recycle(&mut self, table: DpTable) {

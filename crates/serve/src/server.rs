@@ -259,13 +259,13 @@ fn handle_connection(
     Ok(())
 }
 
-/// Maps a wire solve to an engine submission: ε and threads go to the
-/// solver params, `timeout_ms` becomes the request budget (the clock
-/// starts now, so queue time counts), and the caller's token is attached
-/// for `cancel` frames.
+/// Maps a wire solve to an engine submission: ε and threads (see
+/// [`wire_threads`]) go to the solver params, `timeout_ms` becomes the
+/// request budget (the clock starts now, so queue time counts), and the
+/// caller's token is attached for `cancel` frames.
 fn submission_of(solve: WireSolve, cancel: CancelToken) -> Submission {
     let mut params = pcmax_engine::SolverParams::with_epsilon(solve.eps);
-    params.threads = solve.threads;
+    params.threads = wire_threads(solve.threads);
     let budget = match solve.timeout_ms {
         Some(ms) => Budget::with_timeout(Duration::from_millis(ms)),
         None => Budget::unlimited(),
@@ -276,6 +276,14 @@ fn submission_of(solve: WireSolve, cancel: CancelToken) -> Submission {
         .with_cancel(cancel)
 }
 
+/// A wire client's thread count, clamped to the host's cores. `threads` is
+/// an upper bound, and a sweep above the wavefront's serial cutoff starts
+/// one OS thread per worker, so an unclamped frame could ask the host for
+/// any number of threads per probe.
+fn wire_threads(threads: Option<usize>) -> Option<usize> {
+    threads.map(|t| t.min(pcmax_parallel::effective_threads(None)))
+}
+
 fn error_response(id: u64, code: &str, e: &Error) -> WireResponse {
     WireResponse {
         id,
@@ -283,5 +291,19 @@ fn error_response(id: u64, code: &str, e: &Error) -> WireResponse {
             code: code.into(),
             message: e.to_string(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wire_threads_are_clamped_to_the_host_cores() {
+        let cores = pcmax_parallel::effective_threads(None);
+        assert_eq!(wire_threads(Some(100_000)), Some(cores));
+        assert_eq!(wire_threads(Some(usize::MAX)), Some(cores));
+        assert_eq!(wire_threads(None), None);
+        assert_eq!(wire_threads(Some(1)), Some(1));
     }
 }

@@ -242,6 +242,51 @@ fn instances_no_solver_can_take_get_typed_errors_and_the_connection_serves_on() 
 }
 
 #[test]
+fn a_milp_frame_with_ten_thousand_machines_is_answered_and_the_connection_serves_on() {
+    use pcmax_core::json::FromJson;
+    use pcmax_core::wire::WireResponse;
+    use std::io::Write;
+
+    let (server, addr) = small_server();
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+    let frames = [
+        r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"milp","eps":0.4,"instance":{"times":[3,4],"machines":10000}}"#,
+        r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[3,4,5],"machines":2}}"#,
+        r#"{"proto":"pcmax-wire/1","id":3,"op":"shutdown"}"#,
+    ];
+    for payload in frames {
+        raw.write_all(&(payload.len() as u32).to_be_bytes())
+            .expect("send length");
+        raw.write_all(payload.as_bytes()).expect("send payload");
+    }
+    let mut next = || {
+        let frame = read_frame(&mut raw).expect("read").expect("a frame");
+        WireResponse::from_json(&frame).expect("decode")
+    };
+    let milp = next();
+    assert_eq!(milp.id, 1);
+    match milp.outcome {
+        WireOutcome::Ok {
+            makespan,
+            certified_target,
+            ..
+        } => assert_eq!((makespan, certified_target), (4, Some(4))),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    let served = next();
+    assert_eq!(served.id, 2);
+    match served.outcome {
+        WireOutcome::Ok { makespan, .. } => assert_eq!(makespan, 7),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    match next().outcome {
+        WireOutcome::Bye { served, .. } => assert_eq!(served, 2),
+        other => panic!("expected bye, got {other:?}"),
+    }
+    server.join().expect("server thread").expect("server io");
+}
+
+#[test]
 fn pipelined_submissions_answer_in_order() {
     let (server, addr) = small_server();
     let instances = generate_batch(Family::new(8, 50, Distribution::U1To10), 3, 6);
