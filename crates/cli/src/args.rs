@@ -17,7 +17,6 @@ commands:
              process metrics registry, optionally exporting the registry
   serve      run the pcmax-wire/1 scheduling daemon on the session engine
   client     submit solves to (or shut down) a running daemon
-  serve-bench  closed-loop load test against an in-process daemon
 
 common options:
   -i FILE           read the instance from a JSON file ('-' = stdin)
@@ -81,18 +80,7 @@ client usage:
   --eps E           accuracy forwarded to approximation solvers (default 0.3)
   --threads T       most worker threads forwarded to parallel solvers
   --timeout-ms MS   per-request budget; queue time counts
-  --repeat R        send the instance R times (repeats hit the server cache)
-
-serve-bench options:
-  --clients C       closed-loop client connections (default 4)
-  --requests R      total requests across all clients (default 1000)
-  --algo A          solver every request uses (default pptas)
-  --eps E           accuracy (default 0.4)
-  --seed S          instance-pool base seed (default 7)
-  --per-family K    instances generated per workload family (default 2)
-  --workers W       engine worker threads (default: one per core)
-  --capacity C      admission bound (default 256)
-  --out FILE        also write the JSON load report to FILE";
+  --repeat R        send the instance R times (repeats hit the server cache)";
 
 /// Where the instance comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,27 +212,6 @@ pub enum Command {
     ClientShutdown {
         /// Daemon address.
         addr: String,
-    },
-    /// `pcmax serve-bench`
-    ServeBench {
-        /// Closed-loop client connections.
-        clients: usize,
-        /// Total requests across all clients.
-        requests: usize,
-        /// Solver every request uses.
-        algo: String,
-        /// Accuracy.
-        eps: f64,
-        /// Instance-pool base seed.
-        seed: u64,
-        /// Instances generated per workload family.
-        per_family: usize,
-        /// Engine worker threads; `None` = one per core.
-        workers: Option<usize>,
-        /// Admission bound.
-        capacity: usize,
-        /// Also write the JSON load report here.
-        out: Option<String>,
     },
 }
 
@@ -647,71 +614,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 cache,
             }
         }
-        "serve-bench" => {
-            let clients = flags
-                .value(&["--clients"])?
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| format!("bad --clients: {e}"))?
-                .unwrap_or(4);
-            let requests = flags
-                .value(&["--requests"])?
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| format!("bad --requests: {e}"))?
-                .unwrap_or(1000);
-            if clients == 0 || requests == 0 {
-                return Err("--clients and --requests must be at least 1".into());
-            }
-            let algo = flags.value(&["--algo"])?.unwrap_or_else(|| "pptas".into());
-            let eps = flags
-                .value(&["--eps"])?
-                .map(|s| s.parse::<f64>())
-                .transpose()
-                .map_err(|e| format!("bad --eps: {e}"))?
-                .unwrap_or(0.4);
-            let seed = flags
-                .value(&["--seed"])?
-                .map(|s| s.parse::<u64>())
-                .transpose()
-                .map_err(|e| format!("bad --seed: {e}"))?
-                .unwrap_or(7);
-            let per_family = flags
-                .value(&["--per-family"])?
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| format!("bad --per-family: {e}"))?
-                .unwrap_or(2);
-            if per_family == 0 {
-                return Err("--per-family must be at least 1".into());
-            }
-            let workers = flags
-                .value(&["--workers"])?
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| format!("bad --workers: {e}"))?;
-            if workers == Some(0) {
-                return Err("--workers must be at least 1".into());
-            }
-            let capacity = flags
-                .value(&["--capacity"])?
-                .map(|s| s.parse::<usize>())
-                .transpose()
-                .map_err(|e| format!("bad --capacity: {e}"))?
-                .unwrap_or(256);
-            let out = flags.value(&["--out", "-o"])?;
-            Command::ServeBench {
-                clients,
-                requests,
-                algo,
-                eps,
-                seed,
-                per_family,
-                workers,
-                capacity,
-                out,
-            }
-        }
         other => return Err(format!("unknown command {other}")),
     };
     flags.finish()?;
@@ -1020,49 +922,6 @@ mod tests {
         assert!(parse(&argv("client solve")).is_err(), "solver is mandatory");
         assert!(parse(&argv("client frobnicate")).is_err());
         assert!(parse(&argv("client solve lpt inst.json --repeat 0")).is_err());
-    }
-
-    #[test]
-    fn parses_serve_bench_with_defaults() {
-        let cmd = parse(&argv("serve-bench")).unwrap();
-        match cmd {
-            Command::ServeBench {
-                clients,
-                requests,
-                algo,
-                eps,
-                seed,
-                per_family,
-                workers,
-                capacity,
-                out,
-            } => {
-                assert_eq!(clients, 4);
-                assert_eq!(requests, 1000);
-                assert_eq!(algo, "pptas");
-                assert_eq!(eps, 0.4);
-                assert_eq!(seed, 7);
-                assert_eq!(per_family, 2);
-                assert_eq!(workers, None);
-                assert_eq!(capacity, 256);
-                assert_eq!(out, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let cmd = parse(&argv(
-            "serve-bench --clients 2 --requests 50 --algo lpt --out r.json",
-        ))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::ServeBench {
-                clients: 2,
-                requests: 50,
-                ..
-            }
-        ));
-        assert!(parse(&argv("serve-bench --requests 0")).is_err());
-        assert!(parse(&argv("serve-bench --per-family 0")).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! (`pcmax-engine`): `solve` builds whatever `--algo` names, `compare`
 //! enumerates every polynomial comparator the registry knows about. Every
 //! solve goes through the submission-based session engine
-//! ([`pcmax_engine::Engine`]); `serve`, `client` and `serve-bench` drive
-//! the same engine over the `pcmax-wire/1` daemon.
+//! ([`pcmax_engine::Engine`]); `serve` and `client` drive the same engine
+//! over the `pcmax-wire/1` daemon.
 
 use crate::args::{Command, Source};
 use crate::io::load;
@@ -157,27 +157,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
             client_solve(&addr, &algo, &inst, eps, threads, timeout_ms, repeat)
         }
         Command::ClientShutdown { addr } => client_shutdown(&addr),
-        Command::ServeBench {
-            clients,
-            requests,
-            algo,
-            eps,
-            seed,
-            per_family,
-            workers,
-            capacity,
-            out,
-        } => serve_bench(
-            clients,
-            requests,
-            &algo,
-            eps,
-            seed,
-            per_family,
-            workers,
-            capacity,
-            out.as_deref(),
-        ),
     }
 }
 
@@ -244,66 +223,6 @@ fn client_shutdown(addr: &str) -> Result<(), String> {
         pcmax_serve::Client::connect(addr).map_err(|e| format!("client: connect {addr}: {e}"))?;
     let bye = client.shutdown().map_err(|e| format!("client: {e}"))?;
     println!("{}", json::to_string(&bye));
-    Ok(())
-}
-
-/// Closed-loop load test against an in-process daemon; prints the report
-/// as compact JSON (and optionally persists it).
-#[allow(clippy::too_many_arguments)]
-fn serve_bench(
-    clients: usize,
-    requests: usize,
-    algo: &str,
-    eps: f64,
-    seed: u64,
-    per_family: usize,
-    workers: Option<usize>,
-    capacity: usize,
-    out: Option<&str>,
-) -> Result<(), String> {
-    let mut engine = EngineConfig::default();
-    if let Some(w) = workers {
-        engine.workers = w;
-    }
-    engine.capacity = capacity;
-    let report = pcmax_serve::run_loadtest(&pcmax_serve::LoadtestConfig {
-        clients,
-        requests,
-        solver: algo.to_string(),
-        eps,
-        seed,
-        per_family,
-        engine,
-    })
-    .map_err(|e| format!("serve-bench: {e}"))?;
-    println!(
-        "{} requests over {clients} client(s): {} ok, {} cancelled, {} errors | \
-         p50 {}us p99 {}us | {:.1} req/s | cache hits {} / misses {}",
-        report.requests,
-        report.ok,
-        report.cancelled,
-        report.errors,
-        report.p50_micros,
-        report.p99_micros,
-        report.throughput_rps,
-        report.cache_hits,
-        report.cache_misses,
-    );
-    println!("{}", report.to_json());
-    if let Some(path) = out {
-        let text = report.to_json();
-        std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path} ({} bytes, load report)", text.len());
-    }
-    if report.ok != report.requests {
-        return Err(format!(
-            "serve-bench: {} of {} responses dropped or failed ({} errors, {} cancelled)",
-            report.requests - report.ok,
-            report.requests,
-            report.errors,
-            report.cancelled
-        ));
-    }
     Ok(())
 }
 

@@ -239,6 +239,21 @@ impl<'a> SolveRequest<'a> {
         }
         Ok(())
     }
+
+    /// The budget gate a long-running solver polls between units of work:
+    /// [`check_cancelled`](Self::check_cancelled), then
+    /// `Err(BudgetExhausted)` carrying the caller's best bounds once the
+    /// deadline has passed.
+    pub fn check_budget(&self, incumbent: Option<Time>, lower_bound: Time) -> Result<()> {
+        self.check_cancelled()?;
+        if self.budget.deadline_exceeded() {
+            return Err(crate::Error::BudgetExhausted {
+                incumbent,
+                lower_bound,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Wall time spent in one named phase of a solve.

@@ -37,8 +37,9 @@ pub enum Error {
     },
     /// A solver hit its node or time budget before proving optimality.
     BudgetExhausted {
-        /// Best makespan found so far (an upper bound on the optimum).
-        incumbent: u64,
+        /// Best makespan found so far (an upper bound on the optimum);
+        /// `None` when the solver stopped before it had any schedule.
+        incumbent: Option<u64>,
         /// Best proven lower bound on the optimum.
         lower_bound: u64,
     },
@@ -68,6 +69,18 @@ pub enum Error {
         /// Queue capacity that was exceeded.
         capacity: usize,
     },
+    /// A JSON object names the same key twice.
+    DuplicateKey {
+        /// The repeated key.
+        key: String,
+    },
+    /// The solver panicked; the engine caught the unwind and kept serving.
+    SolverPanicked {
+        /// The solver name the submission gave.
+        solver: String,
+        /// The panic message, when the payload was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -89,11 +102,18 @@ impl fmt::Display for Error {
             ),
             Error::InvalidEpsilon { reason } => write!(f, "invalid epsilon: {reason}"),
             Error::BudgetExhausted {
-                incumbent,
+                incumbent: Some(incumbent),
                 lower_bound,
             } => write!(
                 f,
                 "search budget exhausted (incumbent {incumbent}, lower bound {lower_bound})"
+            ),
+            Error::BudgetExhausted {
+                incumbent: None,
+                lower_bound,
+            } => write!(
+                f,
+                "search budget exhausted before any schedule was found (lower bound {lower_bound})"
             ),
             Error::Cancelled => write!(f, "solve cancelled before completion"),
             Error::InvalidWitness { reason } => {
@@ -107,6 +127,10 @@ impl fmt::Display for Error {
             }
             Error::Overloaded { capacity } => {
                 write!(f, "admission queue full ({capacity} submissions in flight)")
+            }
+            Error::DuplicateKey { key } => write!(f, "json: duplicate key {key:?} in an object"),
+            Error::SolverPanicked { solver, message } => {
+                write!(f, "solver {solver:?} panicked: {message}")
             }
         }
     }
@@ -137,10 +161,19 @@ mod tests {
     #[test]
     fn budget_exhausted_reports_gap() {
         let e = Error::BudgetExhausted {
-            incumbent: 120,
+            incumbent: Some(120),
             lower_bound: 100,
         };
         let s = e.to_string();
         assert!(s.contains("120") && s.contains("100"));
+        let e = Error::BudgetExhausted {
+            incumbent: None,
+            lower_bound: 100,
+        };
+        let s = e.to_string();
+        assert!(
+            s.contains("before any schedule") && s.contains("100"),
+            "got: {s}"
+        );
     }
 }

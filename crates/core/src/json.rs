@@ -269,6 +269,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
             loop {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
+                // Objects on the wire hold a handful of members, so a scan
+                // beats hashing and allocates nothing.
+                if members.iter().any(|(seen, _)| *seen == key) {
+                    return Err(Error::DuplicateKey { key });
+                }
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
                 let value = parse_value(bytes, pos, depth + 1)?;
@@ -475,6 +480,26 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn a_repeated_key_is_a_typed_error_that_names_it() {
+        for (text, key) in [
+            (r#"{"times":[3,4],"times":[5,6,7],"machines":2}"#, "times"),
+            (r#"{"times":[3,4],"machines":2,"machines":1}"#, "machines"),
+            (r#"{"a":{"b":1,"c":2,"b":3}}"#, "b"),
+        ] {
+            assert_eq!(
+                parse(text).unwrap_err(),
+                Error::DuplicateKey { key: key.into() },
+                "{text}"
+            );
+        }
+        assert!(
+            from_str::<crate::Instance>(r#"{"times":[3,4],"machines":2,"machines":1}"#).is_err()
+        );
+        // The same key in sibling or nested objects is not a repeat.
+        assert!(parse(r#"{"a":{"a":1},"b":[{"a":1},{"a":2}]}"#).is_ok());
     }
 
     #[test]

@@ -404,7 +404,8 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> io::Result<()> {
 
 /// Reads one frame from `r`. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary; mid-frame EOF, oversized frames, and malformed payloads are
-/// `InvalidData` errors.
+/// `InvalidData` errors. A payload that read whole but does not parse
+/// carries the parser's [`Error`] as the I/O error's inner error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Value>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -425,7 +426,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Value>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("wire: {e}")))?;
     json::parse(&text)
         .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]

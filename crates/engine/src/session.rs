@@ -42,6 +42,7 @@ use pcmax_core::{
 use pcmax_metrics::{Counter, Gauge};
 use pcmax_parallel::sync;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 /// Jobs waiting in the engine admission queue (excludes running jobs).
@@ -60,6 +61,12 @@ static ADMITTED: Counter = Counter::new(
 static REJECTED: Counter = Counter::new(
     "pcmax_engine_rejected_total",
     "Submissions rejected because the engine admission queue was full",
+);
+
+/// Solves that panicked on an engine worker (each failed its own handle).
+static PANICS: Counter = Counter::new(
+    "pcmax_engine_panics_total",
+    "Solves that panicked on an engine worker",
 );
 
 /// How the engine is sized. The default matches the daemon's
@@ -453,9 +460,23 @@ fn next_job(shared: &Shared, worker: usize) -> Option<Job> {
     }
 }
 
+/// Runs one job and finishes its slot. A panicking solve fails its own
+/// handle with [`Error::SolverPanicked`]; the worker keeps serving.
 fn run_job(shared: &Shared, job: Job) {
     *job.slot.state.lock() = SlotState::Running;
-    let result = execute(shared, &job);
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| execute(shared, &job)))
+        .unwrap_or_else(|payload| {
+            PANICS.inc();
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            Err(Error::SolverPanicked {
+                solver: job.submission.solver.clone(),
+                message,
+            })
+        });
     job.slot.finish(result);
 }
 
@@ -621,6 +642,56 @@ mod tests {
             .unwrap()
             .wait()
             .is_ok());
+    }
+
+    /// A trace sink that panics on the first span a solve opens, standing
+    /// in for any bug inside a solve.
+    struct PanickingSink;
+
+    impl TraceSink for PanickingSink {
+        fn span_enter(&self, _: &'static str, _: u64) {
+            panic!("sink refuses spans");
+        }
+        fn span_exit(&self, _: &'static str) {}
+        fn instant(&self, _: &'static str, _: u64) {}
+        fn counter(&self, _: &'static str, _: u64) {}
+    }
+
+    #[test]
+    fn a_panicking_solve_fails_its_handle_and_the_worker_serves_on() {
+        let engine = Engine::with_config(EngineConfig {
+            workers: 1,
+            capacity: 16,
+            cache_capacity: 64,
+        });
+        let panics = PANICS.get();
+        let bad = engine
+            .submit(Submission::new(instance(), "ptas").with_trace(Arc::new(PanickingSink)))
+            .unwrap();
+        let next = engine.submit(Submission::new(instance(), "lpt")).unwrap();
+        // Poll with a deadline so a lost worker fails the test, not hangs it.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        for handle in [&bad, &next] {
+            while handle.poll() != SolvePoll::Done {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "submission {} still {:?} after 5 s",
+                    handle.id(),
+                    handle.poll()
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        match bad.wait() {
+            Err(Error::SolverPanicked { solver, message }) => {
+                assert_eq!(solver, "ptas");
+                assert_eq!(message, "sink refuses spans");
+            }
+            other => panic!("expected SolverPanicked, got {other:?}"),
+        }
+        assert!(next.wait().is_ok(), "the worker must serve the next job");
+        assert_eq!(PANICS.get(), panics + 1);
+        assert_eq!(engine.shutdown().served, 2);
     }
 
     #[test]

@@ -4,9 +4,17 @@
 
 use pcmax_core::{Budget, CancelToken, Error, Instance, SolveRequest};
 use pcmax_engine::{build, registry, SolverParams};
+use pcmax_workloads::{generate, Distribution, Family};
+use std::time::{Duration, Instant};
 
 fn instance() -> Instance {
     Instance::new(vec![9, 8, 7, 7, 6, 5, 5, 4, 3], 3).unwrap()
+}
+
+/// 14 U(1,100) jobs on 5 machines (seed 1): a few ms per branch-and-bound
+/// node, and well past a minute for `milp`'s default 20,000 nodes.
+fn slow_milp_instance() -> Instance {
+    generate(Family::new(5, 14, Distribution::U1To100), 1)
 }
 
 #[test]
@@ -36,7 +44,10 @@ fn ptas_entry_budget_is_a_dedicated_error() {
             Err(Error::BudgetExhausted {
                 incumbent,
                 lower_bound,
-            }) => assert!(lower_bound <= incumbent, "{name}"),
+            }) => assert!(
+                incumbent.is_some_and(|upper| lower_bound <= upper),
+                "{name}"
+            ),
             Err(other) => panic!("{name}: expected BudgetExhausted, got {other:?}"),
             Ok(_) => panic!("{name}: expected BudgetExhausted, got a schedule"),
         }
@@ -78,6 +89,64 @@ fn milp_tiny_node_budget_is_a_dedicated_error() {
         Err(Error::BudgetExhausted { .. }) => {}
         Err(other) => panic!("expected BudgetExhausted, got {other:?}"),
         Ok(_) => panic!("expected BudgetExhausted, got a schedule"),
+    }
+}
+
+#[test]
+fn milp_stops_at_its_deadline() {
+    let inst = slow_milp_instance();
+    let req =
+        SolveRequest::new(&inst).with_budget(Budget::with_timeout(Duration::from_millis(100)));
+    let start = Instant::now();
+    let result = build("milp", &SolverParams::default()).unwrap().solve(&req);
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(result, Err(Error::BudgetExhausted { .. })),
+        "expected BudgetExhausted, got {result:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "answered after {elapsed:?}"
+    );
+}
+
+#[test]
+fn milp_stops_promptly_when_cancelled_mid_solve() {
+    let inst = slow_milp_instance();
+    let cancel = CancelToken::new();
+    let req = SolveRequest::new(&inst).with_cancel(cancel.clone());
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        cancel.cancel();
+        Instant::now()
+    });
+    let result = build("milp", &SolverParams::default()).unwrap().solve(&req);
+    let stopped = Instant::now();
+    let cancelled_at = canceller.join().unwrap();
+    assert!(
+        matches!(result, Err(Error::Cancelled)),
+        "expected Cancelled, got {result:?}"
+    );
+    let lag = stopped.saturating_duration_since(cancelled_at);
+    assert!(
+        lag < Duration::from_millis(100),
+        "stopped {lag:?} after the cancel"
+    );
+}
+
+#[test]
+fn exhausted_milp_without_a_schedule_reports_no_incumbent() {
+    let inst = slow_milp_instance();
+    let req = SolveRequest::new(&inst).with_budget(Budget::unlimited().nodes(1));
+    match build("milp", &SolverParams::default()).unwrap().solve(&req) {
+        Err(
+            e @ Error::BudgetExhausted {
+                incumbent: None, ..
+            },
+        ) => {
+            assert!(!e.to_string().contains(&u64::MAX.to_string()), "{e}")
+        }
+        other => panic!("expected BudgetExhausted without an incumbent, got {other:?}"),
     }
 }
 

@@ -147,7 +147,7 @@ impl FixedMachinesFptas {
             }
             if next.len() > self.max_states {
                 return Err(Error::BudgetExhausted {
-                    incumbent: u64::MAX,
+                    incumbent: None,
                     lower_bound: lower_bound(inst),
                 });
             }
@@ -334,7 +334,10 @@ mod tests {
         };
         assert!(matches!(
             tiny_cap.schedule(&inst),
-            Err(Error::BudgetExhausted { .. })
+            Err(Error::BudgetExhausted {
+                incumbent: None,
+                ..
+            })
         ));
     }
 

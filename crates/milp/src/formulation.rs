@@ -70,6 +70,16 @@ pub struct AssignmentIp {
 impl AssignmentIp {
     /// Solves and returns both the schedule and the proven optimal makespan.
     pub fn solve_detailed(&self, inst: &Instance) -> Result<(Schedule, Time)> {
+        self.solve_gated(inst, |_| Ok(()))
+    }
+
+    /// [`solve_detailed`](Self::solve_detailed), calling `gate` with the
+    /// incumbent makespan before every branch-and-bound node.
+    fn solve_gated(
+        &self,
+        inst: &Instance,
+        mut gate: impl FnMut(Option<Time>) -> Result<()>,
+    ) -> Result<(Schedule, Time)> {
         if inst.jobs() == 0 {
             return Ok((Schedule::from_assignment(vec![], inst.machines())?, 0));
         }
@@ -77,10 +87,12 @@ impl AssignmentIp {
         let m = inst.machines().min(n);
         check_model_size(m, n)?;
         let model = assignment_model(inst);
-        let sol = self.solver.solve(&model)?;
+        let sol = self.solver.solve_gated(&model, |best| {
+            gate(best.map(|objective| objective.round() as Time))
+        })?;
         if !sol.proven {
             return Err(Error::BudgetExhausted {
-                incumbent: sol.objective.round() as u64,
+                incumbent: Some(sol.objective.round() as Time),
                 lower_bound: 0,
             });
         }
@@ -134,7 +146,8 @@ impl Solver for AssignmentIp {
             None => *self,
         };
         let solve_span = req.trace_span("model+solve", solver.solver.node_budget);
-        let (schedule, opt) = solver.solve_detailed(req.instance)?;
+        let (schedule, opt) =
+            solver.solve_gated(req.instance, |incumbent| req.check_budget(incumbent, 0))?;
         drop(solve_span);
         let stats = SolveStats {
             wall: start.elapsed(),

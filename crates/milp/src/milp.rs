@@ -51,6 +51,18 @@ impl MilpSolver {
     /// [`Error::Infeasible`] if no integer point exists (proven), and
     /// [`Error::BudgetExhausted`] if the budget ran out with no incumbent.
     pub fn solve(&self, problem: &MilpProblem) -> Result<MilpSolution> {
+        self.solve_gated(problem, |_| Ok(()))
+    }
+
+    /// [`solve`](Self::solve), calling `gate` with the incumbent's
+    /// objective (if any) before every node; an error from `gate` ends the
+    /// search and is returned as is. Solvers pass their request's budget
+    /// gate here, so a deadline or a cancel stops the search within one LP.
+    pub fn solve_gated(
+        &self,
+        problem: &MilpProblem,
+        mut gate: impl FnMut(Option<f64>) -> Result<()>,
+    ) -> Result<MilpSolution> {
         let mut nodes = 0u64;
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
         // DFS stack of extra bound rows (var, sense, value).
@@ -62,6 +74,7 @@ impl MilpSolver {
                 exhausted = true;
                 break;
             }
+            gate(incumbent.as_ref().map(|(objective, _)| *objective))?;
             nodes += 1;
             let mut lp = problem.lp.clone();
             for &(var, cmp, value) in &bounds {
@@ -111,7 +124,7 @@ impl MilpSolver {
                 proven: !exhausted,
             }),
             None if exhausted => Err(Error::BudgetExhausted {
-                incumbent: u64::MAX,
+                incumbent: None,
                 lower_bound: 0,
             }),
             None => Err(Error::Infeasible),
@@ -224,6 +237,12 @@ mod tests {
         });
         // One node only solves the root relaxation (fractional), so there is
         // no incumbent yet.
-        assert!(matches!(r, Err(Error::BudgetExhausted { .. })));
+        assert!(matches!(
+            r,
+            Err(Error::BudgetExhausted {
+                incumbent: None,
+                ..
+            })
+        ));
     }
 }

@@ -447,14 +447,14 @@ fn check_budget(
     lower: Time,
     upper: Time,
 ) -> Result<()> {
-    req.check_cancelled()?;
-    let entries_exhausted = req
+    req.check_budget(Some(upper), lower)?;
+    if req
         .budget
         .entry_limit
-        .is_some_and(|limit| entries_touched >= limit as u64);
-    if req.budget.deadline_exceeded() || entries_exhausted {
+        .is_some_and(|limit| entries_touched >= limit as u64)
+    {
         return Err(Error::BudgetExhausted {
-            incumbent: upper,
+            incumbent: Some(upper),
             lower_bound: lower,
         });
     }

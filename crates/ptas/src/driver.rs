@@ -467,7 +467,7 @@ mod tests {
             Err(Error::BudgetExhausted {
                 incumbent,
                 lower_bound,
-            }) => assert!(lower_bound <= incumbent),
+            }) => assert!(incumbent.is_some_and(|upper| lower_bound <= upper)),
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
     }

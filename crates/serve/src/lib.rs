@@ -20,13 +20,10 @@
 //! (joining every worker, so park/wake totals balance) and answers with a
 //! `bye` frame carrying the server's lifetime totals.
 //!
-//! [`Client`] is the matching blocking client, and [`loadtest`] the
-//! closed-loop traffic harness behind `pcmax serve-bench`.
+//! [`Client`] is the matching blocking client.
 
 pub mod client;
-pub mod loadtest;
 pub mod server;
 
 pub use client::Client;
-pub use loadtest::{run_loadtest, LoadReport, LoadtestConfig};
 pub use server::{Server, ServerConfig};

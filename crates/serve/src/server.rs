@@ -171,8 +171,16 @@ fn handle_connection(
     });
 
     let mut shutdown_id = None;
-    while let Some(value) = read_frame(&mut reader)? {
-        let request = match WireRequest::from_json(&value) {
+    loop {
+        // A repeated key breaks a rule of the protocol, not the framing:
+        // the frame was read whole, so it is answered like any frame that
+        // does not decode, and the connection reads on.
+        let decoded = match read_frame(&mut reader) {
+            Ok(Some(value)) => WireRequest::from_json(&value),
+            Ok(None) => break,
+            Err(e) => Err(duplicate_key(e)?),
+        };
+        let request = match decoded {
             Ok(request) => request,
             Err(e) => {
                 REQUESTS.with_label("bad-request").inc();
@@ -282,6 +290,15 @@ fn submission_of(solve: WireSolve, cancel: CancelToken) -> Submission {
 /// any number of threads per probe.
 fn wire_threads(threads: Option<usize>) -> Option<usize> {
     threads.map(|t| t.min(pcmax_parallel::effective_threads(None)))
+}
+
+/// The [`Error::DuplicateKey`] that made [`read_frame`] refuse a frame, or
+/// `e` itself for any other failure.
+fn duplicate_key(e: io::Error) -> io::Result<Error> {
+    match e.get_ref().and_then(|inner| inner.downcast_ref::<Error>()) {
+        Some(dup @ Error::DuplicateKey { .. }) => Ok(dup.clone()),
+        _ => Err(e),
+    }
 }
 
 fn error_response(id: u64, code: &str, e: &Error) -> WireResponse {

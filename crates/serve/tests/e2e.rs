@@ -1,26 +1,24 @@
 //! End-to-end daemon tests: real TCP, real frames, real engine.
 
-use pcmax_core::wire::{read_frame, WireOutcome, WireSolve};
+mod common;
+
+use pcmax_core::json::FromJson;
+use pcmax_core::wire::{read_frame, WireOutcome, WireResponse, WireSolve};
 use pcmax_core::{Instance, Time};
 use pcmax_engine::EngineConfig;
-use pcmax_serve::{run_loadtest, Client, LoadtestConfig, Server, ServerConfig};
+use pcmax_serve::Client;
 use pcmax_workloads::{generate_batch, Distribution, Family};
+use std::io::Write;
 
 fn small_server() -> (
     std::thread::JoinHandle<std::io::Result<pcmax_engine::EngineTotals>>,
     std::net::SocketAddr,
 ) {
-    let server = Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        engine: EngineConfig {
-            workers: 2,
-            capacity: 64,
-            cache_capacity: 256,
-        },
+    common::spawn_server(EngineConfig {
+        workers: 2,
+        capacity: 64,
+        cache_capacity: 256,
     })
-    .expect("bind");
-    let addr = server.local_addr().expect("addr");
-    (std::thread::spawn(move || server.run()), addr)
 }
 
 fn sample_instance() -> Instance {
@@ -36,6 +34,21 @@ fn solve_frame(solver: &str, instance: Instance) -> WireSolve {
         threads: None,
         timeout_ms: None,
         instance,
+    }
+}
+
+/// Sends `payloads` as raw frames on a fresh connection and returns a
+/// reader that decodes the answers in order.
+fn send_raw(addr: std::net::SocketAddr, payloads: &[&str]) -> impl FnMut() -> WireResponse {
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+    for payload in payloads {
+        raw.write_all(&(payload.len() as u32).to_be_bytes())
+            .expect("send length");
+        raw.write_all(payload.as_bytes()).expect("send payload");
+    }
+    move || {
+        let frame = read_frame(&mut raw).expect("read").expect("a frame");
+        WireResponse::from_json(&frame).expect("decode")
     }
 }
 
@@ -154,8 +167,6 @@ fn errors_do_not_wedge_the_connection() {
 
 #[test]
 fn a_deeply_nested_frame_only_loses_its_own_connection() {
-    use std::io::Write;
-
     let (server, addr) = small_server();
     // 100,000 nested arrays as the instance's job times: about 200 KB,
     // far inside the frame cap, and far deeper than the JSON parser's
@@ -193,29 +204,18 @@ fn a_deeply_nested_frame_only_loses_its_own_connection() {
 
 #[test]
 fn instances_no_solver_can_take_get_typed_errors_and_the_connection_serves_on() {
-    use pcmax_core::json::FromJson;
-    use pcmax_core::wire::WireResponse;
-    use std::io::Write;
-
     let (server, addr) = small_server();
-    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
-    let frames = [
-        // An identical-machine solver on an instance with machine speeds.
-        r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"exact","eps":0.4,"instance":{"times":[4,4],"machines":2,"speeds":[3,1]}}"#,
-        // Σ tⱼ overflows u64: the instance does not decode.
-        r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[18446744073709551615,18446744073709551615],"machines":1}}"#,
-        r#"{"proto":"pcmax-wire/1","id":3,"op":"solve","solver":"ptas-q","eps":0.4,"instance":{"times":[4,4],"machines":2,"speeds":[3,1]}}"#,
-        r#"{"proto":"pcmax-wire/1","id":4,"op":"shutdown"}"#,
-    ];
-    for payload in frames {
-        raw.write_all(&(payload.len() as u32).to_be_bytes())
-            .expect("send length");
-        raw.write_all(payload.as_bytes()).expect("send payload");
-    }
-    let mut next = || {
-        let frame = read_frame(&mut raw).expect("read").expect("a frame");
-        WireResponse::from_json(&frame).expect("decode")
-    };
+    let mut next = send_raw(
+        addr,
+        &[
+            // An identical-machine solver on an instance with machine speeds.
+            r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"exact","eps":0.4,"instance":{"times":[4,4],"machines":2,"speeds":[3,1]}}"#,
+            // Σ tⱼ overflows u64: the instance does not decode.
+            r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[18446744073709551615,18446744073709551615],"machines":1}}"#,
+            r#"{"proto":"pcmax-wire/1","id":3,"op":"solve","solver":"ptas-q","eps":0.4,"instance":{"times":[4,4],"machines":2,"speeds":[3,1]}}"#,
+            r#"{"proto":"pcmax-wire/1","id":4,"op":"shutdown"}"#,
+        ],
+    );
     let refused = next();
     assert_eq!(refused.id, 1);
     match refused.outcome {
@@ -243,26 +243,15 @@ fn instances_no_solver_can_take_get_typed_errors_and_the_connection_serves_on() 
 
 #[test]
 fn a_milp_frame_with_ten_thousand_machines_is_answered_and_the_connection_serves_on() {
-    use pcmax_core::json::FromJson;
-    use pcmax_core::wire::WireResponse;
-    use std::io::Write;
-
     let (server, addr) = small_server();
-    let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
-    let frames = [
-        r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"milp","eps":0.4,"instance":{"times":[3,4],"machines":10000}}"#,
-        r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[3,4,5],"machines":2}}"#,
-        r#"{"proto":"pcmax-wire/1","id":3,"op":"shutdown"}"#,
-    ];
-    for payload in frames {
-        raw.write_all(&(payload.len() as u32).to_be_bytes())
-            .expect("send length");
-        raw.write_all(payload.as_bytes()).expect("send payload");
-    }
-    let mut next = || {
-        let frame = read_frame(&mut raw).expect("read").expect("a frame");
-        WireResponse::from_json(&frame).expect("decode")
-    };
+    let mut next = send_raw(
+        addr,
+        &[
+            r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"milp","eps":0.4,"instance":{"times":[3,4],"machines":10000}}"#,
+            r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[3,4,5],"machines":2}}"#,
+            r#"{"proto":"pcmax-wire/1","id":3,"op":"shutdown"}"#,
+        ],
+    );
     let milp = next();
     assert_eq!(milp.id, 1);
     match milp.outcome {
@@ -281,6 +270,37 @@ fn a_milp_frame_with_ten_thousand_machines_is_answered_and_the_connection_serves
     }
     match next().outcome {
         WireOutcome::Bye { served, .. } => assert_eq!(served, 2),
+        other => panic!("expected bye, got {other:?}"),
+    }
+    server.join().expect("server thread").expect("server io");
+}
+
+#[test]
+fn a_frame_with_a_repeated_key_gets_an_error_and_the_connection_serves_on() {
+    let (server, addr) = small_server();
+    let mut next = send_raw(
+        addr,
+        &[
+            r#"{"proto":"pcmax-wire/1","id":1,"op":"solve","solver":"lpt","solver":"milp","eps":0.4,"instance":{"times":[3,4,5],"machines":2}}"#,
+            r#"{"proto":"pcmax-wire/1","id":2,"op":"solve","solver":"lpt","eps":0.4,"instance":{"times":[3,4,5],"machines":2}}"#,
+            r#"{"proto":"pcmax-wire/1","id":3,"op":"shutdown"}"#,
+        ],
+    );
+    match next().outcome {
+        WireOutcome::Error { code, message } => {
+            assert_eq!(code, "bad-request");
+            assert!(message.contains(r#"duplicate key "solver""#), "{message}");
+        }
+        other => panic!("expected bad-request, got {other:?}"),
+    }
+    let served = next();
+    assert_eq!(served.id, 2);
+    match served.outcome {
+        WireOutcome::Ok { makespan, .. } => assert_eq!(makespan, 7),
+        other => panic!("expected ok, got {other:?}"),
+    }
+    match next().outcome {
+        WireOutcome::Bye { served, .. } => assert_eq!(served, 1),
         other => panic!("expected bye, got {other:?}"),
     }
     server.join().expect("server thread").expect("server io");
@@ -312,30 +332,34 @@ fn pipelined_submissions_answer_in_order() {
 }
 
 #[test]
-fn loadtest_smoke_has_zero_dropped_responses() {
-    let report = run_loadtest(&LoadtestConfig {
-        clients: 3,
-        requests: 96,
-        solver: "pptas".into(),
-        eps: 0.5,
-        seed: 5,
-        per_family: 1,
-        engine: EngineConfig {
-            workers: 2,
-            capacity: 64,
-            cache_capacity: 1024,
-        },
-    })
-    .expect("loadtest");
-    assert_eq!(report.requests, 96, "every request must get a response");
-    assert_eq!(report.ok, 96, "no request may fail");
-    assert_eq!(report.served, 96);
+fn concurrent_clients_over_the_paper_families_get_every_answer_and_cache_hits() {
+    let (server, addr) = common::spawn_server(EngineConfig {
+        workers: 2,
+        capacity: 64,
+        cache_capacity: 1024,
+    });
+    let outcomes = common::closed_loop(addr, 3, 96, 5);
+    assert_eq!(outcomes.len(), 96, "every request must get a response");
+    for outcome in &outcomes {
+        assert!(matches!(outcome, WireOutcome::Ok { .. }), "{outcome:?}");
+    }
     assert!(
-        report.cache_hit_responses > 0,
+        outcomes.iter().any(|outcome| matches!(
+            outcome,
+            WireOutcome::Ok {
+                cache_hit: true,
+                ..
+            }
+        )),
         "fixed-seed laps over the pool must produce wire-visible cache hits"
     );
-    // parks == wakes is asserted in tests/park_balance.rs, which runs as
-    // its own binary: the counters are process-global, so any concurrently
-    // running test with parked workers would make the check flaky here.
-    assert!(report.p99_micros >= report.p50_micros);
+    let bye = Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("bye");
+    match bye.outcome {
+        WireOutcome::Bye { served, .. } => assert_eq!(served, 96),
+        other => panic!("expected bye, got {other:?}"),
+    }
+    server.join().expect("server thread").expect("server io");
 }
