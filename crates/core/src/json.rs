@@ -216,6 +216,11 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T> {
 /// bench JSON) nests at most 5 deep.
 pub const MAX_DEPTH: usize = 128;
 
+/// Members of one object that [`parse`] checks for a repeated key by
+/// scanning the ones before them. Past this many, a scan per key would cost
+/// O(k²) on a hostile frame, so the object is checked in O(k log k) instead.
+const SCANNED_MEMBERS: usize = 16;
+
 /// Parses JSON text into a [`Value`] tree.
 pub fn parse(text: &str) -> Result<Value> {
     let bytes = text.as_bytes();
@@ -247,6 +252,19 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<()> {
     }
 }
 
+/// `Err(DuplicateKey)` naming the first key, in sorted order, that
+/// `members` holds twice.
+fn reject_repeated_keys(members: &[(String, Value)]) -> Result<()> {
+    let mut keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    match keys.windows(2).find(|pair| pair[0] == pair[1]) {
+        Some(pair) => Err(Error::DuplicateKey {
+            key: pair[0].to_owned(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Parses one value whose enclosing arrays and objects number `depth`.
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
     skip_ws(bytes, pos);
@@ -269,9 +287,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
             loop {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
-                // Objects on the wire hold a handful of members, so a scan
-                // beats hashing and allocates nothing.
-                if members.iter().any(|(seen, _)| *seen == key) {
+                // Objects on the wire hold a handful of members: a scan
+                // checks those and allocates nothing. Members past
+                // `SCANNED_MEMBERS` are checked once, sorted, at the close.
+                if members.len() < SCANNED_MEMBERS && members.iter().any(|(seen, _)| *seen == key) {
                     return Err(Error::DuplicateKey { key });
                 }
                 skip_ws(bytes, pos);
@@ -283,6 +302,9 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value> {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
                         *pos += 1;
+                        if members.len() > SCANNED_MEMBERS {
+                            reject_repeated_keys(&members)?;
+                        }
                         return Ok(Value::Object(members));
                     }
                     _ => return Err(bad(format!("expected ',' or '}}' at byte {}", *pos))),
@@ -500,6 +522,29 @@ mod tests {
         );
         // The same key in sibling or nested objects is not a repeat.
         assert!(parse(r#"{"a":{"a":1},"b":[{"a":1},{"a":2}]}"#).is_ok());
+    }
+
+    #[test]
+    fn a_large_object_is_checked_for_repeats_in_near_linear_time() {
+        // 200,000 distinct keys: a scan per key would make 2×10^10
+        // comparisons, far past any test timeout.
+        const KEYS: usize = 200_000;
+        let members: Vec<String> = (0..KEYS).map(|i| format!("\"k{i}\":{i}")).collect();
+        let text = format!("{{{}}}", members.join(","));
+        match parse(&text).unwrap() {
+            Value::Object(parsed) => assert_eq!(parsed.len(), KEYS),
+            other => panic!("expected an object, got {other:?}"),
+        }
+        // A repeat among the members past the scanned ones is still caught,
+        // and so is one that pairs a scanned member with a late one.
+        for repeat in ["k150000", "k3"] {
+            let text = format!("{{{},\"{repeat}\":0}}", members.join(","));
+            assert_eq!(
+                parse(&text).unwrap_err(),
+                Error::DuplicateKey { key: repeat.into() },
+                "{repeat}"
+            );
+        }
     }
 
     #[test]

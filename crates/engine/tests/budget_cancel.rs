@@ -17,6 +17,12 @@ fn slow_milp_instance() -> Instance {
     generate(Family::new(5, 14, Distribution::U1To100), 1)
 }
 
+/// How long after its deadline or cancel a `milp` solve may still run. The
+/// gate runs once per node, a few ms of LP in a release build and more in a
+/// debug one under a loaded host; an ungated solve of the instance above
+/// runs for a minute or more.
+const MILP_STOP_SLACK: Duration = Duration::from_secs(2);
+
 #[test]
 fn precancelled_token_stops_every_registered_solver() {
     let inst = instance();
@@ -100,12 +106,14 @@ fn milp_stops_at_its_deadline() {
     let start = Instant::now();
     let result = build("milp", &SolverParams::default()).unwrap().solve(&req);
     let elapsed = start.elapsed();
+    match result {
+        Err(Error::BudgetExhausted { lower_bound, .. }) => {
+            assert_eq!(lower_bound, pcmax_core::lower_bound(&inst))
+        }
+        other => panic!("expected BudgetExhausted, got {other:?}"),
+    }
     assert!(
-        matches!(result, Err(Error::BudgetExhausted { .. })),
-        "expected BudgetExhausted, got {result:?}"
-    );
-    assert!(
-        elapsed < Duration::from_millis(200),
+        elapsed < Duration::from_millis(100) + MILP_STOP_SLACK,
         "answered after {elapsed:?}"
     );
 }
@@ -128,10 +136,7 @@ fn milp_stops_promptly_when_cancelled_mid_solve() {
         "expected Cancelled, got {result:?}"
     );
     let lag = stopped.saturating_duration_since(cancelled_at);
-    assert!(
-        lag < Duration::from_millis(100),
-        "stopped {lag:?} after the cancel"
-    );
+    assert!(lag < MILP_STOP_SLACK, "stopped {lag:?} after the cancel");
 }
 
 #[test]
@@ -141,9 +146,11 @@ fn exhausted_milp_without_a_schedule_reports_no_incumbent() {
     match build("milp", &SolverParams::default()).unwrap().solve(&req) {
         Err(
             e @ Error::BudgetExhausted {
-                incumbent: None, ..
+                incumbent: None,
+                lower_bound,
             },
         ) => {
+            assert_eq!(lower_bound, pcmax_core::lower_bound(&inst));
             assert!(!e.to_string().contains(&u64::MAX.to_string()), "{e}")
         }
         other => panic!("expected BudgetExhausted without an incumbent, got {other:?}"),

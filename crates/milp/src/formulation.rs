@@ -4,7 +4,8 @@
 use crate::lp::{Cmp, LinearProgram};
 use crate::milp::{MilpProblem, MilpSolver};
 use pcmax_core::{
-    Error, Instance, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver, Time,
+    lower_bound, Error, Instance, Result, Schedule, SolveReport, SolveRequest, SolveStats, Solver,
+    Time,
 };
 use std::time::Instant;
 
@@ -70,14 +71,17 @@ pub struct AssignmentIp {
 impl AssignmentIp {
     /// Solves and returns both the schedule and the proven optimal makespan.
     pub fn solve_detailed(&self, inst: &Instance) -> Result<(Schedule, Time)> {
-        self.solve_gated(inst, |_| Ok(()))
+        self.solve_gated(inst, lower_bound(inst), |_| Ok(()))
     }
 
     /// [`solve_detailed`](Self::solve_detailed), calling `gate` with the
-    /// incumbent makespan before every branch-and-bound node.
+    /// incumbent makespan before every branch-and-bound node. Every
+    /// [`Error::BudgetExhausted`] it returns reports `lower_bound`, the
+    /// instance's Equation (1) bound.
     fn solve_gated(
         &self,
         inst: &Instance,
+        lower_bound: Time,
         mut gate: impl FnMut(Option<Time>) -> Result<()>,
     ) -> Result<(Schedule, Time)> {
         if inst.jobs() == 0 {
@@ -87,13 +91,22 @@ impl AssignmentIp {
         let m = inst.machines().min(n);
         check_model_size(m, n)?;
         let model = assignment_model(inst);
-        let sol = self.solver.solve_gated(&model, |best| {
+        let sol = match self.solver.solve_gated(&model, |best| {
             gate(best.map(|objective| objective.round() as Time))
-        })?;
+        }) {
+            // The MILP search knows no bound on the makespan.
+            Err(Error::BudgetExhausted { incumbent, .. }) => {
+                return Err(Error::BudgetExhausted {
+                    incumbent,
+                    lower_bound,
+                })
+            }
+            sol => sol?,
+        };
         if !sol.proven {
             return Err(Error::BudgetExhausted {
                 incumbent: Some(sol.objective.round() as Time),
-                lower_bound: 0,
+                lower_bound,
             });
         }
         let mut assignment = vec![usize::MAX; n];
@@ -146,8 +159,10 @@ impl Solver for AssignmentIp {
             None => *self,
         };
         let solve_span = req.trace_span("model+solve", solver.solver.node_budget);
-        let (schedule, opt) =
-            solver.solve_gated(req.instance, |incumbent| req.check_budget(incumbent, 0))?;
+        let lower_bound = lower_bound(req.instance);
+        let (schedule, opt) = solver.solve_gated(req.instance, lower_bound, |incumbent| {
+            req.check_budget(incumbent, lower_bound)
+        })?;
         drop(solve_span);
         let stats = SolveStats {
             wall: start.elapsed(),

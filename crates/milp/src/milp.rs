@@ -58,7 +58,7 @@ impl MilpSolver {
     /// objective (if any) before every node; an error from `gate` ends the
     /// search and is returned as is. Solvers pass their request's budget
     /// gate here, so a deadline or a cancel stops the search within one LP.
-    pub fn solve_gated(
+    pub(crate) fn solve_gated(
         &self,
         problem: &MilpProblem,
         mut gate: impl FnMut(Option<f64>) -> Result<()>,
