@@ -157,6 +157,41 @@ fn exhausted_milp_without_a_schedule_reports_no_incumbent() {
     }
 }
 
+/// `exact` and `fptas` each stop within [`MILP_STOP_SLACK`] of a 100 ms
+/// deadline on an instance each works on for seconds without one:
+/// `exact` answers with its incumbent, not proven optimal, and `fptas`
+/// with `BudgetExhausted` and Equation (1)'s lower bound.
+#[test]
+fn exact_and_fptas_stop_at_their_deadline() {
+    let deadline = Duration::from_millis(100);
+    let timed = |name: &str, inst: &Instance| {
+        let req = SolveRequest::new(inst).with_budget(Budget::with_timeout(deadline));
+        let start = Instant::now();
+        let result = build(name, &SolverParams::default()).unwrap().solve(&req);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < deadline + MILP_STOP_SLACK,
+            "{name} answered after {elapsed:?}"
+        );
+        result
+    };
+
+    let inst = generate(Family::new(10, 60, Distribution::U1To100), 1);
+    let report = timed("exact", &inst).expect("exact answers with its incumbent");
+    report.schedule.validate(&inst).unwrap();
+    assert!(!report.proven_optimal);
+    assert!(report.certified_target.unwrap() <= report.makespan);
+
+    let inst = generate(Family::new(5, 40, Distribution::U1To100), 1);
+    match timed("fptas", &inst) {
+        Err(Error::BudgetExhausted {
+            incumbent: None,
+            lower_bound,
+        }) => assert_eq!(lower_bound, pcmax_core::lower_bound(&inst)),
+        other => panic!("fptas: expected BudgetExhausted, got {other:?}"),
+    }
+}
+
 #[test]
 fn unlimited_requests_still_succeed_for_every_solver() {
     let inst = instance();

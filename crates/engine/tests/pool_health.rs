@@ -58,6 +58,8 @@ fn kernel_allocations_stay_per_worker_not_per_cell() {
     // allocate its per-worker buffers once per bisection probe, never per
     // cell. A per-cell allocation would scale the counter with dp_cells
     // (tens of thousands here); per-worker scales with threads × probes.
+    // Each solve runs on a thread of its own: a thread keeps its DP arena,
+    // kernel buffers included, between solves.
     let _serial = trace_serial();
     let inst = instance();
     for threads in [2, 4] {
@@ -67,7 +69,11 @@ fn kernel_allocations_stay_per_worker_not_per_cell() {
             ..SolverParams::default()
         };
         let solver = build("par-ptas", &params).unwrap();
-        let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
+        let report = std::thread::scope(|s| {
+            s.spawn(|| solver.solve(&SolveRequest::new(&inst)).unwrap())
+                .join()
+                .unwrap()
+        });
         assert!(report.stats.dp_cells > 100, "threads = {threads}");
         assert!(
             report.stats.dp_kernel_allocs <= threads as u64 * report.stats.bisection_probes.max(1),

@@ -4,7 +4,7 @@
 
 use pcmax_core::{Instance, SolveRequest};
 use pcmax_engine::{build, SolverParams};
-use pcmax_workloads::{generate, Distribution, Family};
+use pcmax_workloads::{generate, lpt_adversarial, Distribution, Family};
 
 fn instance() -> Instance {
     Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3, 23, 29], 4).unwrap()
@@ -53,12 +53,13 @@ fn parallel_ptas_reports_wavefront_counters() {
 
 #[test]
 fn spec_ptas_takes_its_thread_count_from_construction() {
-    // Same instance and ε as above, so every probe table is above the
-    // serial cutoff: a sweep allowed two workers would hold two kernel
+    // `LB` 58 is infeasible here, so the search bisects on, and its
+    // 54,054-cell tables hold about 2×10⁴ cell-transitions per level, above
+    // the serial cutoff: a sweep allowed two workers would hold two kernel
     // buffers. One thread means one buffer per probe arena at most.
-    let inst = generate(Family::new(10, 30, Distribution::U1To100), 1);
+    let inst = lpt_adversarial(20, 1);
     let params = SolverParams {
-        epsilon: 0.2,
+        epsilon: 0.3,
         threads: Some(1),
         ..SolverParams::default()
     };

@@ -1,7 +1,11 @@
 //! Branch-and-bound bin-packing feasibility: can `n` jobs fit into `m` bins
 //! of capacity `C`?
 
-use pcmax_core::{Instance, Time};
+use pcmax_core::{Error, Instance, Result, Time};
+
+/// Search nodes between two polls of a gated search's gate: about a
+/// millisecond of search in a release build.
+const GATE_NODES: u64 = 1024;
 
 /// Answer of one feasibility probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +35,8 @@ pub struct FeasibilityOracle {
     budget: u64,
     /// Nodes expanded so far (for statistics).
     nodes: u64,
+    /// The error a gate stopped the search with.
+    halted: Option<Error>,
 }
 
 impl FeasibilityOracle {
@@ -49,6 +55,7 @@ impl FeasibilityOracle {
             machines: inst.machines(),
             budget,
             nodes: 0,
+            halted: None,
         }
     }
 
@@ -94,25 +101,43 @@ impl FeasibilityOracle {
 
     /// Decides whether the jobs fit into `machines` bins of capacity `cap`.
     pub fn feasible(&mut self, cap: Time) -> PackingVerdict {
+        // An ungated search never halts: it ends in a verdict.
+        self.feasible_gated(cap, &mut || Ok(()))
+            .unwrap_or(PackingVerdict::BudgetExhausted)
+    }
+
+    /// [`feasible`](Self::feasible), polling `gate` before the first search
+    /// node and every [`GATE_NODES`] nodes after it. The first `Err` the
+    /// gate returns stops the search, and is returned.
+    pub(crate) fn feasible_gated(
+        &mut self,
+        cap: Time,
+        gate: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<PackingVerdict> {
         if self.times.is_empty() {
-            return PackingVerdict::Feasible(Vec::new());
+            return Ok(PackingVerdict::Feasible(Vec::new()));
         }
         if self.quick_infeasible(cap) {
-            return PackingVerdict::Infeasible;
+            return Ok(PackingVerdict::Infeasible);
         }
         let mut loads = vec![0; self.machines];
         let mut assignment = vec![usize::MAX; self.times.len()];
-        match self.dfs(0, cap, &mut loads, &mut assignment, usize::MAX) {
+        let verdict = self.dfs(0, cap, &mut loads, &mut assignment, usize::MAX, gate);
+        if let Some(err) = self.halted.take() {
+            return Err(err);
+        }
+        Ok(match verdict {
             Some(true) => PackingVerdict::Feasible(assignment),
             Some(false) => PackingVerdict::Infeasible,
             None => PackingVerdict::BudgetExhausted,
-        }
+        })
     }
 
     /// DFS over jobs in decreasing order. `prev_bin` is the bin that the
     /// previous job took if it had the same processing time (equal jobs are
     /// interchangeable, so the later one never goes to an earlier bin).
-    /// Returns `None` on budget exhaustion.
+    /// Returns `None` on budget exhaustion, and when `gate` halts the
+    /// search, which then empties the budget.
     fn dfs(
         &mut self,
         p: usize,
@@ -120,9 +145,16 @@ impl FeasibilityOracle {
         loads: &mut [Time],
         assignment: &mut [usize],
         prev_equal_bin: usize,
+        gate: &mut dyn FnMut() -> Result<()>,
     ) -> Option<bool> {
         if p == self.times.len() {
             return Some(true);
+        }
+        if self.nodes.is_multiple_of(GATE_NODES) && self.budget > 0 {
+            if let Err(err) = gate() {
+                self.halted = Some(err);
+                self.budget = 0;
+            }
         }
         if self.budget == 0 {
             return None;
@@ -156,7 +188,7 @@ impl FeasibilityOracle {
             loads[bin] += t;
             assignment[p] = bin;
             let next_equal = self.next_equal_bin(p, bin);
-            let r = self.dfs(p + 1, cap, loads, assignment, next_equal);
+            let r = self.dfs(p + 1, cap, loads, assignment, next_equal, gate);
             loads[bin] -= t;
             if r != Some(false) {
                 return r; // success or budget exhaustion propagates
@@ -179,7 +211,7 @@ impl FeasibilityOracle {
             loads[bin] += t;
             assignment[p] = bin;
             let next_equal = self.next_equal_bin(p, bin);
-            match self.dfs(p + 1, cap, loads, assignment, next_equal) {
+            match self.dfs(p + 1, cap, loads, assignment, next_equal, gate) {
                 Some(false) => {}
                 other => {
                     loads[bin] -= t;

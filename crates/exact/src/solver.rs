@@ -17,7 +17,8 @@ use crate::bounds::combinatorial_lower_bound;
 use crate::improve::local_search;
 use pcmax_baselines::Lpt;
 use pcmax_core::{
-    Instance, Result, Schedule, Scheduler, SolveReport, SolveRequest, SolveStats, Solver, Time,
+    Error, Instance, Result, Schedule, Scheduler, SolveReport, SolveRequest, SolveStats, Solver,
+    Time,
 };
 use std::time::Instant;
 
@@ -78,6 +79,19 @@ impl BranchAndBound {
 
     /// Full solve with statistics.
     pub fn solve_detailed(&self, inst: &Instance) -> Result<ExactOutput> {
+        self.solve_gated(inst, || Ok(()))
+    }
+
+    /// [`solve_detailed`](Self::solve_detailed), polling `gate` at bounded
+    /// intervals of the search (see [`FeasibilityOracle::feasible_gated`]).
+    /// A `BudgetExhausted` from the gate ends the search as an empty node
+    /// budget does: the incumbent comes back with the proven lower bound.
+    /// Any other error from the gate is returned.
+    pub(crate) fn solve_gated(
+        &self,
+        inst: &Instance,
+        mut gate: impl FnMut() -> Result<()>,
+    ) -> Result<ExactOutput> {
         // Warm start: LPT polished by move/swap local search; start the
         // bracket at the strongest combinatorial lower bound.
         let warm = local_search(inst, &Lpt.schedule(inst)?)?;
@@ -89,14 +103,21 @@ impl BranchAndBound {
         let mut probes = 0usize;
         let mut stalled = false;
 
-        let probe = |cap: Time, remaining: &mut u64, nodes: &mut u64| -> PackingVerdict {
-            let slice = self.probe_budget.min(*remaining);
-            let mut oracle = FeasibilityOracle::new(inst, slice);
-            let verdict = oracle.feasible(cap);
-            *remaining -= oracle.nodes().min(slice);
-            *nodes += oracle.nodes();
-            verdict
-        };
+        let mut probe =
+            |cap: Time, remaining: &mut u64, nodes: &mut u64| -> Result<PackingVerdict> {
+                let slice = self.probe_budget.min(*remaining);
+                let mut oracle = FeasibilityOracle::new(inst, slice);
+                let verdict = oracle.feasible_gated(cap, &mut gate);
+                *remaining -= oracle.nodes().min(slice);
+                *nodes += oracle.nodes();
+                match verdict {
+                    Err(Error::BudgetExhausted { .. }) => {
+                        *remaining = 0;
+                        Ok(PackingVerdict::BudgetExhausted)
+                    }
+                    verdict => verdict,
+                }
+            };
 
         // Phase 1 + 2: LB-first, then bisection.
         let mut first = true;
@@ -104,7 +125,7 @@ impl BranchAndBound {
             let cap = if first { lower } else { (lower + upper) / 2 };
             first = false;
             probes += 1;
-            match probe(cap, &mut remaining, &mut nodes) {
+            match probe(cap, &mut remaining, &mut nodes)? {
                 PackingVerdict::Feasible(assignment) => {
                     best = assignment_to_schedule(inst, &assignment)?;
                     upper = best.makespan(inst).min(cap);
@@ -122,7 +143,7 @@ impl BranchAndBound {
             while lower < upper && remaining > 0 {
                 let cap = upper - 1;
                 probes += 1;
-                match probe(cap, &mut remaining, &mut nodes) {
+                match probe(cap, &mut remaining, &mut nodes)? {
                     PackingVerdict::Feasible(assignment) => {
                         best = assignment_to_schedule(inst, &assignment)?;
                         upper = best.makespan(inst).min(cap);
@@ -152,8 +173,10 @@ impl Solver for BranchAndBound {
     }
 
     /// Anytime semantics under a budget: a request-level node limit shrinks
-    /// the search budget, and the solver still returns its incumbent with
-    /// `proven_optimal = false` rather than erroring out.
+    /// the search budget, and the search stops at the request's deadline;
+    /// either way the solver still returns its incumbent with
+    /// `proven_optimal = false` rather than erroring out. A cancel raised
+    /// mid-search returns `Cancelled`.
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
         req.check_cancelled()?;
         let start = Instant::now();
@@ -162,7 +185,9 @@ impl Solver for BranchAndBound {
             None => *self,
         };
         let search_span = req.trace_span("search", solver.node_budget);
-        let out = solver.solve_detailed(req.instance)?;
+        // The bounds of the gate's error are not reported: an expired
+        // deadline returns the incumbent and its proven lower bound.
+        let out = solver.solve_gated(req.instance, || req.check_budget(None, 0))?;
         drop(search_span);
         let stats = SolveStats {
             bb_nodes: out.nodes,

@@ -72,10 +72,19 @@ struct State {
     machine_pos: usize,
 }
 
+/// Parent states expanded between two polls of the DP's gate.
+const GATE_STATES: usize = 4096;
+
 impl FixedMachinesFptas {
     /// The trim-the-state-space DP itself; returns the assignment and the
-    /// makespan the DP claims for it.
-    fn run_dp(&self, inst: &Instance) -> Result<(Vec<usize>, Time)> {
+    /// makespan the DP claims for it. `gate` is polled before each job's
+    /// round and every [`GATE_STATES`] parent states within it; its first
+    /// `Err` is returned.
+    fn run_dp(
+        &self,
+        inst: &Instance,
+        mut gate: impl FnMut() -> Result<()>,
+    ) -> Result<(Vec<usize>, Time)> {
         let m = inst.machines();
         let n = inst.jobs();
         // Quantization grid; 0 disables trimming.
@@ -109,6 +118,9 @@ impl FixedMachinesFptas {
             let mut seen: HashMap<Vec<Time>, usize> = HashMap::new();
             let mut next: Vec<State> = Vec::new();
             for (pi, state) in prev.iter().enumerate() {
+                if pi.is_multiple_of(GATE_STATES) {
+                    gate()?;
+                }
                 for pos in 0..m {
                     // Identical machines: placing on two equally loaded
                     // machines is the same move.
@@ -215,7 +227,8 @@ impl Solver for FixedMachinesFptas {
             });
         }
         let dp_span = req.trace_span("dp", inst.jobs() as u64);
-        let (assignment, claimed) = self.run_dp(inst)?;
+        let lb = lower_bound(inst);
+        let (assignment, claimed) = self.run_dp(inst, || req.check_budget(None, lb))?;
         drop(dp_span);
         let recon_span = req.trace_span("reconstruct", 0);
         let schedule = Schedule::from_assignment(assignment, inst.machines())?;

@@ -46,12 +46,16 @@ impl SpeculativePtas {
         })
     }
 
-    /// Number of probe rounds a full run needs (for tests/telemetry).
+    /// Number of probe rounds a full run needs (for tests/telemetry): the
+    /// round that probes `LB` alone, then w-ary rounds over `[LB + 1, UB]`.
     pub fn rounds_bound(&self, inst: &Instance) -> u32 {
         let b = MakespanBounds::of(inst);
+        if b.width() == 0 {
+            return 0;
+        }
         // w-ary search: each round divides the bracket by (width + 1).
-        let mut width = b.width() + 1;
-        let mut rounds = 0;
+        let mut width = b.width();
+        let mut rounds = 1;
         while width > 1 {
             width = width.div_ceil(self.width as Time + 1);
             rounds += 1;
@@ -82,7 +86,7 @@ impl SpeculativePtas {
             &ptas,
             req,
             self.width,
-            DpScratch::new(),
+            &mut DpScratch::new(),
             |candidates, run, _| {
                 let probes = candidates
                     .iter()
@@ -230,22 +234,19 @@ mod tests {
         assert!(matches!(algo.run(&req), Err(Error::Cancelled)));
     }
 
-    /// U(1,100), m = 10, n = 30, seed 1: a bracket wide enough for several
-    /// w-ary rounds.
-    fn u100_instance() -> Instance {
-        use pcmax_workloads::{generate, Distribution, Family};
-        generate(Family::new(10, 30, Distribution::U1To100), 1)
+    /// `lpt_adversarial(10, 1)`: its `LB` 29 is infeasible at ε = 0.3, so
+    /// the w-ary rounds run on after the first.
+    fn lb_infeasible_instance() -> Instance {
+        pcmax_workloads::lpt_adversarial(10, 1)
     }
 
     #[test]
     fn search_results_are_pinned_per_width() {
-        let inst = u100_instance();
+        let inst = lb_infeasible_instance();
         // (width, certified target, rounds, probes, makespan)
-        for (width, target, rounds, probes, makespan) in [
-            (1, 164, 7, 7, 168),
-            (3, 164, 4, 10, 168),
-            (4, 164, 3, 13, 168),
-        ] {
+        for (width, target, rounds, probes, makespan) in
+            [(1, 30, 6, 6, 32), (3, 30, 4, 8, 32), (4, 30, 3, 9, 32)]
+        {
             let (schedule, t, r, stats) = SpeculativePtas::new(0.3, width)
                 .unwrap()
                 .run(&SolveRequest::new(&inst))
@@ -286,19 +287,19 @@ mod tests {
             fn counter(&self, _name: &'static str, _value: u64) {}
         }
 
-        let inst = u100_instance();
-        // Width 4 on this instance makes 13 probes; the 13th is the last.
+        let inst = lb_infeasible_instance();
+        // Width 4 on this instance makes 9 probes; the 9th is the last.
         let token = CancelToken::new();
         let sink = Arc::new(CancelAtProbe {
             token: token.clone(),
             closed: AtomicU64::new(0),
-            at: 13,
+            at: 9,
         });
         let req = SolveRequest::new(&inst)
             .with_cancel(token)
             .with_trace(sink.clone());
         let result = SpeculativePtas::new(0.3, 4).unwrap().run(&req);
-        assert_eq!(sink.closed.load(Ordering::SeqCst), 13, "all probes ran");
+        assert_eq!(sink.closed.load(Ordering::SeqCst), 9, "all probes ran");
         assert!(
             matches!(result, Err(Error::Cancelled)),
             "a cancel raised before reconstruction must abort, got {:?}",

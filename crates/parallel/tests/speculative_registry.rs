@@ -7,7 +7,7 @@
 use pcmax_core::{SolveRequest, Solver};
 use pcmax_metrics::SampleValue;
 use pcmax_parallel::SpeculativePtas;
-use pcmax_workloads::{generate, Distribution, Family};
+use pcmax_workloads::lpt_adversarial;
 
 /// The registry total of the counter `name` (0 before its first increment).
 fn counter(name: &str) -> u64 {
@@ -24,7 +24,8 @@ fn counter(name: &str) -> u64 {
 
 #[test]
 fn one_solve_moves_the_registry_by_exactly_its_own_stats() {
-    let inst = generate(Family::new(10, 30, Distribution::U1To100), 1);
+    // `LB` 29 is infeasible at ε = 0.3, so the search bisects on.
+    let inst = lpt_adversarial(10, 1);
     let probes_before = counter("pcmax_bisection_probes_total");
     let cells_before = counter("pcmax_dp_cells_total");
     let report = SpeculativePtas::new(0.3, 4)

@@ -20,12 +20,13 @@ use crate::config::Config;
 use crate::dp::DpProblem;
 use crate::driver::{BisectionLog, BisectionProbe, PtasOutput};
 use crate::params::EpsilonParams;
-use crate::table::{DpScratch, DpTable};
+use crate::table::DpScratch;
 use pcmax_core::{
     profile, DpOutcome, Error, Instance, MakespanBounds, ProfileCache, ProfileKey, Result,
     Schedule, SolveReport, SolveRequest, SolveStats, Time,
 };
 use pcmax_metrics::Counter;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Bisection probes across all dual-approximation solves.
@@ -139,38 +140,57 @@ pub fn report(inst: &Instance, schedule: Schedule, target: Time, stats: SolveSta
 
 /// Runs a full dual-approximation solve for any [`Scenario`] under an engine
 /// request: [`search`] with one candidate per round — the bisection of
-/// Algorithm 1 — probing on the caller through the request's profile cache.
-/// Returns the schedule, the certified target `T*`, the probe log, and
-/// per-phase stats.
+/// Algorithm 1 — probing on the caller through the request's profile cache
+/// and the calling thread's DP arena. Returns the schedule, the certified
+/// target `T*`, the probe log, and per-phase stats.
+///
+/// The arena stays on its thread between solves, so a worker allocates its
+/// table once: the `LB` probe [`search`] runs first builds the largest table
+/// of the bracket (table size grows as the target shrinks), and every later
+/// probe and solve reuses it. It goes back with its counters zeroed and
+/// without any buffer above `KEPT_ENTRIES` entries, whether the solve returned
+/// `Ok` or `Err`; a solve that panics drops it.
 pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
     let inst = req.instance;
-    // One arena for the whole run. Reserving the largest table of the
-    // bracket (table size grows as the target shrinks, and no probe goes
-    // below the initial lower bound) makes every probe a reuse.
-    let mut scratch = DpScratch::new();
-    let lower = MakespanBounds::of(inst).lower;
-    if let Some(entries) = sc.round(inst, lower.max(1)).and_then(|r| {
-        DpTable::entries_needed(&r.problem.counts, r.problem.unit, r.problem.max_entries)
-    }) {
-        scratch.reserve(entries);
-    }
-    search(sc, req, 1, scratch, |candidates, scratch, mut cache| {
-        for (t, dp_machines, witness) in candidates {
-            let _probe_span = req.trace_span("probe", *t);
-            (*dp_machines, *witness) = probe(sc, inst, *t, scratch, cache.as_deref_mut())?;
-        }
-        Ok(())
-    })
+    let mut scratch = ARENA.take();
+    let result = search(
+        sc,
+        req,
+        1,
+        &mut scratch,
+        |candidates, scratch, mut cache| {
+            for (t, dp_machines, witness) in candidates {
+                let _probe_span = req.trace_span("probe", *t);
+                (*dp_machines, *witness) = probe(sc, inst, *t, scratch, cache.as_deref_mut())?;
+            }
+            Ok(())
+        },
+    );
+    ARENA.set(scratch.kept(KEPT_ENTRIES));
+    result
+}
+
+/// Most entries of a table whose buffers a thread keeps between [`drive`]
+/// solves: above every table the benchmark's workloads build (the largest,
+/// the pinned case, has 2.57 M entries), and about 42 MB of `values`, `perm`
+/// and `inv`, where a `DEFAULT_MAX_ENTRIES` table would pin about 670 MB.
+const KEPT_ENTRIES: usize = 1 << 22;
+
+thread_local! {
+    /// The DP arena [`drive`] keeps on each thread between solves.
+    static ARENA: Cell<DpScratch> = Cell::new(DpScratch::new());
 }
 
 /// The search loop of every dual-approximation solve: Algorithm 1's
 /// bisection over the [`MakespanBounds`] bracket, generalized to `width`
-/// candidates per round.
+/// candidates per round, after a first round that probes the bracket's
+/// lower end alone.
 ///
 /// Each round passes its candidates, in ascending order, to `probe_round`
-/// together with the run's arena and the request's profile cache (`None`
-/// without one); it fills in each candidate's `OPT(N)` and witness, and
-/// must add the DP counters of its probes to the arena. The budget and
+/// together with `scratch` and the request's profile cache (`None` without
+/// one); it fills in each candidate's `OPT(N)` and witness, and must add the
+/// DP counters of its probes to `scratch`. The solve's stats report those
+/// counters, so they must start at zero. The budget and
 /// cancellation gate runs before every round. The upper end drops to the
 /// smallest feasible candidate, and the lower end rises past the largest
 /// infeasible candidate below the new upper end: both rest on one-sided
@@ -183,7 +203,7 @@ pub fn search<Sc: Scenario>(
     sc: &Sc,
     req: &SolveRequest<'_>,
     width: usize,
-    mut scratch: DpScratch,
+    scratch: &mut DpScratch,
     mut probe_round: impl FnMut(
         &mut [Candidate<Sc::Map>],
         &mut DpScratch,
@@ -218,7 +238,7 @@ pub fn search<Sc: Scenario>(
     let mut round = |candidates: &mut [Candidate<Sc::Map>], lower: Time, upper: Time| {
         check_budget(req, scratch.entries_touched, lower, upper)?;
         let dp_start = Instant::now();
-        probe_round(candidates, &mut scratch, cache.as_mut())?;
+        probe_round(candidates, scratch, cache.as_mut())?;
         dp_wall += dp_start.elapsed();
         log.probes.extend(
             candidates
@@ -241,7 +261,16 @@ pub fn search<Sc: Scenario>(
     // One buffer for every round, so a round allocates nothing.
     let mut candidates = Vec::new();
     while lower < upper {
-        fill_candidates(lower, upper, width, &mut candidates);
+        // The first round probes Equation (1)'s lower bound alone, a
+        // deviation from Algorithm 1: on most inputs `LB` is feasible, and
+        // then it is the certified target, since no target below `LB` can
+        // be (`LB ≤ OPT`). An infeasible `LB` raises the lower end past it,
+        // as any infeasible candidate does, and the bisection goes on.
+        if rounds == 0 {
+            candidates.push((lower, u32::MAX, None));
+        } else {
+            fill_candidates(lower, upper, width, &mut candidates);
+        }
         rounds += 1;
         round(&mut candidates, lower, upper)?;
         for (t, _, witness) in candidates.drain(..) {
@@ -297,7 +326,7 @@ pub fn search<Sc: Scenario>(
         stats.cache_hits = cache.hits;
         stats.cache_misses = cache.misses;
     }
-    merge_scratch(&mut stats, &scratch);
+    merge_scratch(&mut stats, scratch);
     stats.wall = run_start.elapsed();
     record_totals(&stats);
     Ok((

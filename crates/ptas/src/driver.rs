@@ -368,21 +368,71 @@ mod tests {
         assert_eq!(out.schedule.makespan(&inst), 5);
     }
 
+    /// Runs `f` on a thread of its own, whose DP arena starts empty.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().unwrap())
+    }
+
     #[test]
     fn stats_prove_table_reuse_across_probes() {
         use pcmax_core::SolveRequest;
-        let inst = Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3], 4).unwrap();
-        let (out, stats) = ptas().solve_with(&SolveRequest::new(&inst)).unwrap();
+        // `LB` 29 is infeasible at ε = 0.3, so the search bisects on.
+        let inst = pcmax_workloads::lpt_adversarial(10, 1);
+        let (out, stats) =
+            on_fresh_thread(|| ptas().solve_with(&SolveRequest::new(&inst)).unwrap());
         assert_eq!(stats.bisection_probes, out.log.evaluations() as u64);
         assert!(stats.bisection_probes > 1, "want multiple probes");
-        // The arena is pre-sized for the largest table of the bracket, so
-        // the whole run performs exactly one allocation and every probe's
-        // table is a reuse.
+        // The first probe, at `LB`, builds the largest table of the bracket,
+        // so the whole run performs exactly one allocation and every later
+        // probe's table is a reuse.
         assert_eq!(stats.dp_tables_allocated, 1);
-        assert_eq!(stats.dp_tables_reused, stats.bisection_probes);
+        assert_eq!(
+            stats.dp_tables_allocated + stats.dp_tables_reused,
+            stats.bisection_probes
+        );
         assert!(stats.dp_entries_touched > 0);
         assert!(stats.phase_wall("bisection") <= stats.wall);
         assert!(stats.phase_wall("reconstruct") <= stats.wall);
+    }
+
+    #[test]
+    fn a_second_solve_on_the_thread_allocates_no_table() {
+        use pcmax_core::SolveRequest;
+        let inst = pcmax_workloads::lpt_adversarial(10, 1);
+        let [(first, cold), (second, warm)] = on_fresh_thread(|| {
+            [(); 2].map(|()| ptas().solve_with(&SolveRequest::new(&inst)).unwrap())
+        });
+        assert_eq!(cold.dp_tables_allocated, 1);
+        assert_eq!(warm.dp_tables_allocated, 0, "the thread kept its arena");
+        assert_eq!(warm.dp_tables_reused, warm.bisection_probes);
+        assert_eq!(
+            (warm.dp_entries_touched, warm.bisection_probes),
+            (cold.dp_entries_touched, cold.bisection_probes),
+            "counters are per solve"
+        );
+        assert_eq!(second.target, first.target);
+        assert_eq!(second.schedule, first.schedule);
+    }
+
+    #[test]
+    fn a_table_above_the_kept_size_is_freed_after_its_solve() {
+        use pcmax_core::SolveRequest;
+        // 161 jobs each of 28, 35 and 42 on as many machines: `LB` is 42,
+        // every job is long, and the three classes make a table of
+        // 162³ ≈ 4.25 M entries, above the 2²² a thread keeps. Each config
+        // holds one job, so the sweep is cheap.
+        let times = [28, 35, 42].into_iter().flat_map(|t| [t; 161]).collect();
+        let big = Instance::new(times, 483).unwrap();
+        let small = pcmax_workloads::lpt_adversarial(10, 1);
+        let allocated = on_fresh_thread(|| {
+            [&big, &small, &small].map(|inst| {
+                let (_, stats) = ptas().solve_with(&SolveRequest::new(inst)).unwrap();
+                stats.dp_tables_allocated
+            })
+        });
+        // The big table is allocated and freed; the small one is allocated
+        // again, then kept.
+        assert_eq!(allocated, [1, 1, 0]);
     }
 
     #[test]

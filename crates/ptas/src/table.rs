@@ -59,12 +59,13 @@ impl KernelScratch {
     }
 }
 
-/// Reusable allocation arena of a PTAS run: the dense value table, its
+/// Reusable allocation arena of PTAS runs: the dense value table, its
 /// level-major permutation and the per-worker kernel buffers are allocated
-/// once per run and recycled across bisection probes, so repeated probes
-/// stop paying the `O(σ)` allocation cost. The counters surface in
-/// `SolveStats` (see `chassis::merge_scratch`), making the reuse observable
-/// from the outside.
+/// once and recycled across bisection probes, and `chassis::drive` keeps
+/// one arena per thread across solves (see `DpScratch::kept`), so
+/// repeated probes stop paying the `O(σ)` allocation cost. The counters
+/// surface in `SolveStats` (see `chassis::merge_scratch`), making the reuse
+/// observable from the outside.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     /// Recycled backing store for [`DpTable::values`].
@@ -118,6 +119,27 @@ impl DpScratch {
         if self.values.capacity() < entries {
             self.values.reserve(entries - self.values.len());
             self.tables_allocated += 1;
+        }
+    }
+
+    /// This arena as the next solve should get it: the same buffers, minus
+    /// any holding more than `max_entries` entries, and every counter zero.
+    pub(crate) fn kept(self, max_entries: usize) -> Self {
+        fn capped<T>(buf: Vec<T>, max_entries: usize) -> Vec<T> {
+            if buf.capacity() > max_entries {
+                Vec::new()
+            } else {
+                buf
+            }
+        }
+        Self {
+            values: capped(self.values, max_entries),
+            perm: capped(self.perm, max_entries),
+            inv: capped(self.inv, max_entries),
+            starts: self.starts,
+            kernels: self.kernels,
+            kernels_outstanding: self.kernels_outstanding,
+            ..Self::default()
         }
     }
 
