@@ -324,14 +324,14 @@ fn run_dpor(budget: Option<&str>) -> ExitCode {
         budget,
         || {
             let mut scratch = DpScratch::new();
-            let mut table = match problem.build_level_major_table_in(&mut scratch) {
+            let mut table = match problem.build_table_in(&mut scratch) {
                 Ok(t) => t,
                 Err(e) => panic!("table build failed: {e}"),
             };
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
             bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
-            table.values_row_major()
+            table.values
         },
         |schedule, values| {
             assert_eq!(

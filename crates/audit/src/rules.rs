@@ -15,20 +15,23 @@
 //!   `audit:allow(cast)` comment. Index truncation is precisely the bug
 //!   class that silently corrupts a wavefront table.
 //! * **`trace-hot`** — no trace hooks *or metric-recording calls* inside
-//!   the zero-allocation cell kernel's inner loop. In [`TRACE_HOT_FILES`],
-//!   a `for` loop whose body walks `next_in_level` is the per-cell hot
-//!   path: even a disabled hook's atomic load there multiplies by the cell
-//!   count, and an *enabled* metric's relaxed add is a guaranteed cache
-//!   ping on every cell. Spans belong *around* the walk (chunk/level
-//!   granularity) and metrics record per-chunk aggregates, never per cell;
-//!   override only with a justified `audit:allow(trace-hot)` comment.
-//! * **`alloc-hot`** — no allocation in the same inner loop: `.push(…)`,
+//!   the zero-allocation block kernel's loops. In [`TRACE_HOT_FILES`], a
+//!   `for` loop is on the per-block or per-cell hot path when its body
+//!   calls one of [`KERNEL_MARKERS`] (the block fill, or the audit seam's
+//!   per-cell access hooks that every cell read and write carries) or when
+//!   it lies inside one of [`KERNEL_FNS`]: even a disabled hook's atomic
+//!   load there multiplies by the block or cell count, and an *enabled*
+//!   metric's relaxed add is a guaranteed cache ping on every one. Spans
+//!   belong *around* the block loop (chunk/level granularity) and metrics
+//!   record per-chunk aggregates, never per block or cell; override only
+//!   with a justified `audit:allow(trace-hot)` comment.
+//! * **`alloc-hot`** — no allocation in the same loops: `.push(…)`,
 //!   `.to_vec()`, `.collect()`, `.with_label(…)` (registry mutex +
 //!   `Box::leak` on first use), `Vec::new` / `Vec::with_capacity`,
 //!   `Box::new`, and the `format!` / `vec!` macros are all per-cell heap
 //!   traffic that the kernel's zero-allocation contract (and the
 //!   `kernel_allocs` counter the regression suite asserts on) forbids.
-//!   Buffers are reserved *outside* the walk (metric family children
+//!   Buffers are reserved *outside* the block loop (metric family children
 //!   resolved once per sweep); override only with a justified
 //!   `audit:allow(alloc-hot)` comment.
 //! * **`guard-across-park`** — no [`sync::Mutex`] guard binding held
@@ -64,8 +67,8 @@ pub const DP_CAST_FILES: &[&str] = &[
 /// Narrowing cast targets the `cast` rule rejects without justification.
 const NARROWING_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
-/// Repo-relative files subject to the `trace-hot` rule: where the
-/// zero-allocation cell kernel's `next_in_level` walk lives.
+/// Repo-relative files subject to the `trace-hot` and `alloc-hot` rules:
+/// where the zero-allocation block kernel and the DP sweeps live.
 pub const TRACE_HOT_FILES: &[&str] = &[
     "crates/parallel/src/wavefront.rs",
     "crates/ptas/src/table.rs",
@@ -93,10 +96,19 @@ const TRACE_HOOKS: &[&str] = &[
     "observe",
 ];
 
-/// Allocating methods the `alloc-hot` rule rejects in the cell kernel's
-/// inner loop. `with_label` is the metric-family child lookup: a registry
-/// mutex plus a `Box::leak` on first use — resolve children once per
-/// sweep, outside the walk.
+/// Calls that put a `for` loop on the kernel's hot path: the block fill
+/// (the per-block loop of a chunk) and the `sync` seam's per-cell access
+/// hooks, which every cell read and write of a sweep carries.
+const KERNEL_MARKERS: &[&str] = &["fill_block", "trace_read", "trace_write"];
+
+/// Functions whose every loop is on the kernel's hot path: the block fill
+/// runs once per block, and its loops once per cell or transition.
+const KERNEL_FNS: &[&str] = &["fill_block"];
+
+/// Allocating methods the `alloc-hot` rule rejects in the kernel's loops.
+/// `with_label` is the metric-family child lookup: a registry mutex plus a
+/// `Box::leak` on first use — resolve children once per sweep, outside the
+/// block loop.
 const ALLOC_METHODS: &[&str] = &["push", "to_vec", "collect", "with_label"];
 
 /// Allocating macros the `alloc-hot` rule rejects there.
@@ -547,19 +559,69 @@ fn for_loop_bodies(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
     bodies
 }
 
-/// Rule `trace-hot`: no trace hooks inside a `for` loop that walks
-/// `next_in_level` — the per-cell kernel where even a disabled hook's
-/// atomic load multiplies by the cell count. A hook is judged against the
-/// *innermost* enclosing loop, so chunk/level spans wrapped around the walk
-/// stay legal.
+/// Token-index ranges `(open, close)` of the bodies of every function named
+/// in [`KERNEL_FNS`].
+fn kernel_fn_bodies(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
+    let mut bodies = Vec::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        if !matches!(&toks[i].tok, Tok::Ident(kw) if kw == "fn") {
+            continue;
+        }
+        let Tok::Ident(name) = &toks[i + 1].tok else {
+            continue;
+        };
+        if !KERNEL_FNS.contains(&name.as_str()) {
+            continue;
+        }
+        // A signature holds no `{`, so the first one opens the body.
+        let Some(open) = (i + 2..toks.len()).find(|&j| toks[j].tok == Tok::Punct('{')) else {
+            continue;
+        };
+        let mut depth = 1i32;
+        let mut close = open + 1;
+        while close < toks.len() && depth > 0 {
+            match toks[close].tok {
+                Tok::Punct('{') => depth += 1,
+                Tok::Punct('}') => depth -= 1,
+                _ => {}
+            }
+            close += 1;
+        }
+        bodies.push((open, close));
+    }
+    bodies
+}
+
+/// For a candidate at token `w`: whether its innermost enclosing `for`
+/// body is a kernel loop — it calls one of [`KERNEL_MARKERS`], or it lies
+/// inside one of [`KERNEL_FNS`]. Judging the *innermost* loop keeps spans
+/// and buffers set up per level, around a block loop, legal.
+fn in_kernel_loop(
+    toks: &[crate::lexer::Token],
+    loops: &[(usize, usize)],
+    kernel_fns: &[(usize, usize)],
+    w: usize,
+) -> bool {
+    let Some(&(open, close)) = loops
+        .iter()
+        .filter(|&&(open, close)| open < w && w < close)
+        .min_by_key(|&&(open, close)| close - open)
+    else {
+        return false;
+    };
+    toks[open..close]
+        .iter()
+        .any(|t| matches!(&t.tok, Tok::Ident(s) if KERNEL_MARKERS.contains(&s.as_str())))
+        || kernel_fns.iter().any(|&(fo, fc)| fo < open && close <= fc)
+}
+
+/// Rule `trace-hot`: no trace hooks inside a kernel loop (see
+/// [`in_kernel_loop`]) — the per-block and per-cell paths where even a
+/// disabled hook's atomic load multiplies by the block or cell count.
 fn check_trace_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mut FileReport) {
     let toks = &lexed.tokens;
     let bodies = for_loop_bodies(toks);
-    let body_has = |&(open, close): &(usize, usize), name: &str| {
-        toks[open..close]
-            .iter()
-            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == name))
-    };
+    let kernel_fns = kernel_fn_bodies(toks);
     for w in 0..toks.len() {
         let Tok::Ident(name) = &toks[w].tok else {
             continue;
@@ -571,15 +633,7 @@ fn check_trace_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
         if toks.get(w + 1).map(|t| &t.tok) != Some(&Tok::Punct('(')) {
             continue;
         }
-        // Innermost enclosing for-loop body, by tightest token range.
-        let Some(innermost) = bodies
-            .iter()
-            .filter(|&&(open, close)| open < w && w < close)
-            .min_by_key(|&&(open, close)| close - open)
-        else {
-            continue;
-        };
-        if !body_has(innermost, "next_in_level") {
+        if !in_kernel_loop(toks, &bodies, &kernel_fns, w) {
             continue;
         }
         let line = toks[w].line;
@@ -599,26 +653,22 @@ fn check_trace_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
                 line,
                 rule: "trace-hot",
                 message: format!(
-                    "trace/metric hook `{name}` inside the `next_in_level` cell-kernel \
-                     loop; move it to chunk/level granularity outside the walk"
+                    "trace/metric hook `{name}` inside a block-kernel loop; move it \
+                     to chunk/level granularity outside the block loop"
                 ),
             }),
         }
     }
 }
 
-/// Rule `alloc-hot`: no heap allocation inside the `next_in_level`
-/// cell-kernel loop. Shares the loop scoping of [`check_trace_hot`]: a
-/// candidate is judged against its *innermost* enclosing `for` body, so
-/// per-level buffer setup outside the walk stays legal.
+/// Rule `alloc-hot`: no heap allocation inside a kernel loop. Shares the
+/// loop scoping of [`check_trace_hot`]: a candidate is judged against its
+/// *innermost* enclosing `for` body, so per-level buffer setup outside the
+/// block loop stays legal.
 fn check_alloc_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mut FileReport) {
     let toks = &lexed.tokens;
     let bodies = for_loop_bodies(toks);
-    let body_has = |&(open, close): &(usize, usize), name: &str| {
-        toks[open..close]
-            .iter()
-            .any(|t| matches!(&t.tok, Tok::Ident(s) if s == name))
-    };
+    let kernel_fns = kernel_fn_bodies(toks);
     // (token index, line, human-readable description) of each allocation.
     let mut sites: Vec<(usize, u32, String)> = Vec::new();
     for w in 0..toks.len() {
@@ -661,14 +711,7 @@ fn check_alloc_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
         }
     }
     for (w, line, what) in sites {
-        let Some(innermost) = bodies
-            .iter()
-            .filter(|&&(open, close)| open < w && w < close)
-            .min_by_key(|&&(open, close)| close - open)
-        else {
-            continue;
-        };
-        if !body_has(innermost, "next_in_level") {
+        if !in_kernel_loop(toks, &bodies, &kernel_fns, w) {
             continue;
         }
         if in_ranges(exempt, line) {
@@ -687,9 +730,8 @@ fn check_alloc_hot(path: &str, lexed: &Lexed, exempt: &[(u32, u32)], report: &mu
                 line,
                 rule: "alloc-hot",
                 message: format!(
-                    "`{what}` allocates inside the `next_in_level` cell-kernel loop; \
-                     reserve buffers outside the walk (the kernel is zero-allocation \
-                     by contract)"
+                    "`{what}` allocates inside a block-kernel loop; reserve buffers \
+                     outside the block loop (the kernel is zero-allocation by contract)"
                 ),
             }),
         }
@@ -966,7 +1008,7 @@ fn f(x: usize) -> u32 {
 fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         pcmax_trace::instant(\"cell\", p as u64);
-        let q = next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
@@ -981,13 +1023,13 @@ fn kernel(lo: usize, hi: usize) {
 fn kernel(w: usize, lo: usize, hi: usize) {
     let _chunk_span = pcmax_trace::span(\"chunk\", w as u64);
     for p in lo..hi {
-        let q = next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
 
-        // Hooks in loops that do not walk next_in_level are fine.
+        // Hooks in loops that touch no cell are fine.
         let cold = "
 fn sweep(levels: usize) {
     for l in 1..levels {
@@ -1002,7 +1044,7 @@ fn sweep(levels: usize) {
 fn f(lo: usize, hi: usize) {
     for p in lo..hi {
         pcmax_trace::instant(\"cell\", 0);
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/foo/src/lib.rs", src_elsewhere, &no_allow());
@@ -1012,15 +1054,15 @@ fn f(lo: usize, hi: usize) {
     #[test]
     fn trace_hot_respects_innermost_loop_and_justified_directives() {
         // Outer loop contains the hot inner loop; a hook between them is
-        // judged against the *outer* loop, which has no direct walk tokens
-        // outside the inner one — but the walk ident is inside the outer
-        // range too, so only innermost-scoping keeps the level span legal.
+        // judged against the *outer* loop, which has no direct cell access
+        // outside the inner one — but the access hook is inside the outer
+        // range too, so the outer loop counts as hot.
         let nested = "
 fn sweep(levels: usize) {
     for l in 1..levels {
         let _level_span = pcmax_trace::span(\"level\", l as u64);
         for p in 0..10 {
-            next_in_level(p);
+            sync::trace_write(p);
         }
     }
 }";
@@ -1028,8 +1070,8 @@ fn sweep(levels: usize) {
         assert_eq!(
             rep.violations.len(),
             1,
-            "outer-loop hooks still sit on the per-level path when the walk \
-             is in the outer range: {:?}",
+            "outer-loop hooks still sit on the per-level path when a cell \
+             access is in the outer range: {:?}",
             rep.violations
         );
 
@@ -1038,7 +1080,7 @@ fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         // audit:allow(trace-hot): one-shot debug instant, removed before merge
         pcmax_trace::instant(\"cell\", p as u64);
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", justified, &no_allow());
@@ -1049,31 +1091,31 @@ fn kernel(lo: usize, hi: usize) {
     fn metric_recording_inside_the_cell_kernel_loop_is_flagged() {
         // `inc` / `inc_by` / `observe` are one relaxed add per call when
         // metrics are enabled — per-cell they dominate the kernel. All
-        // three must flag inside the walk.
+        // three must flag inside a cell loop.
         let src = "
 fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         CELLS.inc();
         BYTES.inc_by(8);
         LATENCY.observe(p as u64);
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
         let rules: Vec<_> = rep.violations.iter().map(|v| v.rule).collect();
         assert_eq!(
             rules, ["trace-hot"; 3],
-            "inc/inc_by/observe in the walk must all flag: {:?}",
+            "inc/inc_by/observe in a cell loop must all flag: {:?}",
             rep.violations
         );
 
         // The sanctioned pattern: aggregate per chunk, record outside the
-        // walk — one observe per chunk, not per cell.
+        // cell loop — one observe per chunk, not per cell.
         let per_chunk = "
 fn kernel(lo: usize, hi: usize) {
     CHUNK_CELLS.observe((hi - lo) as u64);
     for p in lo..hi {
-        next_in_level(p);
+        sync::trace_write(p);
     }
     CHUNK_DONE.inc();
 }";
@@ -1086,7 +1128,7 @@ fn kernel(lo: usize, hi: usize) {
 fn f(lo: usize, hi: usize) {
     for p in lo..hi {
         CELLS.inc();
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/foo/src/lib.rs", elsewhere, &no_allow());
@@ -1101,7 +1143,7 @@ fn f(lo: usize, hi: usize) {
 fn kernel(w: usize, lo: usize, hi: usize) {
     for p in lo..hi {
         BUSY.with_label(worker_label(w));
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
@@ -1109,12 +1151,12 @@ fn kernel(w: usize, lo: usize, hi: usize) {
         assert_eq!(rep.violations[0].rule, "alloc-hot");
         assert!(rep.violations[0].message.contains("with_label"));
 
-        // Resolving the child once before the walk is the sanctioned fix.
+        // Resolving the child once before the loop is the sanctioned fix.
         let hoisted = "
 fn kernel(w: usize, lo: usize, hi: usize) {
     let busy = BUSY.with_label(worker_label(w));
     for p in lo..hi {
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", hoisted, &no_allow());
@@ -1127,12 +1169,12 @@ fn kernel(w: usize, lo: usize, hi: usize) {
 impl Walker for Kernel {
     fn visit(&self) {
         pcmax_trace::instant(\"setup\", 0);
-        let _ = next_in_level(0);
+        sync::trace_write(0);
     }
 }
 fn hrtb<F: for<'a> Fn(&'a u32)>(f: F) {
     pcmax_trace::instant(\"setup\", 0);
-    next_in_level(0);
+    sync::trace_write(0);
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", src, &no_allow());
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
@@ -1144,7 +1186,8 @@ fn hrtb<F: for<'a> Fn(&'a u32)>(f: F) {
 fn kernel(lo: usize, hi: usize) {
     let mut out = Vec::new();
     for p in lo..hi {
-        out.push(next_in_level(p));
+        out.push(p);
+        sync::trace_write(p);
         let copy = scratch.to_vec();
         let s = format!(\"cell {p}\");
         let boxed = Box::new(p);
@@ -1154,7 +1197,7 @@ fn kernel(lo: usize, hi: usize) {
         let rules: Vec<_> = rep.violations.iter().map(|v| v.rule).collect();
         assert_eq!(
             rules, ["alloc-hot"; 4],
-            "push/to_vec/format!/Box::new in the walk must all flag: {:?}",
+            "push/to_vec/format!/Box::new in a cell loop must all flag: {:?}",
             rep.violations
         );
         // `Vec::new` *outside* the loop (line 3) is the sanctioned pattern.
@@ -1162,17 +1205,18 @@ fn kernel(lo: usize, hi: usize) {
     }
 
     #[test]
-    fn alloc_hot_scopes_to_the_innermost_walk_loop_and_other_files() {
-        // Allocation in an outer loop whose *inner* loop walks is judged
-        // against the outer body — which still contains the walk ident, so
-        // per-level setup must sit outside any loop or carry a directive.
+    fn alloc_hot_scopes_to_the_innermost_kernel_loop_and_other_files() {
+        // Allocation in an outer loop whose *inner* loop touches cells is
+        // judged against the outer body — which still contains the access
+        // hook, so per-level setup must sit outside any loop or carry a
+        // directive.
         let per_level_setup = "
 fn sweep(levels: usize) {
     let mut buf = Vec::with_capacity(64);
     for l in 1..levels {
         buf.clear();
         for p in 0..10 {
-            next_in_level(p);
+            sync::trace_write(p);
         }
     }
 }";
@@ -1183,7 +1227,7 @@ fn sweep(levels: usize) {
         );
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
 
-        // Loops that never walk next_in_level may allocate freely.
+        // Loops that touch no cell may allocate freely.
         let cold = "
 fn collect_levels(levels: usize) -> Vec<usize> {
     let mut out = Vec::new();
@@ -1200,7 +1244,7 @@ fn collect_levels(levels: usize) -> Vec<usize> {
 fn f(lo: usize, hi: usize) {
     for p in lo..hi {
         let v = vec![p];
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/foo/src/lib.rs", hot_elsewhere, &no_allow());
@@ -1212,10 +1256,64 @@ fn kernel(lo: usize, hi: usize) {
     for p in lo..hi {
         // audit:allow(alloc-hot): one-shot diagnostic buffer, cold path
         let v = vec![p];
-        next_in_level(p);
+        sync::trace_write(p);
     }
 }";
         let rep = lint_source("crates/parallel/src/wavefront.rs", justified, &no_allow());
+        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
+    }
+
+    #[test]
+    fn hooks_and_allocations_in_the_block_kernel_shape_are_flagged() {
+        // The chunk's block loop: a hook or an allocation per block sits on
+        // the hot path even though no cell access appears in the loop.
+        let block_loop = "
+fn kernel(w: usize, lo: usize, hi: usize) {
+    let _chunk_span = pcmax_trace::span(\"chunk\", w as u64);
+    for at in lo..hi {
+        pcmax_trace::instant(\"block\", at as u64);
+        let blocks = vec![at];
+        fill_block(at);
+    }
+}";
+        let rep = lint_source("crates/parallel/src/wavefront.rs", block_loop, &no_allow());
+        let rules: Vec<_> = rep.violations.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(
+            rules,
+            [("trace-hot", 5), ("alloc-hot", 6)],
+            "{:?}",
+            rep.violations
+        );
+
+        // Inside the block fill every loop is per cell or per transition —
+        // including a run loop that carries no access hook of its own.
+        let fill = "
+fn fill_block(acc: &mut [u16], lanes: &[u16]) {
+    acc.fill(0);
+    for (best, &lane) in acc.iter_mut().zip(lanes) {
+        CELLS.inc();
+        let copy = lanes.to_vec();
+        *best = (*best).min(lane);
+    }
+}";
+        let rep = lint_source("crates/parallel/src/wavefront.rs", fill, &no_allow());
+        let rules: Vec<_> = rep.violations.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(
+            rules,
+            [("trace-hot", 5), ("alloc-hot", 6)],
+            "{:?}",
+            rep.violations
+        );
+
+        // Outside the kernel function a loop without a marker stays cold.
+        let cold = "
+fn plan(acc: &mut Vec<u16>, lanes: &[u16]) {
+    for &lane in lanes {
+        acc.push(lane);
+        CELLS.inc();
+    }
+}";
+        let rep = lint_source("crates/parallel/src/wavefront.rs", cold, &no_allow());
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);
     }
 

@@ -15,8 +15,8 @@ use pcmax_audit::dpor::workloads::{
     FORK_JOIN_TWO_WORKERS_SCHEDULES, TRIPLE_RMW_THREE_WORKERS_SCHEDULES,
 };
 use pcmax_audit::explore::{sweep, sweep_exhaustive};
-use pcmax_parallel::wavefront::{bucketed_sweep_space, bucketed_sweep_space_with};
-use pcmax_parallel::{CellKernel, FaithfulDp};
+use pcmax_parallel::wavefront::bucketed_sweep_space;
+use pcmax_parallel::FaithfulDp;
 use pcmax_ptas::dp::DpProblem;
 use pcmax_ptas::space::{PcmaxSpace, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
@@ -38,15 +38,16 @@ fn tiny_oracle() -> Vec<u16> {
     let mut table = problem.build_table().expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
     pcmax_ptas::space::serial_sweep(&mut table, &pcmax_ptas::space::PcmaxSpace::new(&configs));
-    table.values_row_major()
+    table.values
 }
 
-/// The persistent-pool bucketed sweep on the tiny instance.
+/// The persistent-pool block sweep on the tiny instance: four one-cell
+/// blocks (the audit build's block rule), two of them on outer level 1.
 fn pool_values(threads: usize) -> Vec<u16> {
     let problem = tiny_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
+        .build_table_in(&mut scratch)
         .expect("tiny problem fits");
     let configs = problem.configs_with_offsets(&table);
     table.values[0] = 0;
@@ -56,7 +57,7 @@ fn pool_values(threads: usize) -> Vec<u16> {
         threads,
         &mut scratch,
     );
-    table.values_row_major()
+    table.values
 }
 
 /// The paper-literal full-scan executor on the tiny instance.
@@ -100,12 +101,12 @@ fn persistent_pool_minimal_instance_is_exhaustively_covered() {
         || {
             let mut scratch = DpScratch::new();
             let mut table = problem
-                .build_level_major_table_in(&mut scratch)
+                .build_table_in(&mut scratch)
                 .expect("minimal problem fits");
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
             bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
-            table.values_row_major()
+            table.values
         },
         |schedule, values| {
             assert_eq!(values, &[0, 1], "schedule {schedule:?}: wrong table");
@@ -167,29 +168,34 @@ fn persistent_pool_exhaustive_sweep_is_clean() {
 }
 
 #[test]
-fn strip_kernel_exhaustive_sweep_is_clean() {
-    // The batched strip kernel pinned explicitly (not just as the default),
-    // under DPOR on the tiny instance: every non-equivalent schedule of the
-    // pool must run the tile walk race-free and reproduce the oracle.
-    let expected = tiny_oracle();
-    let problem = tiny_problem();
+fn block_sweep_of_multi_cell_blocks_exhaustive_sweep_is_clean() {
+    // One job in each of four classes: a 16-cell table whose audit-build
+    // plan folds the last class into 2-cell blocks, 8 blocks on 4 outer
+    // levels (1, 3, 3, 1). Under DPOR every non-equivalent schedule of the
+    // pool must fill the blocks race-free and reproduce the oracle.
+    let mut counts = vec![0u32; 16];
+    counts[..4].fill(1);
+    let problem = DpProblem::new(counts, 1, 5, 64);
+    let expected = {
+        let mut table = problem.build_table().expect("problem fits");
+        let configs = problem.configs_with_offsets(&table);
+        pcmax_ptas::space::serial_sweep(&mut table, &PcmaxSpace::new(&configs));
+        table.values
+    };
     let report = sweep_exhaustive(
         4000,
         || {
             let mut scratch = DpScratch::new();
-            let mut table = problem
-                .build_level_major_table_in(&mut scratch)
-                .expect("tiny problem fits");
+            let mut table = problem.build_table_in(&mut scratch).expect("problem fits");
             let configs = problem.configs_with_offsets(&table);
-            let space = PcmaxSpace::new(&configs);
             table.values[0] = 0;
-            bucketed_sweep_space_with(&mut table, &space, 2, &mut scratch, CellKernel::Strip);
-            table.values_row_major()
+            bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
+            table.values
         },
         |schedule, values| {
             assert_eq!(
                 values, &expected,
-                "schedule {schedule:?}: strip kernel diverged from the sequential DP"
+                "schedule {schedule:?}: block sweep diverged from the sequential DP"
             );
         },
     );
@@ -199,22 +205,22 @@ fn strip_kernel_exhaustive_sweep_is_clean() {
     );
     assert!(
         report.races.is_empty(),
-        "strip kernel races: {:?}",
+        "block sweep races: {:?}",
         report.races
     );
     assert!(
         report.cycles.is_empty(),
-        "strip kernel lock-order cycles: {:?}",
+        "block sweep lock-order cycles: {:?}",
         report.cycles
     );
     assert!(
         report.lost_wakeups.is_empty(),
-        "strip kernel lost wakeups: {:?}",
+        "block sweep lost wakeups: {:?}",
         report.lost_wakeups
     );
     assert!(
         report.deadlocks.is_empty(),
-        "strip kernel model deadlocks: {:?}",
+        "block sweep model deadlocks: {:?}",
         report.deadlocks
     );
     assert!(report.max_threads > 1);

@@ -44,14 +44,14 @@ fn registry_and_scratch_agree_under_every_explored_schedule() {
             let problem = paper_problem();
             let mut scratch = DpScratch::new();
             let mut table = problem
-                .build_level_major_table_in(&mut scratch)
+                .build_table_in(&mut scratch)
                 .expect("paper problem fits");
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
             bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
             let parks = pcmax_parallel::metrics::POOL_PARKS.get() - parks0;
             let wakes = pcmax_parallel::metrics::POOL_WAKES.get() - wakes0;
-            (table.values_row_major(), scratch, parks, wakes)
+            (table.values, scratch, parks, wakes)
         },
         |seed, (values, scratch, parks, wakes)| {
             assert_eq!(

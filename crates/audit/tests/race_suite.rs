@@ -9,11 +9,11 @@
 #![cfg(feature = "audit")]
 
 use pcmax_audit::explore::{run_seed, sweep};
-use pcmax_parallel::wavefront::{bucketed_sweep_space, bucketed_sweep_space_with};
-use pcmax_parallel::{sync, CellKernel, FaithfulDp, ParallelDp};
+use pcmax_parallel::wavefront::{bucketed_sweep_space, min_block_cells};
+use pcmax_parallel::{sync, FaithfulDp, ParallelDp};
 use pcmax_ptas::dp::{DpProblem, DpSolver, IterativeDp};
 use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace};
-use pcmax_ptas::table::DpScratch;
+use pcmax_ptas::table::{BlockPlan, DpScratch};
 use std::sync::atomic::Ordering;
 
 /// The paper's worked example: 2 jobs of rounded size 2·2 and 3 of size 4·2,
@@ -28,14 +28,14 @@ fn paper_problem() -> DpProblem {
 /// Table I in row-major order (the sequential DP's exact values).
 const PAPER_TABLE: [u16; 12] = [0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2];
 
-/// Runs the persistent-pool bucketed sweep on a fresh level-major table and
-/// returns the filled values (in row-major order) plus the scratch whose
-/// counters record the pool's park/wake traffic.
+/// Runs the persistent-pool block sweep on a fresh table and returns the
+/// filled values plus the scratch whose counters record the pool's
+/// park/wake traffic.
 fn sweep_values(threads: usize) -> (Vec<u16>, DpScratch) {
     let problem = paper_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
+        .build_table_in(&mut scratch)
         .expect("paper problem fits");
     let configs = problem.configs_with_offsets(&table);
     table.values[0] = 0;
@@ -45,7 +45,7 @@ fn sweep_values(threads: usize) -> (Vec<u16>, DpScratch) {
         threads,
         &mut scratch,
     );
-    (table.values_row_major(), scratch)
+    (table.values, scratch)
 }
 
 #[test]
@@ -136,62 +136,80 @@ fn persistent_pool_park_wake_barrier_is_race_free() {
     assert!(report.max_threads > 1);
 }
 
-/// The bucketed sweep with an explicitly pinned cell kernel. The adaptive
-/// chunk planner pins itself static under `feature = "audit"` so explored
-/// schedules stay replayable.
-fn kernel_sweep_values(threads: usize, kernel: CellKernel) -> Vec<u16> {
-    let problem = paper_problem();
+/// Three classes of two jobs (sizes 1, 2, 3; capacity 6): a 27-cell table
+/// whose audit-build plan folds the last class into 3-cell blocks over the
+/// outer radices [3, 3] — 9 blocks on 5 outer levels, up to 3 per level.
+fn blocks_problem() -> DpProblem {
+    let mut counts = vec![0u32; 16];
+    counts[..3].fill(2);
+    DpProblem::new(counts, 1, 6, 64)
+}
+
+/// The block sweep of [`blocks_problem`] on `threads` workers.
+fn block_sweep_values(threads: usize) -> Vec<u16> {
+    let problem = blocks_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
-        .expect("paper problem fits");
+        .build_table_in(&mut scratch)
+        .expect("blocks problem fits");
     let configs = problem.configs_with_offsets(&table);
-    let space = PcmaxSpace::new(&configs);
     table.values[0] = 0;
-    bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
-    table.values_row_major()
+    bucketed_sweep_space(
+        &mut table,
+        &PcmaxSpace::new(&configs),
+        threads,
+        &mut scratch,
+    );
+    table.values
 }
 
 #[test]
-fn strip_kernel_is_race_free_and_matches_scalar_across_64_interleavings() {
-    // Pins `CellKernel::Strip` explicitly (the other suites get it only as
-    // the default) and cross-checks the scalar kernel under the *same*
-    // explored schedule: the batched tile walk must stay race-free and
-    // bit-identical regardless of how the pool's handoffs interleave.
+fn multi_cell_blocks_are_race_free_across_64_interleavings() {
+    // The shape of the production sweep on real tables: several multi-cell
+    // blocks per outer level, split between three workers, with cross runs
+    // between levels and local steps inside each block.
+    let problem = blocks_problem();
+    let table = problem.build_table().expect("blocks problem fits");
+    let configs = problem.configs_with_offsets(&table);
+    let mut plan = BlockPlan::default();
+    plan.build(&table, &configs, min_block_cells(table.len));
+    assert_eq!((plan.block(), plan.blocks(), plan.levels()), (3, 9, 5));
+    assert!((0..plan.levels()).any(|l| plan.level_span(l).len() >= 2));
+    assert!(plan.cross().count() > 0 && !plan.local().is_empty());
+    let expected = {
+        let mut table = problem.build_table().expect("blocks problem fits");
+        serial_sweep(&mut table, &PcmaxSpace::new(&configs));
+        table.values
+    };
+
     let report = sweep(
         900,
         64,
-        || {
-            (
-                kernel_sweep_values(3, CellKernel::Strip),
-                kernel_sweep_values(3, CellKernel::Scalar),
-            )
-        },
-        |seed, (strip, scalar)| {
+        || block_sweep_values(3),
+        |seed, values| {
             assert_eq!(
-                strip.as_slice(),
-                PAPER_TABLE,
-                "seed {seed}: strip kernel diverged from the sequential DP"
-            );
-            assert_eq!(
-                strip, scalar,
-                "seed {seed}: strip and scalar kernels disagree under exploration"
+                values, &expected,
+                "seed {seed}: block sweep diverged from the sequential DP"
             );
         },
     );
     assert_eq!(report.schedules, 64);
     assert!(
         report.races.is_empty(),
-        "strip kernel races found: {:?}",
+        "block sweep races found: {:?}",
         report.races
     );
     assert!(
         report.lock_cycles.is_empty() && report.lost_wakeups.is_empty(),
-        "strip kernel blocking findings: {:?} {:?}",
+        "block sweep blocking findings: {:?} {:?}",
         report.lock_cycles,
         report.lost_wakeups
     );
     assert!(report.max_threads > 1);
+    assert!(
+        report.distinct_histories > 1,
+        "seeds must explore more than one interleaving"
+    );
 }
 
 /// Non-increasing speed capacities for the Q replay: the fast machine takes
@@ -199,20 +217,20 @@ fn strip_kernel_is_race_free_and_matches_scalar_across_64_interleavings() {
 /// filter actually prunes transitions under exploration.
 const Q_CAPS: [u64; 2] = [30, 14];
 
-/// The bucketed sweep driven through the generalized `StateSpace` seam with
-/// capacity filtering, on a fresh level-major table.
+/// The block sweep driven through the generalized `StateSpace` seam with
+/// capacity filtering, on a fresh table.
 fn q_sweep_values(threads: usize) -> (Vec<u16>, DpScratch) {
     let problem = paper_problem();
     let mut scratch = DpScratch::new();
     let mut table = problem
-        .build_level_major_table_in(&mut scratch)
+        .build_table_in(&mut scratch)
         .expect("paper problem fits");
     let configs = problem.configs_with_offsets(&table);
     let sizes = table.sizes.clone();
     let space = QSpace::new(&configs, &sizes, &Q_CAPS);
     table.values[0] = 0;
     bucketed_sweep_space(&mut table, &space, threads, &mut scratch);
-    (table.values_row_major(), scratch)
+    (table.values, scratch)
 }
 
 #[test]
@@ -226,7 +244,7 @@ fn uniform_capacity_wavefront_is_race_free_across_64_interleavings() {
         let configs = problem.configs_with_offsets(&table);
         let sizes = table.sizes.clone();
         serial_sweep(&mut table, &QSpace::new(&configs, &sizes, &Q_CAPS));
-        table.values_row_major()
+        table.values
     };
     let total_parks = std::sync::atomic::AtomicU64::new(0);
     let report = sweep(

@@ -1,18 +1,19 @@
-//! Micro-benchmark for the batched wavefront **cell kernel**: DP cells per
-//! second of the bucketed sweep, isolated from table construction and
-//! witness extraction, across three kernel columns —
+//! Micro-benchmark for the wavefront's **block kernel**: DP cells per
+//! second of the production sweep, isolated from table construction and
+//! witness extraction, against the serial oracle on the same table:
 //!
-//! * `scalar` — the pre-batching per-cell kernel ([`CellKernel::Scalar`]),
-//! * `lane`   — the strip kernel pinned to the portable fixed-width lane
-//!   loops (`simd::force_portable(true)`),
-//! * `native` — the strip kernel under the widest ISA the CPU offers
-//!   (compile-time intrinsics or the runtime AVX2 trampoline; the JSON
+//! * `oracle` — the `IterativeDp` sweep (one ascending row-major pass), the
+//!   denominator,
+//! * `lane`   — the block sweep pinned to the baseline ISA
+//!   (`simd::force_portable(true)`),
+//! * `native` — the block sweep under the widest ISA the CPU offers (a
+//!   `-C target-feature` build or the runtime AVX2 trampoline; the JSON
 //!   records which via `isa`),
 //!
-//! each at 1/2/4 worker threads, over a `u100-m*-n*-eps*` grid whose
-//! largest case exceeds 10⁶ DP cells, so throughput is measured on tables
-//! large enough to time honestly. The 1/2/4-thread columns are also the
-//! pool's tracked scaling numbers; a case below the wavefront's serial
+//! the block sweeps at 1/2/4 worker threads, over a `u100-m*-n*-eps*` grid
+//! whose largest case exceeds 10⁶ DP cells, so throughput is measured on
+//! tables large enough to time honestly. The 1/2/4-thread columns are also
+//! the pool's tracked scaling numbers; a case below the wavefront's serial
 //! cutoff sweeps inline on the caller in every column.
 //!
 //! ```text
@@ -23,7 +24,7 @@
 //! * `--list`       — print each case's table size and exit (grid design aid).
 //! * `--json FILE`  — write measurements (tracked `BENCH_kernel.json`).
 //! * `--check FILE` — regression gate: fail if the single-threaded
-//!   native/scalar speedup regressed by more than 25% against `FILE` for
+//!   native/oracle speedup regressed by more than 25% against `FILE` for
 //!   any case, or if a 2- or 4-thread native sweep that ran on the pool
 //!   reached less than 75% of its case's 1-thread cells/s. Both rules
 //!   compare *ratios*, so they are machine-normalized. A sweep below the
@@ -33,17 +34,17 @@
 //!   fixed case, which sweeps inline, and the pinned 2.57 M-cell case,
 //!   which sweeps on the pool.
 //!
-//! Every timed sweep is checked bit-identical against the serial generic
-//! engine on the same rounded problem. The timings run in [`ROUNDS`]
-//! alternating rounds, and both rules gate on the median of the rounds' own
-//! ratios. The cells/s printed and written are the *median round*'s: the
-//! round whose 1-thread native/scalar ratio is that median, so a written
-//! `speedup` is native/scalar of its own 1-thread column.
+//! Every timed sweep is checked bit-identical against the oracle's table.
+//! The timings run in [`ROUNDS`] alternating rounds, and both rules gate on
+//! the median of the rounds' own ratios. The cells/s printed and written
+//! are the *median round*'s: the round whose 1-thread native/oracle ratio
+//! is that median, so a written `speedup` is native/oracle of its own
+//! columns.
 
 use pcmax_bench::timing::time_stable;
 use pcmax_core::json::{self, Value};
-use pcmax_parallel::wavefront::bucketed_sweep_space_with;
-use pcmax_parallel::{simd, CellKernel};
+use pcmax_parallel::simd;
+use pcmax_parallel::wavefront::bucketed_sweep_space;
 use pcmax_ptas::dp::{DpProblem, IterativeDp};
 use pcmax_ptas::space::{PcmaxSpace, SpaceEngine};
 use pcmax_ptas::table::DpScratch;
@@ -54,19 +55,19 @@ use std::process::ExitCode;
 /// Worker-thread columns; the last is the PR's acceptance point.
 const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
-/// Regression tolerance on the native/scalar speedup ratio, and on the
+/// Regression tolerance on the native/oracle speedup ratio, and on the
 /// multi-thread over 1-thread native throughput.
 const TOLERANCE: f64 = 0.25;
 
-/// Timing rounds per case. Each round times every kernel at every thread
-/// count once, back to back, so a slow spell of the host lands on both
-/// sides of one round's ratios instead of on one side of the comparison.
+/// Timing rounds per case. Each round times the oracle once and both block
+/// columns at every thread count once, back to back, so a slow spell of
+/// the host lands on both sides of one round's ratios instead of on one
+/// side of the comparison.
 const ROUNDS: usize = 5;
 
-/// Kernel indices into a round's cells/s triple.
-const SCALAR: usize = 0;
-const LANE: usize = 1;
-const NATIVE: usize = 2;
+/// Column indices into a round's cells/s pair.
+const LANE: usize = 0;
+const NATIVE: usize = 1;
 
 struct Case {
     name: &'static str,
@@ -114,8 +115,8 @@ const CASES: &[Case] = &[
 
 struct Column {
     threads: usize,
-    /// Scalar, lane and native cells/s, one triple per round.
-    rounds: Vec<[f64; 3]>,
+    /// Lane and native cells/s, one pair per round.
+    rounds: Vec<[f64; 2]>,
     /// The native sweep parked workers on the pool (it was above the
     /// serial cutoff and ran on more than one thread).
     pooled: bool,
@@ -129,8 +130,10 @@ fn median(mut ratios: Vec<f64>) -> f64 {
 struct Measurement {
     name: &'static str,
     cells: u64,
+    /// The oracle's cells/s, one per round.
+    oracle: Vec<f64>,
     columns: Vec<Column>,
-    /// The round whose 1-thread native/scalar ratio is the median over
+    /// The round whose 1-thread native/oracle ratio is the median over
     /// rounds; every column reports this round's cells/s.
     median_round: usize,
 }
@@ -141,21 +144,28 @@ impl Measurement {
         column.rounds[self.median_round][kernel]
     }
 
-    /// Native-over-scalar speedup at **one** thread in the median round —
+    /// The oracle's cells/s in the median round.
+    fn oracle_cells_per_sec(&self) -> f64 {
+        self.oracle[self.median_round]
+    }
+
+    /// Native-over-oracle speedup at **one** thread in the median round —
     /// the machine-normalized figure the `--check` gate compares.
-    /// Single-threaded deliberately: at higher thread counts the barrier and
-    /// park/wake costs are shared by both kernels and drown the ratio in
-    /// scheduler noise, while the pool's thread scaling has its own rule
-    /// (see [`check_scaling`]).
+    /// Single-threaded deliberately, like the oracle: the pool's thread
+    /// scaling has its own rule (see [`check_scaling`]).
     fn speedup(&self) -> f64 {
         let first = self.columns.first().expect("at least one thread count");
-        self.cells_per_sec(first, NATIVE) / self.cells_per_sec(first, SCALAR)
+        self.cells_per_sec(first, NATIVE) / self.oracle_cells_per_sec()
     }
 
     fn to_json(&self) -> Value {
         json::object(vec![
             ("case", Value::Str(self.name.to_string())),
             ("cells", Value::UInt(self.cells)),
+            (
+                "oracle_cells_per_sec",
+                Value::Float(self.oracle_cells_per_sec()),
+            ),
             (
                 "columns",
                 Value::Array(
@@ -164,10 +174,6 @@ impl Measurement {
                         .map(|c| {
                             json::object(vec![
                                 ("threads", Value::UInt(c.threads as u64)),
-                                (
-                                    "scalar_cells_per_sec",
-                                    Value::Float(self.cells_per_sec(c, SCALAR)),
-                                ),
                                 (
                                     "lane_cells_per_sec",
                                     Value::Float(self.cells_per_sec(c, LANE)),
@@ -199,38 +205,34 @@ fn rounded(case: &Case) -> DpProblem {
 fn measure(case: &Case, min_secs: f64) -> Measurement {
     let problem = rounded(case);
     let mut scratch = DpScratch::new();
-
-    // Reference values from the serial oracle, once.
-    let mut reference = problem.build_table().expect("guarded size");
-    let ref_configs = problem.configs_with_offsets(&reference);
-    IterativeDp.sweep(&mut reference, &PcmaxSpace::new(&ref_configs), &mut scratch);
-    let want = reference.values_row_major();
-    let cells = (reference.len - 1) as u64;
-
-    let mut table = problem
-        .build_level_major_table_in(&mut scratch)
-        .expect("guarded size");
+    let mut table = problem.build_table_in(&mut scratch).expect("guarded size");
     let configs = problem.configs_with_offsets(&table);
     let space = PcmaxSpace::new(&configs);
+    let cells = (table.len - 1) as u64;
 
-    // The sweep rewrites every cell, so re-sweeping the same table in place
-    // is sound — and it is exactly the kernel-only measurement we want.
-    // Returns cells/s and whether the sweeps parked on the pool.
-    let mut sweep = |threads: usize, kernel: CellKernel| -> (f64, bool) {
+    // Reference values from the oracle, once.
+    IterativeDp.sweep(&mut table, &space, &mut scratch);
+    let want = table.values.clone();
+
+    // Every sweep rewrites every cell but the seeded rank 0, so re-sweeping
+    // the same table in place is sound — and it is exactly the kernel-only
+    // measurement we want. `threads: None` times the oracle. Returns
+    // cells/s and whether the sweeps parked on the pool.
+    let mut sweep = |threads: Option<usize>| -> (f64, bool) {
         let parks = scratch.pool_parks;
-        let secs = time_stable(min_secs, || {
-            table.values[0] = 0;
-            bucketed_sweep_space_with(&mut table, &space, threads, &mut scratch, kernel);
+        let secs = time_stable(min_secs, || match threads {
+            None => IterativeDp.sweep(&mut table, &space, &mut scratch),
+            Some(threads) => bucketed_sweep_space(&mut table, &space, threads, &mut scratch),
         });
         assert_eq!(
-            table.values_row_major(),
-            want,
-            "{}: {kernel:?} kernel diverged from the serial engine",
+            table.values, want,
+            "{}: the sweep on {threads:?} threads diverged from the oracle",
             case.name
         );
         (cells as f64 / secs, scratch.pool_parks > parks)
     };
 
+    let mut oracle = Vec::with_capacity(ROUNDS);
     let mut columns: Vec<Column> = THREAD_COUNTS
         .iter()
         .map(|&threads| Column {
@@ -240,25 +242,26 @@ fn measure(case: &Case, min_secs: f64) -> Measurement {
         })
         .collect();
     for _ in 0..ROUNDS {
+        oracle.push(sweep(None).0);
         for column in &mut columns {
-            let (scalar, _) = sweep(column.threads, CellKernel::Scalar);
             simd::force_portable(true);
-            let (lane, _) = sweep(column.threads, CellKernel::Strip);
+            let (lane, _) = sweep(Some(column.threads));
             simd::force_portable(false);
-            let (native, pooled) = sweep(column.threads, CellKernel::Strip);
-            column.rounds.push([scalar, lane, native]);
+            let (native, pooled) = sweep(Some(column.threads));
+            column.rounds.push([lane, native]);
             column.pooled |= pooled;
         }
     }
 
     let one = &columns[0].rounds;
-    let speedup = |round: usize| one[round][NATIVE] / one[round][SCALAR];
+    let speedup = |round: usize| one[round][NATIVE] / oracle[round];
     let mut order: Vec<usize> = (0..ROUNDS).collect();
     order.sort_by(|&a, &b| speedup(a).total_cmp(&speedup(b)));
     Measurement {
         name: case.name,
         cells,
         median_round: order[ROUNDS / 2],
+        oracle,
         columns,
     }
 }
@@ -337,7 +340,7 @@ fn check_against(baseline: &Value, current: &[Measurement]) -> Result<(), String
         );
         if m.speedup() < floor {
             breaches.push(format!(
-                "{}: native/scalar speedup regressed to x{:.2} (baseline \
+                "{}: native/oracle speedup regressed to x{:.2} (baseline \
                  x{base_speedup:.2}, floor x{floor:.2})",
                 m.name,
                 m.speedup()
@@ -397,17 +400,21 @@ fn main() -> ExitCode {
     let mut results = Vec::new();
     for case in CASES.iter().filter(|c| !smoke || c.smoke) {
         let m = measure(case, min_secs);
-        println!("{:<24} {:>10} cells", m.name, m.cells);
+        println!(
+            "{:<24} {:>10} cells   oracle {:>12.0} cells/s",
+            m.name,
+            m.cells,
+            m.oracle_cells_per_sec()
+        );
         for c in &m.columns {
             println!(
-                "  {} threads: scalar {:>12.0}   lane {:>12.0}   native {:>12.0} cells/s",
+                "  {} threads: lane {:>12.0}   native {:>12.0} cells/s",
                 c.threads,
-                m.cells_per_sec(c, SCALAR),
                 m.cells_per_sec(c, LANE),
                 m.cells_per_sec(c, NATIVE)
             );
         }
-        println!("  native/scalar speedup at 1 thread: x{:.2}", m.speedup());
+        println!("  native/oracle speedup at 1 thread: x{:.2}", m.speedup());
         results.push(m);
     }
 

@@ -125,7 +125,9 @@ fn trace_writes_chrome_json_and_prints_the_summary() {
         "-m",
         "10",
         "-n",
-        "50",
+        "40",
+        "--eps",
+        "0.2",
         "--threads",
         "4",
         "--out",

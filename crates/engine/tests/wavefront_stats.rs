@@ -12,10 +12,11 @@ fn instance() -> Instance {
 
 #[test]
 fn parallel_ptas_reports_wavefront_counters() {
-    // At ε = 0.2 every probe table of this instance holds 4×10⁴–5×10⁴
-    // cell-transitions per level, above the wavefront's serial cutoff, so
-    // the pool really runs.
-    let inst = generate(Family::new(10, 30, Distribution::U1To100), 1);
+    // At ε = 0.2 this instance's one probe table (120,959 cells, 170
+    // transitions, 21 outer levels) holds about 10⁶ cell-transitions per
+    // outer level, above the wavefront's serial cutoff of 10⁵, so the pool
+    // really runs.
+    let inst = generate(Family::new(10, 40, Distribution::U1To100), 1);
     let params = SolverParams {
         epsilon: 0.2,
         threads: Some(4),
@@ -53,11 +54,12 @@ fn parallel_ptas_reports_wavefront_counters() {
 
 #[test]
 fn spec_ptas_takes_its_thread_count_from_construction() {
-    // `LB` 58 is infeasible here, so the search bisects on, and its
-    // 54,054-cell tables hold about 2×10⁴ cell-transitions per level, above
-    // the serial cutoff: a sweep allowed two workers would hold two kernel
-    // buffers. One thread means one buffer per probe arena at most.
-    let inst = lpt_adversarial(20, 1);
+    // `LB` 89 is infeasible here, so the search bisects on, and its
+    // 302,328–368,550-cell tables hold 1.2×10⁵–2.8×10⁵ cell-transitions per
+    // outer level, above the serial cutoff of 10⁵: a sweep allowed two
+    // workers would hold two kernel buffers. One thread means one buffer per
+    // probe arena at most.
+    let inst = lpt_adversarial(30, 2);
     let params = SolverParams {
         epsilon: 0.3,
         threads: Some(1),

@@ -11,9 +11,12 @@
 //! the same executor inline on the caller instead (a measured serial
 //! cutoff, see [`wavefront`]). The executor comes in two variants:
 //!
-//! * [`ParallelDp`] — the production sweep: a level-major table whose
-//!   levels are contiguous slices, split between workers and written in
-//!   place by the batched strip kernel,
+//! * [`ParallelDp`] — the production sweep: the row-major table is cut
+//!   into blocks of consecutive cells over its trailing classes, the
+//!   anti-diagonals run over the remaining outer classes, and each level's
+//!   blocks are split between workers and filled in place, one vector
+//!   `min` over a contiguous run per transition (a documented deviation
+//!   from the per-cell levels of the paper, DESIGN.md §2),
 //! * [`FaithfulDp`] — the paper-literal ablation: every level scans *all*
 //!   σ entries of a row-major table and filters `d_i = l`, exactly like
 //!   Lines 11–12 of Algorithm 3 (an ablation bench quantifies the cost of
@@ -35,7 +38,7 @@ pub mod sync;
 pub mod wavefront;
 
 pub use speculative::SpeculativePtas;
-pub use wavefront::{CellKernel, FaithfulDp, ParallelDp};
+pub use wavefront::{FaithfulDp, ParallelDp};
 
 use pcmax_core::{Result, SolveReport, SolveRequest, Solver};
 use pcmax_ptas::Ptas;

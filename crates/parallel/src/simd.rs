@@ -1,39 +1,27 @@
-//! Lane-parallel primitives of the batched wavefront cell kernel.
+//! ISA selection for the wavefront's block kernel.
 //!
-//! The strip kernel works on fixed-width `[u16; LANES]` / `[u32; LANES]`
-//! arrays — a "SWAR-style" portable shape the compiler autovectorizes at
-//! whatever ISA it targets. Three things live here:
+//! The kernel's inner loops are plain slice loops over `u16` runs (a masked
+//! OR, the space's batched step filter, a lane-wise `min`), which the
+//! compiler autovectorizes at whatever ISA it targets. Two things live here:
 //!
-//! * **Portable ops** ([`min_assign_u16`], [`saturating_add1_u16`],
-//!   [`accum_gt_mask_u32`]): plain fixed-width loops. These are the
-//!   fallback on every architecture and the only implementation the
-//!   correctness proofs reason about.
-//! * **Explicit intrinsics** behind `#[cfg(target_feature = "avx2")]`
-//!   (one 256-bit `vpminuw`/`vpaddusw`/`vpcmpgtd` per call) and
-//!   `#[cfg(target_feature = "neon")]` (two 128-bit halves). They are
-//!   drop-in replacements selected at *compile* time, e.g. by building
-//!   with `-C target-feature=+avx2`; the CI build matrix compiles both
-//!   ways so neither path rots.
 //! * **Runtime escalation** ([`dispatch`]): on x86-64 binaries compiled
-//!   without AVX2, the whole chunk kernel is re-entered through a
+//!   without AVX2, a whole chunk of blocks is re-entered through a
 //!   `#[target_feature(enable = "avx2")]` trampoline when the CPU reports
-//!   AVX2, letting LLVM widen the portable loops to 256-bit in that
-//!   monomorphization. The bench harness can pin the portable path with
-//!   [`force_portable`] to measure both from one binary.
+//!   AVX2, letting LLVM widen those loops to 256-bit vectors in that
+//!   monomorphization. A build with `-C target-feature=+avx2` widens them
+//!   statically instead; the CI build matrix compiles both ways.
+//! * **Reporting and pinning** ([`kernel_isa`], [`force_portable`]): the
+//!   bench harness records which ISA ran, and can pin the baseline codegen
+//!   to measure both from one binary.
 //!
-//! ## Sentinel semantics
-//!
-//! `INFEASIBLE = u16::MAX` must survive every lane op: unsigned `min`
-//! leaves it in place only when every candidate is infeasible, and the
-//! *saturating* `+1` maps `u16::MAX` to `u16::MAX` — infeasibility is
-//! absorbing through the whole strip pipeline, exactly like the scalar
-//! kernel's `best.saturating_add(1)`.
+//! `INFEASIBLE = u16::MAX` survives every lane op: an OR with a misfit mask
+//! yields it, unsigned `min` leaves it in place only when every candidate
+//! is infeasible, and the saturating `+1` maps it to itself.
 
-pub use pcmax_ptas::table::STRIP_LANES as LANES;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// When set, [`dispatch`] never escalates to a wider ISA — the bench
-/// harness uses this to measure the portable lane kernel on hardware that
+/// harness uses this to measure the baseline-ISA kernel on hardware that
 /// would otherwise auto-escalate. SeqCst: toggled a handful of times per
 /// process, never on the hot path (read once per chunk).
 static FORCE_PORTABLE: AtomicBool = AtomicBool::new(false);
@@ -48,10 +36,10 @@ pub fn portable_forced() -> bool {
     FORCE_PORTABLE.load(Ordering::SeqCst)
 }
 
-/// The ISA the strip kernel will actually run under [`dispatch`] right
+/// The ISA the block kernel will actually run under [`dispatch`] right
 /// now, for bench reporting: `"avx2-static"`/`"neon-static"` when the
-/// intrinsics were selected at compile time, `"avx2-dynamic"` when the
-/// runtime trampoline escalates, `"portable"` otherwise.
+/// build targets that ISA, `"avx2-dynamic"` when the runtime trampoline
+/// escalates, `"portable"` otherwise.
 pub fn kernel_isa() -> &'static str {
     #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
     {
@@ -79,7 +67,7 @@ pub fn kernel_isa() -> &'static str {
 }
 
 /// Runs `f` under the widest ISA available: a no-op wrapper when the
-/// intrinsics are compile-time selected (or nothing wider exists), a
+/// build targets the widest ISA already (or nothing wider exists), a
 /// `#[target_feature(enable = "avx2")]` trampoline when the CPU has AVX2
 /// but the binary was compiled without it. `f` is the *whole* per-chunk
 /// kernel, so the trampoline cost (one cached feature test and call) is
@@ -98,169 +86,17 @@ pub fn dispatch<F: FnOnce()>(f: F) {
 }
 
 /// The AVX2 trampoline: everything `#[inline(always)]`-reachable from `f`
-/// (the strip kernel and the portable ops below) is re-codegenned with
-/// AVX2 enabled, so the fixed-width loops widen to 256-bit vectors.
+/// (the block kernel's run loops) is re-codegenned with AVX2 enabled, so
+/// they widen to 256-bit vectors.
 #[cfg(all(target_arch = "x86_64", not(target_feature = "avx2")))]
 #[target_feature(enable = "avx2")]
 unsafe fn dispatch_avx2<F: FnOnce()>(f: F) {
     f()
 }
 
-/// `best[i] = min(best[i], lanes[i])` over one strip (unsigned).
-#[inline(always)]
-pub fn min_assign_u16(best: &mut [u16; LANES], lanes: &[u16; LANES]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    // SAFETY: `target_feature = "avx2"` is statically enabled for this cfg.
-    unsafe {
-        use std::arch::x86_64::*;
-        let b = _mm256_loadu_si256(best.as_ptr().cast());
-        let l = _mm256_loadu_si256(lanes.as_ptr().cast());
-        _mm256_storeu_si256(best.as_mut_ptr().cast(), _mm256_min_epu16(b, l));
-    }
-    #[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
-    // SAFETY: NEON is statically enabled for this cfg (aarch64 baseline).
-    unsafe {
-        use std::arch::aarch64::*;
-        for half in 0..2 {
-            let b = vld1q_u16(best.as_ptr().add(half * 8));
-            let l = vld1q_u16(lanes.as_ptr().add(half * 8));
-            vst1q_u16(best.as_mut_ptr().add(half * 8), vminq_u16(b, l));
-        }
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "avx2"),
-        all(target_arch = "aarch64", target_feature = "neon")
-    )))]
-    for (b, &l) in best.iter_mut().zip(lanes) {
-        *b = (*b).min(l);
-    }
-}
-
-/// `v[i] = v[i] saturating+ 1` over one strip — the `1 + min{…}` step.
-/// Saturation keeps `INFEASIBLE` absorbing.
-#[inline(always)]
-pub fn saturating_add1_u16(v: &mut [u16; LANES]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    // SAFETY: `target_feature = "avx2"` is statically enabled for this cfg.
-    unsafe {
-        use std::arch::x86_64::*;
-        let x = _mm256_loadu_si256(v.as_ptr().cast());
-        let one = _mm256_set1_epi16(1);
-        _mm256_storeu_si256(v.as_mut_ptr().cast(), _mm256_adds_epu16(x, one));
-    }
-    #[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
-    // SAFETY: NEON is statically enabled for this cfg (aarch64 baseline).
-    unsafe {
-        use std::arch::aarch64::*;
-        let one = vdupq_n_u16(1);
-        for half in 0..2 {
-            let x = vld1q_u16(v.as_ptr().add(half * 8));
-            vst1q_u16(v.as_mut_ptr().add(half * 8), vqaddq_u16(x, one));
-        }
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "avx2"),
-        all(target_arch = "aarch64", target_feature = "neon")
-    )))]
-    for lane in v.iter_mut() {
-        *lane = lane.saturating_add(1);
-    }
-}
-
-/// Accumulates the per-lane "does NOT fit" mask for one digit row:
-/// `mask[i] |= (needed > have[i])`. After folding every active class, a
-/// lane's mask is zero exactly when the transition fits that cell
-/// componentwise (`fits(c, v)`).
-///
-/// Digits are table radices (`count + 1 ≤ σ ≤ max_entries`), so the signed
-/// 32-bit compare the intrinsics use cannot misorder them — asserted once
-/// per sweep by the strip kernel.
-#[inline(always)]
-pub fn accum_gt_mask_u32(mask: &mut [u32; LANES], needed: u32, have: &[u32; LANES]) {
-    #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-    // SAFETY: `target_feature = "avx2"` is statically enabled for this cfg.
-    unsafe {
-        use std::arch::x86_64::*;
-        let n = _mm256_set1_epi32(needed as i32);
-        for half in 0..2 {
-            let h = _mm256_loadu_si256(have.as_ptr().add(half * 8).cast());
-            let m = _mm256_loadu_si256(mask.as_ptr().add(half * 8).cast());
-            let gt = _mm256_cmpgt_epi32(n, h);
-            _mm256_storeu_si256(
-                mask.as_mut_ptr().add(half * 8).cast(),
-                _mm256_or_si256(m, gt),
-            );
-        }
-    }
-    #[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
-    // SAFETY: NEON is statically enabled for this cfg (aarch64 baseline).
-    unsafe {
-        use std::arch::aarch64::*;
-        let n = vdupq_n_u32(needed);
-        for quarter in 0..4 {
-            let h = vld1q_u32(have.as_ptr().add(quarter * 4));
-            let m = vld1q_u32(mask.as_ptr().add(quarter * 4));
-            vst1q_u32(
-                mask.as_mut_ptr().add(quarter * 4),
-                vorrq_u32(m, vcgtq_u32(n, h)),
-            );
-        }
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "avx2"),
-        all(target_arch = "aarch64", target_feature = "neon")
-    )))]
-    for (m, &h) in mask.iter_mut().zip(have) {
-        *m |= u32::from(needed > h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn min_assign_is_lanewise_unsigned_min() {
-        let mut best = [u16::MAX; LANES];
-        let mut lanes = [0u16; LANES];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = (i as u16) * 1000;
-        }
-        min_assign_u16(&mut best, &lanes);
-        assert_eq!(best, lanes);
-        // INFEASIBLE candidates never lower a finite best.
-        let infeasible = [u16::MAX; LANES];
-        min_assign_u16(&mut best, &infeasible);
-        assert_eq!(best, lanes);
-    }
-
-    #[test]
-    fn saturating_add_keeps_infeasible_absorbing() {
-        let mut v = [u16::MAX; LANES];
-        v[0] = 0;
-        v[1] = 41;
-        v[2] = u16::MAX - 1;
-        saturating_add1_u16(&mut v);
-        assert_eq!(v[0], 1);
-        assert_eq!(v[1], 42);
-        assert_eq!(v[2], u16::MAX);
-        assert!(v[3..].iter().all(|&x| x == u16::MAX), "MAX saturates");
-    }
-
-    #[test]
-    fn gt_mask_accumulates_per_class_misfits() {
-        let mut mask = [0u32; LANES];
-        let mut have = [5u32; LANES];
-        have[3] = 1;
-        have[7] = 0;
-        accum_gt_mask_u32(&mut mask, 2, &have);
-        for (i, &m) in mask.iter().enumerate() {
-            assert_eq!(m != 0, i == 3 || i == 7, "lane {i}");
-        }
-        // A later fitting class never clears an earlier misfit.
-        accum_gt_mask_u32(&mut mask, 0, &have);
-        assert!(mask[3] != 0 && mask[7] != 0);
-    }
 
     #[test]
     fn dispatch_runs_the_closure_exactly_once() {
@@ -272,8 +108,8 @@ mod tests {
         let mut ran = 0;
         dispatch(|| ran += 1);
         assert_eq!(ran, 1);
-        // Forcing portable suppresses *runtime* escalation only; intrinsics
-        // selected at compile time (a `-C target-feature` build) remain.
+        // Forcing portable suppresses *runtime* escalation only; an ISA
+        // selected at compile time (a `-C target-feature` build) remains.
         let isa = kernel_isa();
         assert!(
             isa == "portable" || isa.ends_with("-static"),

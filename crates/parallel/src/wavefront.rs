@@ -5,46 +5,27 @@
 //!
 //! [`ParallelDp`] is the one production executor and the zero-allocation
 //! hot path of this crate: a [`crate::persistent`] worker pool spawned once
-//! per sweep, a level-major table (each level one contiguous slice, see
-//! `pcmax_ptas::LevelLayout`) so the scatter is a **parallel in-place
-//! write** over disjoint sub-slices, the batched strip kernel, and an
-//! incremental in-level decode (`next_in_level`) so no per-cell `Vec` is
-//! ever allocated. [`FaithfulDp`] is the paper-literal ablation on the same
-//! pool: every level scans all σ entries of a row-major table. Both sweep
-//! tables too small to pay for the pool inline on the caller (see
-//! [`sweep_workers`]).
+//! per sweep over a row-major table cut into blocks (see
+//! `pcmax_ptas::BlockPlan`). The trailing classes of the table fold into
+//! blocks of consecutive cells; the wavefront runs over the anti-diagonal
+//! levels of the remaining *outer* classes, one worker fills each block,
+//! and every transition is one masked vector `min` over a contiguous run
+//! or, inside a block, one step of an ascending pass. [`FaithfulDp`] is
+//! the paper-literal ablation on the same pool: every level scans all σ
+//! entries of the table. Both sweep tables too small to pay for the pool
+//! inline on the caller (see [`sweep_workers`]).
 
 use crate::{persistent, simd, sync};
-use pcmax_ptas::config::Config;
 use pcmax_ptas::dp::fits;
-use pcmax_ptas::space::{serial_sweep, SpaceEngine, StateSpace};
-use pcmax_ptas::table::{
-    decode_into, next_in_level, strip_digits, DpScratch, DpTable, KernelScratch, INFEASIBLE,
-    STRIP_LANES,
-};
+use pcmax_ptas::space::{SpaceEngine, StateSpace};
+use pcmax_ptas::table::{decode_into, BlockPlan, DpScratch, DpTable, KernelScratch, INFEASIBLE};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How the bucketed sweep computes the cells of one worker chunk. The
-/// production sweep always runs `Strip`; `Scalar` survives as the kernel
-/// bench's denominator and the equivalence proptests' reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellKernel {
-    /// The batched lane-parallel kernel: cells are advanced a strip of
-    /// [`STRIP_LANES`] at a time, strips are grouped into L1-sized tiles,
-    /// and the min-reduction runs over packed `u16` lanes (see
-    /// [`strip_chunk`] and [`crate::simd`]). Bit-identical to `Scalar`.
-    Strip,
-    /// One cell at a time — the pre-batching kernel.
-    Scalar,
-}
-
-/// The production wavefront DP: the persistent-pool sweep over a
-/// level-major table, with the strip kernel and adaptive chunking (see
-/// [`bucketed_sweep_space`]).
+/// The production wavefront DP: the persistent-pool block sweep over a
+/// row-major table, with adaptive chunking (see [`bucketed_sweep_space`]).
 ///
-/// Produces bit-identical tables to `pcmax_ptas::IterativeDp` (compare via
-/// `DpTable::values_row_major`).
+/// Produces bit-identical tables to `pcmax_ptas::IterativeDp`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ParallelDp {
     /// Most worker threads a sweep may use; `None` = all available cores.
@@ -66,13 +47,7 @@ impl SpaceEngine for ParallelDp {
         "dp-parallel"
     }
 
-    fn level_major(&self) -> bool {
-        true
-    }
-
     fn sweep<S: StateSpace>(&self, table: &mut DpTable, space: &S, scratch: &mut DpScratch) {
-        // Rank 0 is the sole level-0 entry, stored at position 0 in the
-        // level-major layout too, so this seed write needs no translation.
         table.values[0] = 0;
         let threads = crate::effective_threads(self.threads);
         bucketed_sweep_space(table, space, threads, scratch);
@@ -114,11 +89,14 @@ impl SpaceEngine for FaithfulDp {
 }
 
 /// A `Sync` view of one DP value cell, used for the in-place parallel
-/// scatter. Safety rests on the wavefront protocol, not on this type:
-/// within a level every position is written by exactly one worker (the
-/// workers' chunks are disjoint), and reads only target positions of
-/// strictly lower levels, sealed by the pool's barrier — so no location is
-/// ever accessed concurrently with a write.
+/// scatter. Safety rests on the wavefront protocol, not on this type.
+/// [`ParallelDp`] writes whole blocks: within an outer level every block is
+/// filled by exactly one worker (the workers' block ranges are disjoint),
+/// its cross reads target blocks of strictly lower outer levels, sealed by
+/// the pool's barrier, and its local reads target earlier cells of the
+/// block its own worker is filling. [`FaithfulDp`] writes single cells of
+/// its private slice and reads strictly lower levels. Either way no
+/// location is ever accessed concurrently with a write.
 #[repr(transparent)]
 struct SyncCell(UnsafeCell<u16>);
 
@@ -151,6 +129,33 @@ fn shared_cells(values: &mut [u16]) -> &[SyncCell] {
     // SAFETY: `SyncCell` is `repr(transparent)` over `UnsafeCell<u16>`,
     // which has the layout of `u16`; length and provenance are preserved.
     unsafe { &*(values as *mut [u16] as *const [SyncCell]) }
+}
+
+/// The cells `start..start + len` as plain values.
+///
+/// # Safety
+/// No write to these cells may happen while the returned slice lives: they
+/// must lie in a block of a barrier-sealed outer level.
+#[inline(always)]
+unsafe fn sealed_run(cells: &[SyncCell], start: usize, len: usize) -> &[u16] {
+    let run = &cells[start..start + len];
+    // SAFETY: `run` covers exactly `len` cells of `u16` layout, and the
+    // caller guarantees no concurrent write for the slice's lifetime.
+    unsafe { std::slice::from_raw_parts(UnsafeCell::raw_get(run.as_ptr().cast()), len) }
+}
+
+/// The cells `start..start + len` as the caller's own block.
+///
+/// # Safety
+/// The caller must be the only thread to access these cells while the
+/// returned slice lives: they must be the block it was assigned.
+#[inline(always)]
+#[allow(clippy::mut_from_ref)]
+unsafe fn owned_block(cells: &[SyncCell], start: usize, len: usize) -> &mut [u16] {
+    let run = &cells[start..start + len];
+    // SAFETY: `run` covers exactly `len` cells of `u16` layout behind
+    // `UnsafeCell`s, and the caller guarantees exclusive access.
+    unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(run.as_ptr().cast()), len) }
 }
 
 /// The trace-driven chunk autotuner: replaces the fixed `len.div_ceil(n)`
@@ -201,9 +206,7 @@ impl ChunkPlanner {
         }
     }
 
-    /// Worker `w`'s half-open cell range within a level of `len` cells.
-    /// Interior boundaries are aligned down to whole strips so only the
-    /// level's last strip can be ragged under the strip kernel.
+    /// Worker `w`'s half-open range of the `len` blocks of a level.
     fn bounds(&self, w: usize, level: u32, len: usize) -> (usize, usize) {
         if !self.adaptive {
             let chunk = len.div_ceil(self.n);
@@ -225,7 +228,7 @@ impl ChunkPlanner {
             let end = if i + 1 == self.n {
                 len
             } else {
-                ((prorated / STRIP_LANES) * STRIP_LANES).clamp(start, len)
+                prorated.clamp(start, len)
             };
             if i == w {
                 return (start, end);
@@ -260,24 +263,24 @@ impl ChunkPlanner {
 /// Cell-transitions per swept level below which a sweep runs inline on the
 /// caller instead of on the pool. Every pooled level pays a fixed release
 /// and barrier (about 20 µs on a 2-vCPU host) however few cells it holds,
-/// plus one spawn per sweep. Sweeping 260 U(1,100) probe tables at 1 and 2
-/// threads on that host, 2 threads won on 3 of the 174 tables below 5×10³
-/// (by at most ×0.81) and on all 58 above 1.5×10⁴; between the two the
-/// repeated runs disagreed (EXPERIMENTS.md, "Serial cutoff"). Under
+/// plus one spawn per sweep. Sweeping 275 U(1,100) probe tables at 1 and 2
+/// threads on that host, twice, 2 threads won on 2–3 of the 241 tables
+/// below 10⁵ per outer level (none below 5×10⁴) and on 30–32 of the 34 at
+/// or above it (EXPERIMENTS.md, "Serial cutoff"). Under
 /// `feature = "audit"` it is 0, as `ChunkPlanner` pins static chunking
 /// there: the race and DPOR suites keep exploring the pool on their tiny
 /// tables, and the inline path has no second thread to interleave.
-const POOL_MIN_WORK_PER_LEVEL: u64 = if cfg!(feature = "audit") { 0 } else { 10_000 };
+const POOL_MIN_WORK_PER_LEVEL: u64 = if cfg!(feature = "audit") { 0 } else { 100_000 };
 
-/// Workers a sweep runs on: `threads` when the table's work per level —
-/// `cells × transitions ÷ swept levels` — reaches
+/// Workers a sweep runs on: `threads` when the table's work per swept
+/// level — `cells × transitions ÷ swept` — reaches
 /// [`POOL_MIN_WORK_PER_LEVEL`], otherwise 1, which sweeps on the caller
 /// through `persistent::run_levels`' one-state path (no spawn, no barrier,
 /// one `KernelScratch`). Decided once per table, not per level: the spawn
 /// is paid per sweep whichever levels use the pool, so a per-level test
 /// could only drop the barriers of a pooled sweep's narrow edge levels.
-fn sweep_workers(threads: usize, cells: usize, transitions: usize, levels: u32) -> usize {
-    let swept = u64::from(levels.saturating_sub(1).max(1));
+fn sweep_workers(threads: usize, cells: usize, transitions: usize, swept: u32) -> usize {
+    let swept = u64::from(swept.max(1));
     let work = (cells as u64).saturating_mul(transitions as u64);
     // `⌊work ÷ swept⌋ < MIN` exactly, multiplied out: the product is not a
     // constant, so the audit build's MIN = 0 is no always-false comparison.
@@ -288,85 +291,64 @@ fn sweep_workers(threads: usize, cells: usize, transitions: usize, levels: u32) 
     }
 }
 
-/// Cells per tile for a `k`-class table: sized so a tile's transposed digit
-/// block (`4·k` bytes per cell) fills about half a typical L1d (16 KiB),
-/// rounded to whole strips and clamped to `[STRIP_LANES, 1024]` so the
-/// per-tile `ranks`/`best` stay resident too. Each transition's predecessor
-/// gather then revisits a window that was touched at most one tile ago.
-fn tile_cells_for(k: usize) -> usize {
-    const L1_BUDGET_BYTES: usize = 16 << 10;
-    let cells = L1_BUDGET_BYTES / (4 * k.max(1));
-    ((cells / STRIP_LANES) * STRIP_LANES).clamp(STRIP_LANES, 1024)
+/// Fewest cells a block of a `len`-cell table should hold: a 1/4096 share
+/// of the table, clamped to `[16, 128]`. Sixteen cells fill one AVX2
+/// register of `u16`, so even the smallest block's runs are whole vectors;
+/// past 128 a block's runs no longer gain, while each outer level holds
+/// fewer blocks to split between workers. Under `feature = "audit"` it is a
+/// 1/8 share clamped to `[1, 4]`: the race and DPOR suites' tiny tables
+/// keep outer levels of two or more blocks, and tables of 16 cells or more
+/// still fold multi-cell blocks. Public so tests can build the plan a sweep
+/// builds.
+pub fn min_block_cells(len: usize) -> usize {
+    if cfg!(feature = "audit") {
+        (len / 8).clamp(1, 4)
+    } else {
+        (len / 4096).clamp(16, 128)
+    }
 }
 
-/// The zero-allocation persistent-pool sweep over a level-major table, with
-/// the strip kernel and adaptive chunking — the production sweep. It runs
-/// on at most `threads` workers: a table below the serial cutoff (see
+/// The zero-allocation persistent-pool block sweep over a row-major table,
+/// with adaptive chunking — the production sweep. It runs on at most
+/// `threads` workers: a table below the serial cutoff (see
 /// [`sweep_workers`]) is swept inline on the caller.
 ///
-/// Each level `l` is the contiguous slice `starts[l]..starts[l+1]`; workers
-/// split it into disjoint chunks and write results **in place** (no results
-/// `Vec`, no sequential copy). The cell kernel decodes only its chunk's
-/// first vector, then walks the level with the bounded-composition
-/// successor [`next_in_level`] — no per-cell heap allocation; the only
-/// buffers are the per-worker [`KernelScratch`] sets accounted by
-/// `DpScratch::kernel_allocs`. Reads translate row-major ranks through the
-/// layout's permutation and target strictly lower (barrier-sealed) levels.
-/// The space's `step_allowed` filter is applied between the barrier-sealed
-/// read and the min-reduce; on `PcmaxSpace` it is the always-true default
-/// and the sweep monomorphizes back to the identical-machine kernel.
+/// The table's [`BlockPlan`] groups its blocks by outer level. Each outer
+/// level is one release of the pool: the workers split its blocks into
+/// disjoint runs and fill them **in place** (see [`fill_block`]). Every
+/// cross read lands on a strictly lower outer level, sealed by the barrier,
+/// and every local read on an earlier cell of the worker's own block. The
+/// only buffers are the plan's and the per-worker [`KernelScratch`] sets,
+/// both recycled through `scratch` and the latter accounted by
+/// `DpScratch::kernel_allocs`. The space's step filter is applied to every
+/// predecessor value before the min-reduce; on `PcmaxSpace` it is the
+/// always-true default and the sweep monomorphizes back to the
+/// identical-machine kernel.
+///
+/// Expects `table.values[0]` seeded to 0 and leaves it so; every other
+/// cell is overwritten, so sweeping a filled table again is sound.
 ///
 /// Public so the `pcmax-audit` interleaving suite can drive the sweep on a
 /// caller-owned table and compare the filled values bit-for-bit against the
-/// sequential DP under many explored schedules. Falls back to
-/// [`serial_sweep`] when `table` is not level-major (results are identical
-/// either way).
+/// sequential DP under many explored schedules.
+///
+/// On a kernel panic the pool winds down, the plan and every worker's
+/// [`KernelScratch`] are returned to `scratch` first, and only then is the
+/// payload re-raised — a poisoned solve cannot leak scratch into fresh
+/// allocations on the next probe (`DpScratch::take_kernel_bufs` asserts it).
 pub fn bucketed_sweep_space<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
     threads: usize,
     scratch: &mut DpScratch,
 ) {
-    bucketed_sweep_space_with(table, space, threads, scratch, CellKernel::Strip)
-}
-
-/// [`bucketed_sweep_space`] with an explicit cell kernel (the kernel bench
-/// and the equivalence proptests compare both; results are identical).
-///
-/// On a kernel panic the pool winds down, every worker's [`KernelScratch`]
-/// is returned to `scratch` first, and only then is the payload re-raised —
-/// a poisoned solve cannot leak scratch into fresh allocations on the next
-/// probe (`DpScratch::take_kernel_bufs` asserts it).
-pub fn bucketed_sweep_space_with<S: StateSpace>(
-    table: &mut DpTable,
-    space: &S,
-    threads: usize,
-    scratch: &mut DpScratch,
-    cell_kernel: CellKernel,
-) {
-    let Some(layout) = table.layout.as_ref() else {
-        serial_sweep(table, space);
-        scratch.levels_swept += table.levels().saturating_sub(1) as u64;
-        scratch.cells_computed += (table.len - 1) as u64;
-        return;
-    };
     let transitions = space.transitions();
-    let levels = table.levels();
-    let n = sweep_workers(threads, table.len - 1, transitions.len(), levels);
+    let plan = scratch.take_plan(table, transitions, min_block_cells(table.len));
+    let swept_levels = table.levels().saturating_sub(1);
+    let cells_computed = table.len - 1;
+    let n = sweep_workers(threads, cells_computed, transitions.len(), plan.levels());
     let states = scratch.take_kernel_bufs(n);
-    let strides = &table.strides;
-    let dims = &table.dims;
-    let k = dims.len();
-    // The intrinsic fit compare is a signed 32-bit `>`; radices are job
-    // counts + 1, bounded by the table size, so this can only fire on an
-    // absurd hand-built table — checked once instead of trusted per lane.
-    assert!(
-        dims.iter().all(|&d| d < 1 << 31),
-        "radix overflows the lane compare"
-    );
-    let tile_cells = tile_cells_for(k);
-    let perm = layout.perm();
-    let inv = layout.inv();
+    let block = plan.block();
     let cells = shared_cells(&mut table.values);
     let planner = &ChunkPlanner::new(n);
     // Per-worker busy counters resolved once per sweep: `with_label` takes
@@ -377,78 +359,52 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
             .collect::<Vec<_>>()
     });
     let busy = &busy;
+    let plan_ref = &plan;
 
     let kernel = |w: usize, level: u32, kb: &mut KernelScratch| {
-        let span = layout.level_span(level);
-        let (clo, chi) = planner.bounds(w, level, span.len());
-        let lo = span.start + clo;
-        let hi = span.start + chi;
+        let span = plan_ref.level_span(level);
+        let (lo, hi) = planner.bounds(w, level, span.len());
         if lo >= hi {
             return;
         }
-        pcmax_trace::chunk_decision(w as u64, (hi - lo) as u64);
-        crate::metrics::CHUNK_CELLS.observe((hi - lo) as u64);
+        let chunk_cells = ((hi - lo) * block) as u64;
+        pcmax_trace::chunk_decision(w as u64, chunk_cells);
+        crate::metrics::CHUNK_CELLS.observe(chunk_cells);
         // Chunk span and chunk-size observation only — no trace or metric
-        // hooks inside the cell loops below (enforced by the audit lint's
-        // trace-hot rule).
+        // hooks inside the block loop below or in `fill_block` (enforced by
+        // the audit lint's trace-hot rule).
         let _chunk_span = pcmax_trace::span("chunk", w as u64);
         let t0 = (planner.adaptive || busy.is_some()).then(std::time::Instant::now);
-        match cell_kernel {
-            CellKernel::Strip => {
-                kb.prepare(k, tile_cells);
-                // One ISA dispatch per chunk: on an AVX2 CPU running a
-                // baseline build, the whole tile walk re-enters through the
-                // `target_feature` trampoline and the lane loops widen.
-                simd::dispatch(|| {
-                    strip_chunk(
-                        space,
-                        transitions,
-                        cells,
-                        kb,
-                        dims,
-                        strides,
-                        perm,
-                        inv,
-                        tile_cells,
-                        span.start,
-                        lo,
-                        hi,
-                    )
-                });
+        kb.prepare(block);
+        // One ISA dispatch per chunk: on an AVX2 CPU running a baseline
+        // build, every block fill re-enters through the `target_feature`
+        // trampoline and the run loops widen.
+        simd::dispatch(|| {
+            for at in span.start + lo..span.start + hi {
+                fill_block(space, plan_ref, cells, at, kb);
             }
-            CellKernel::Scalar => scalar_chunk(
-                space,
-                transitions,
-                cells,
-                &mut kb.digits,
-                dims,
-                strides,
-                perm,
-                inv,
-                span.start,
-                lo,
-                hi,
-            ),
-        }
+        });
         if let Some(t0) = t0 {
             let nanos = t0.elapsed().as_nanos() as u64;
             if let Some(busy) = busy {
                 busy[w].inc_by(nanos);
             }
             if planner.adaptive {
-                planner.record(w, level, hi - lo, nanos);
+                planner.record(w, level, (hi - lo) * block, nanos);
             }
         }
     };
 
     let sweep_start = std::time::Instant::now();
-    let (states, counters, panicked) = persistent::run_levels_catching(states, 1..levels, kernel);
+    let (states, counters, panicked) =
+        persistent::run_levels_catching(states, 0..plan.levels(), kernel);
     // Busy-fraction denominator: each of the n workers could at most have
     // been busy for the whole sweep extent.
     crate::metrics::POOL_EXTENT_NANOS.inc_by(sweep_start.elapsed().as_nanos() as u64 * n as u64);
     scratch.return_kernel_bufs(states);
-    scratch.levels_swept += levels.saturating_sub(1) as u64;
-    scratch.cells_computed += (table.len - 1) as u64;
+    scratch.return_plan(plan);
+    scratch.levels_swept += u64::from(swept_levels);
+    scratch.cells_computed += cells_computed as u64;
     scratch.pool_parks += counters.parks;
     scratch.pool_wakes += counters.wakes;
     if let Some(payload) = panicked {
@@ -458,209 +414,77 @@ pub fn bucketed_sweep_space_with<S: StateSpace>(
     }
 }
 
-/// The pre-batching per-cell kernel over one chunk: one decode at the chunk
-/// head, the incremental [`next_in_level`] walk, and a scalar min-reduce
-/// per cell.
-#[allow(clippy::too_many_arguments)]
-fn scalar_chunk<S: StateSpace>(
+/// Fills the block at position `at` of the plan's order, in place.
+///
+/// 1. **Cross steps.** Each cross step whose outer digits fit the block's
+///    reads one contiguous run of block `r − back`, ORs in its fit mask
+///    (a misfit becomes [`INFEASIBLE`], the identity of `min`), applies the
+///    space's batched step filter and folds the run into the block's
+///    running minima — one branch-free vector pass per step.
+/// 2. **Local steps**, in one ascending pass: each cell lowers its minimum
+///    with the local steps that fit it, reading earlier cells of this block
+///    (already final), and is written as minimum + 1, saturating so
+///    `INFEASIBLE` stays absorbing. Rank 0 keeps its seeded 0.
+///
+/// Bit-identity with the serial sweep: a step contributes to a cell exactly
+/// when its digits fit the cell's and the filter allows the predecessor
+/// value, and `min` is order-independent, so every cell takes the minimum
+/// over the predecessor set `IterativeDp` takes it over.
+#[inline(always)]
+fn fill_block<S: StateSpace>(
     space: &S,
-    transitions: &[(Config, usize)],
+    plan: &BlockPlan,
     cells: &[SyncCell],
-    digits: &mut Vec<u32>,
-    dims: &[u32],
-    strides: &[usize],
-    perm: &[u32],
-    inv: &[u32],
-    span_start: usize,
-    lo: usize,
-    hi: usize,
+    at: usize,
+    kb: &mut KernelScratch,
 ) {
-    // One decode per chunk; every later cell advances incrementally.
-    decode_into(inv[lo] as usize, strides, digits);
-    for p in lo..hi {
-        let rank = inv[p] as usize;
-        debug_assert_eq!(
-            digits
-                .iter()
-                .zip(strides)
-                .map(|(&d, &s)| d as usize * s)
-                .sum::<usize>(),
-            rank,
-            "incremental in-level decode diverged from the layout"
-        );
-        let mut best = INFEASIBLE;
-        for (t_idx, (c, offset)) in transitions.iter().enumerate() {
-            if fits(c, digits) {
-                let src = perm[rank - offset] as usize;
-                debug_assert!(
-                    *offset > 0 && src < span_start,
-                    "wavefront read {src} must lie strictly below the level slice"
-                );
-                sync::trace_read(src);
-                // SAFETY: `src` is below this level's slice, hence on a
-                // level sealed by the pool barrier — no concurrent write.
-                let below = unsafe { cells[src].get() };
-                if space.step_allowed(t_idx, below) {
+    let block = plan.block();
+    let r = plan.order()[at] as usize;
+    let base = r * block;
+    let outer = plan.outer_digits(at);
+    let KernelScratch { acc, lanes } = kb;
+    let acc = &mut acc[..block];
+    acc.fill(INFEASIBLE);
+    for (step, need) in plan.cross() {
+        if !fits(need, outer) {
+            continue;
+        }
+        // Cell `p ≥ low` of this block reads rank `r·B + p − offset`: cell
+        // `p − low` of block `r − back`.
+        let src = (r - step.back) * block;
+        let run = block - step.low;
+        // SAFETY: the step's outer digits fit this block's, so block
+        // `r − back` has the outer digits of this one minus the step's: a
+        // strictly lower outer level, sealed by the pool barrier.
+        let below = unsafe { sealed_run(cells, src, run) };
+        let lanes = &mut lanes[..run];
+        let mask = &plan.mask(step)[step.low..];
+        for (i, ((lane, &value), &misfit)) in lanes.iter_mut().zip(below).zip(mask).enumerate() {
+            sync::trace_read(src + i);
+            *lane = value | misfit;
+        }
+        space.value_of_batch(step.t_idx, lanes);
+        for (best, &lane) in acc[step.low..].iter_mut().zip(lanes.iter()) {
+            *best = (*best).min(lane);
+        }
+    }
+    // SAFETY: this worker's run of the level holds block `r`, and the runs
+    // are disjoint — the unique-writer precondition; no other worker reads
+    // a block of the level being filled.
+    let out = unsafe { owned_block(cells, base, block) };
+    for p in usize::from(r == 0)..block {
+        let mut best = acc[p];
+        for step in plan.local() {
+            if plan.mask(step)[p] == 0 {
+                sync::trace_read(base + p - step.low);
+                let below = out[p - step.low];
+                if space.step_allowed(step.t_idx, below) {
                     best = best.min(below);
                 }
             }
         }
-        sync::trace_write(p);
-        // SAFETY: `p` lies in this worker's private chunk of the level
-        // slice — the unique writer precondition.
-        unsafe { cells[p].set(best.saturating_add(1)) };
-        if p + 1 < hi {
-            let advanced = next_in_level(digits, dims);
-            debug_assert!(advanced, "level slice ended before the chunk did");
-        }
-    }
-}
-
-/// Fixed-width view of one strip row of the scratch buffers.
-#[inline(always)]
-fn strip_row<T>(row: &[T]) -> &[T; STRIP_LANES] {
-    // audit:allow(unwrap): a strip row is exactly STRIP_LANES elements by construction.
-    row.try_into().expect("strip row")
-}
-
-/// Mutable fixed-width view of one strip row of the scratch buffers.
-#[inline(always)]
-fn strip_row_mut<T>(row: &mut [T]) -> &mut [T; STRIP_LANES] {
-    // audit:allow(unwrap): a strip row is exactly STRIP_LANES elements by construction.
-    row.try_into().expect("strip row")
-}
-
-/// The batched lane-parallel kernel over one chunk.
-///
-/// Cells are walked in strips of [`STRIP_LANES`] and strips are grouped
-/// into L1-sized tiles (see [`tile_cells_for`]). Per tile:
-///
-/// 1. **record** — advance the mixed-radix walk a strip at a time
-///    ([`strip_digits`]), transposing digits class-major into the block so
-///    a transition's fit check is one lane-parallel compare per class;
-///    stash each cell's row-major rank. Ragged final strips are padded
-///    with all-zero digit lanes — no (nonzero) transition fits them, so
-///    the mask keeps padding out of every gather.
-/// 2. **reduce** — transitions outermost, then strips: accumulate the
-///    per-lane misfit mask ([`simd::accum_gt_mask_u32`]), gather the
-///    barrier-sealed predecessor values for the surviving lanes, apply the
-///    space's batched step filter, and fold with a lane-parallel min.
-///    Keeping the transition outermost means its predecessor window (one
-///    fixed offset below the tile) is revisited while cache-resident.
-/// 3. **write back** — saturating `+1` per lane (INFEASIBLE stays
-///    absorbing) and an in-place scatter of the real (unpadded) lanes.
-///
-/// Bit-identity with [`scalar_chunk`]: a lane contributes `below` exactly
-/// when the componentwise fit passes and the step filter allows it —
-/// otherwise it contributes `INFEASIBLE`, the identity of `min` — and the
-/// fold preserves the transition order, so every cell sees the same
-/// min-reduction the scalar kernel computes.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn strip_chunk<S: StateSpace>(
-    space: &S,
-    transitions: &[(Config, usize)],
-    cells: &[SyncCell],
-    kb: &mut KernelScratch,
-    dims: &[u32],
-    strides: &[usize],
-    perm: &[u32],
-    inv: &[u32],
-    tile_cells: usize,
-    span_start: usize,
-    lo: usize,
-    hi: usize,
-) {
-    const W: usize = STRIP_LANES;
-    let k = dims.len();
-    let KernelScratch {
-        digits,
-        block,
-        ranks,
-        best,
-    } = kb;
-    decode_into(inv[lo] as usize, strides, digits);
-    debug_assert_eq!(digits.len(), k, "decode_into yields one digit per class");
-    let mut p = lo;
-    while p < hi {
-        let tile_end = (p + tile_cells).min(hi);
-        let strips = (tile_end - p).div_ceil(W);
-        for s in 0..strips {
-            let first = p + s * W;
-            let width = W.min(tile_end - first);
-            let sb = &mut block[s * k * W..(s + 1) * k * W];
-            let contiguous = strip_digits(digits, dims, sb, width);
-            debug_assert!(contiguous, "level slice ended before the strip did");
-            debug_assert_eq!(
-                (0..k)
-                    .map(|a| sb[a * W] as usize * strides[a])
-                    .sum::<usize>(),
-                inv[first] as usize,
-                "incremental strip walk diverged from the layout"
-            );
-            for (i, r) in ranks[s * W..s * W + width].iter_mut().enumerate() {
-                *r = inv[first + i];
-            }
-            for a in 0..k {
-                for lane in &mut sb[a * W + width..(a + 1) * W] {
-                    *lane = 0;
-                }
-            }
-            if first + width < hi {
-                let advanced = next_in_level(digits, dims);
-                debug_assert!(advanced, "level slice ended before the chunk did");
-            }
-        }
-        for b in &mut best[..strips * W] {
-            *b = INFEASIBLE;
-        }
-        for (t_idx, (c, offset)) in transitions.iter().enumerate() {
-            debug_assert!(*offset > 0, "transitions must advance the wavefront");
-            for s in 0..strips {
-                let sb = &block[s * k * W..(s + 1) * k * W];
-                let mut misfit = [0u32; W];
-                for (a, &needed) in c.iter().enumerate() {
-                    if needed == 0 {
-                        continue;
-                    }
-                    simd::accum_gt_mask_u32(
-                        &mut misfit,
-                        needed,
-                        strip_row(&sb[a * W..(a + 1) * W]),
-                    );
-                }
-                let mut below = [INFEASIBLE; W];
-                for (i, b) in below.iter_mut().enumerate() {
-                    if misfit[i] == 0 {
-                        let src = perm[ranks[s * W + i] as usize - offset] as usize;
-                        debug_assert!(
-                            src < span_start,
-                            "wavefront read {src} must lie strictly below the level slice"
-                        );
-                        sync::trace_read(src);
-                        // SAFETY: `src` is below this level's slice, hence
-                        // on a level sealed by the pool barrier — no
-                        // concurrent write.
-                        *b = unsafe { cells[src].get() };
-                    }
-                }
-                space.value_of_batch(t_idx, &mut below);
-                simd::min_assign_u16(strip_row_mut(&mut best[s * W..(s + 1) * W]), &below);
-            }
-        }
-        for s in 0..strips {
-            let first = p + s * W;
-            let width = W.min(tile_end - first);
-            let acc = strip_row_mut(&mut best[s * W..(s + 1) * W]);
-            simd::saturating_add1_u16(acc);
-            for (i, out) in cells[first..first + width].iter().enumerate() {
-                sync::trace_write(first + i);
-                // SAFETY: positions in this worker's private chunk of the
-                // level slice — the unique writer precondition.
-                unsafe { out.set(acc[i]) };
-            }
-        }
-        p = tile_end;
+        sync::trace_write(base + p);
+        out[p] = best.saturating_add(1);
     }
 }
 
@@ -686,7 +510,12 @@ fn faithful_sweep<S: StateSpace>(
     let d: Vec<u32> = (0..table.len).map(|idx| table.level_of(idx)).collect();
     let levels = table.levels();
     let transitions = space.transitions();
-    let n = sweep_workers(threads, table.len - 1, transitions.len(), levels);
+    let n = sweep_workers(
+        threads,
+        table.len - 1,
+        transitions.len(),
+        levels.saturating_sub(1),
+    );
     let slice = table.len.div_ceil(n);
     let strides = &table.strides;
     let cells = shared_cells(&mut table.values);
@@ -729,8 +558,9 @@ fn faithful_sweep<S: StateSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcmax_ptas::config::Config;
     use pcmax_ptas::dp::{verify_witness, DpProblem, DpSolver, IterativeDp};
-    use pcmax_ptas::space::PcmaxSpace;
+    use pcmax_ptas::space::{serial_sweep, PcmaxSpace, QSpace};
 
     fn problems() -> Vec<DpProblem> {
         let mut out = Vec::new();
@@ -751,12 +581,71 @@ mod tests {
     }
 
     /// A table above the serial cutoff, so `threads > 1` really runs the
-    /// pool: four classes of four jobs, 624 cells over 16 swept levels and
-    /// 441 transitions, 1.7×10⁴ cell-transitions per level.
+    /// pool: five classes of four jobs, 3,124 cells over 20 swept levels and
+    /// 1,618 transitions. Its blocks hold 25 cells, so the sweep runs 13
+    /// outer levels of 3.9×10⁵ cell-transitions each (FaithfulDp: 2.5×10⁵
+    /// per swept level), against a cutoff of 10⁵.
     fn pooled_problem() -> DpProblem {
         let mut counts = vec![0u32; 16];
-        counts[..4].fill(4);
-        DpProblem::new(counts, 1, 24, 64)
+        counts[..5].fill(4);
+        DpProblem::new(counts, 1, 30, 64)
+    }
+
+    /// `problem`'s table filled by the serial oracle.
+    fn oracle_values(problem: &DpProblem, space_caps: Option<&[u64]>) -> Vec<u16> {
+        let mut table = problem.build_table().unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        match space_caps {
+            None => serial_sweep(&mut table, &PcmaxSpace::new(&configs)),
+            Some(caps) => {
+                let sizes = table.sizes.clone();
+                serial_sweep(&mut table, &QSpace::new(&configs, &sizes, caps))
+            }
+        }
+        table.values
+    }
+
+    /// `problem`'s table filled by the block sweep on `threads` workers,
+    /// with the scratch that recorded it.
+    fn block_values(
+        problem: &DpProblem,
+        space_caps: Option<&[u64]>,
+        threads: usize,
+    ) -> (Vec<u16>, DpScratch) {
+        let mut scratch = DpScratch::new();
+        let mut table = problem.build_table_in(&mut scratch).unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        table.values[0] = 0;
+        match space_caps {
+            None => bucketed_sweep_space(
+                &mut table,
+                &PcmaxSpace::new(&configs),
+                threads,
+                &mut scratch,
+            ),
+            Some(caps) => {
+                let sizes = table.sizes.clone();
+                let space = QSpace::new(&configs, &sizes, caps);
+                bucketed_sweep_space(&mut table, &space, threads, &mut scratch)
+            }
+        }
+        (table.values, scratch)
+    }
+
+    /// The block plan the sweep builds for `problem`.
+    fn plan_of(problem: &DpProblem) -> BlockPlan {
+        let table = problem.build_table().unwrap();
+        let configs = problem.configs_with_offsets(&table);
+        let mut plan = BlockPlan::default();
+        plan.build(&table, &configs, min_block_cells(table.len));
+        plan
+    }
+
+    /// A problem over `counts` on the first classes, unit 1.
+    fn problem_of(counts: &[u32], target: u64) -> DpProblem {
+        let mut full = vec![0u32; 16];
+        full[..counts.len()].copy_from_slice(counts);
+        DpProblem::new(full, 1, target, 64)
     }
 
     #[test]
@@ -792,8 +681,8 @@ mod tests {
             .unwrap();
         assert_eq!(scratch.pool_parks, scratch.pool_wakes);
         assert!(scratch.pool_parks > 0, "the full scan runs on the pool");
-        assert_eq!(scratch.levels_swept, 16);
-        assert_eq!(scratch.cells_computed, 624);
+        assert_eq!(scratch.levels_swept, 20);
+        assert_eq!(scratch.cells_computed, 3124);
     }
 
     #[test]
@@ -821,16 +710,16 @@ mod tests {
 
     #[test]
     fn kernel_allocations_stay_flat_across_levels_and_probes() {
-        // The zero-allocation claim: the bucketed sweep creates at most one
-        // digit buffer per worker, ever — more levels, more probes, bigger
+        // The zero-allocation claim: the block sweep creates at most one
+        // kernel buffer per worker, ever — more levels, more probes, bigger
         // tables must not move the counter.
         let mut scratch = DpScratch::new();
         let dp = ParallelDp::with_threads(4);
-        let problem = &problems()[0];
-        dp.solve_in(problem, &mut scratch).unwrap();
+        dp.solve_in(&pooled_problem(), &mut scratch).unwrap();
         let after_first = scratch.kernel_allocs;
         assert!(after_first <= 4, "at most one buffer per worker");
-        for problem in problems() {
+        assert!(scratch.pool_parks > 0, "the first probe ran on the pool");
+        for problem in problems().into_iter().chain([pooled_problem()]) {
             dp.solve_in(&problem, &mut scratch).unwrap();
         }
         assert_eq!(
@@ -853,10 +742,10 @@ mod tests {
         );
         assert!(
             scratch.pool_parks > 0,
-            "a 4-thread pool on 17 levels must actually park"
+            "a 4-thread pool on 13 outer levels must actually park"
         );
-        assert_eq!(scratch.levels_swept, 16);
-        assert_eq!(scratch.cells_computed, 624);
+        assert_eq!(scratch.levels_swept, 20);
+        assert_eq!(scratch.cells_computed, 3124);
     }
 
     #[cfg(not(feature = "audit"))]
@@ -865,23 +754,13 @@ mod tests {
         // At the cutoff the pool runs; one cell-transition per level less
         // and the caller sweeps alone.
         let cutoff = POOL_MIN_WORK_PER_LEVEL as usize;
-        assert_eq!(sweep_workers(4, cutoff, 1, 2), 4);
-        assert_eq!(sweep_workers(4, cutoff - 1, 1, 2), 1);
+        assert_eq!(sweep_workers(4, cutoff, 1, 1), 4);
+        assert_eq!(sweep_workers(4, cutoff - 1, 1, 1), 1);
 
-        // The paper's example: 11 cells × 3 transitions over 5 levels.
+        // The paper's example: 11 cells × 8 transitions in one block.
         let problem = &problems()[0];
-        let want = {
-            let mut table = problem.build_table().unwrap();
-            let configs = problem.configs_with_offsets(&table);
-            serial_sweep(&mut table, &PcmaxSpace::new(&configs));
-            table.values_row_major()
-        };
-        let mut scratch = DpScratch::new();
-        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
-        let configs = problem.configs_with_offsets(&table);
-        table.values[0] = 0;
-        bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 4, &mut scratch);
-        assert_eq!(table.values_row_major(), want);
+        let (values, scratch) = block_values(problem, None, 4);
+        assert_eq!(values, oracle_values(problem, None));
         assert_eq!(scratch.pool_parks, 0, "no pool, so no barrier to park at");
         assert_eq!(scratch.kernel_allocs, 1, "the caller's one KernelScratch");
 
@@ -893,39 +772,118 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_strip_kernels_match_bit_for_bit() {
-        for problem in problems() {
-            let mut scratch = DpScratch::new();
-            let mut want = None;
-            for kernel in [CellKernel::Scalar, CellKernel::Strip] {
-                for threads in [1usize, 2, 4] {
-                    let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
-                    let configs = problem.configs_with_offsets(&table);
-                    table.values[0] = 0;
-                    bucketed_sweep_space_with(
-                        &mut table,
-                        &PcmaxSpace::new(&configs),
-                        threads,
-                        &mut scratch,
-                        kernel,
-                    );
-                    let got = table.values_row_major();
-                    match &want {
-                        None => want = Some(got),
-                        Some(w) => {
-                            assert_eq!(&got, w, "{kernel:?}/{threads} threads diverged")
-                        }
-                    }
-                    scratch.recycle(table);
-                }
+    fn block_sweep_matches_the_serial_sweep_at_every_thread_count() {
+        for problem in problems().into_iter().chain([pooled_problem()]) {
+            let want = oracle_values(&problem, None);
+            for threads in [1usize, 2, 4] {
+                let (got, _) = block_values(&problem, None, threads);
+                assert_eq!(got, want, "{threads} threads diverged");
             }
         }
     }
 
     #[test]
+    fn a_table_below_one_block_sweeps_every_transition_locally() {
+        // The paper's 12-cell table is smaller than the 16-cell minimum
+        // block: one block, no outer class, every step local. (The audit
+        // build's smaller blocks cut it into one-cell blocks instead.)
+        let problem = &problems()[0];
+        let plan = plan_of(problem);
+        if cfg!(not(feature = "audit")) {
+            assert_eq!((plan.blocks(), plan.levels()), (1, 1));
+            assert_eq!(plan.cross().count(), 0);
+            assert!(!plan.local().is_empty());
+        }
+        for threads in [1usize, 2] {
+            assert_eq!(
+                block_values(problem, None, threads).0,
+                oracle_values(problem, None)
+            );
+        }
+    }
+
+    #[test]
+    fn a_trailing_class_of_radix_two_folds_into_the_block() {
+        // dims [5, 5, 5, 2]: the radix-2 class and the one before it make
+        // 50-cell blocks over the outer classes [5, 5].
+        let problem = problem_of(&[4, 4, 4, 1], 9);
+        let plan = plan_of(&problem);
+        if cfg!(not(feature = "audit")) {
+            assert_eq!((plan.block(), plan.blocks(), plan.levels()), (50, 5, 5));
+        }
+        assert!(plan.cross().count() > 0 && !plan.local().is_empty());
+        let want = oracle_values(&problem, None);
+        for threads in [1usize, 2, 4] {
+            assert_eq!(block_values(&problem, None, threads).0, want);
+        }
+    }
+
+    #[test]
+    fn a_single_active_class_is_one_block() {
+        let mut counts = vec![0u32; 16];
+        counts[5] = 40;
+        let problem = DpProblem::new(counts, 1, 30, 64);
+        let plan = plan_of(&problem);
+        assert_eq!((plan.block(), plan.blocks(), plan.levels()), (41, 1, 1));
+        assert_eq!(plan.cross().count(), 0);
+        assert_eq!(
+            block_values(&problem, None, 2).0,
+            oracle_values(&problem, None)
+        );
+    }
+
+    #[test]
+    fn rank_zero_stays_seeded_at_zero() {
+        // No step fits rank 0, so writing it would store INFEASIBLE; the
+        // sweep must leave the seed alone, first sweep and re-sweep alike.
+        for problem in [problems()[0].clone(), pooled_problem()] {
+            let mut scratch = DpScratch::new();
+            let mut table = problem.build_table_in(&mut scratch).unwrap();
+            let configs = problem.configs_with_offsets(&table);
+            table.values[0] = 0;
+            for _ in 0..2 {
+                bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
+                assert_eq!(table.values[0], 0);
+            }
+            assert_eq!(table.values, oracle_values(&problem, None));
+        }
+    }
+
+    #[test]
+    fn a_capacity_filter_rejecting_cross_and_local_steps_matches_the_oracle() {
+        // dims [3, 3, 3, 3], sizes 1..4: 27-cell blocks over outer class 0.
+        // Caps [12, 3] let a load above 3 run only on the fastest machine,
+        // so the filter rejects such a step out of any predecessor of value
+        // 1 or more — local (0,0,0,1) with load 4 and cross (2,1,0,0) alike.
+        let problem = problem_of(&[2, 2, 2, 2], 12);
+        let caps = [12u64, 3];
+        let plan = plan_of(&problem);
+        if cfg!(not(feature = "audit")) {
+            assert_eq!((plan.block(), plan.blocks()), (27, 3));
+        }
+        let table = problem.build_table().unwrap();
+        let configs: Vec<(Config, usize)> = problem.configs_with_offsets(&table);
+        let load = |t: usize| -> u64 {
+            configs[t]
+                .0
+                .iter()
+                .zip(&table.sizes)
+                .map(|(&c, &s)| u64::from(c) * s)
+                .sum()
+        };
+        assert!(plan.local().iter().any(|s| load(s.t_idx) > caps[1]));
+        assert!(plan.cross().any(|(s, _)| load(s.t_idx) > caps[1]));
+        let want = oracle_values(&problem, Some(&caps));
+        assert_ne!(want, oracle_values(&problem, None), "the filter must bite");
+        for threads in [1usize, 2, 4] {
+            assert_eq!(block_values(&problem, Some(&caps), threads).0, want);
+        }
+    }
+
+    #[test]
     fn panicking_sweep_returns_kernel_buffers_before_unwinding() {
-        /// A state space whose batched filter detonates: every strip-kernel
-        /// chunk with at least one transition panics mid-level.
+        /// A state space whose batched filter detonates: every block with a
+        /// fitting cross step panics mid-level.
         struct Bomb<'a>(PcmaxSpace<'a>);
         impl StateSpace for Bomb<'_> {
             fn transitions(&self) -> &[(Config, usize)] {
@@ -945,7 +903,7 @@ mod tests {
         let allocs = scratch.kernel_allocs;
         assert_eq!(allocs, 2, "both workers of the pool hold a buffer");
 
-        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let mut table = problem.build_table_in(&mut scratch).unwrap();
         let configs = problem.configs_with_offsets(&table);
         table.values[0] = 0;
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -985,15 +943,12 @@ mod tests {
                 }
             }
             for level in 1..6u32 {
-                for len in [0usize, 1, 5, STRIP_LANES, 1000, 1001] {
+                for len in [0usize, 1, 5, 16, 1000, 1001] {
                     let mut expect = 0usize;
                     for w in 0..n {
                         let (lo, hi) = planner.bounds(w, level, len);
                         assert_eq!(lo, expect, "worker {w} must start where {w}-1 ended");
                         assert!(hi >= lo && hi <= len);
-                        if w + 1 < n && cfg!(not(feature = "audit")) && n > 1 {
-                            assert_eq!(hi % STRIP_LANES, 0, "interior bounds strip-aligned");
-                        }
                         expect = hi;
                     }
                     assert_eq!(expect, len, "the chunks must cover the level");
@@ -1014,33 +969,24 @@ mod tests {
         counts[4] = 3;
         let problem = DpProblem::new(counts, 2, 30, 64);
         let mut scratch = DpScratch::new();
-        let mut table = problem.build_level_major_table_in(&mut scratch).unwrap();
+        let mut table = problem.build_table().unwrap();
         let configs = problem.configs_with_offsets(&table);
         table.values[0] = 0;
         bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
-        assert_eq!(
-            table.values_row_major(),
-            vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],
-        );
+        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2]);
+        assert_eq!(scratch.cells_computed, 11);
     }
 
     #[test]
     fn q_space_engines_match_the_serial_engine() {
-        use pcmax_ptas::space::QSpace;
-
-        /// Fills a fresh table in `engine`'s layout for the capacity-filtered
-        /// space and returns it in row-major order.
+        /// Fills a fresh table with `engine` for the capacity-filtered space.
         fn q_values<E: SpaceEngine>(engine: &E, problem: &DpProblem, caps: &[u64]) -> Vec<u16> {
             let mut scratch = DpScratch::new();
-            let mut table = if engine.level_major() {
-                problem.build_level_major_table_in(&mut scratch).unwrap()
-            } else {
-                problem.build_table_in(&mut scratch).unwrap()
-            };
+            let mut table = problem.build_table_in(&mut scratch).unwrap();
             let configs = problem.configs_with_offsets(&table);
             let space = QSpace::new(&configs, &table.sizes, caps);
             engine.sweep(&mut table, &space, &mut scratch);
-            table.values_row_major()
+            table.values
         }
 
         // Capacity profiles from one machine to strongly heterogeneous; the
@@ -1076,14 +1022,13 @@ mod tests {
     #[test]
     fn memoized_q_space_matches_the_serial_oracle() {
         use pcmax_ptas::dp::{finish_with, DpOutcome, MemoizedDp};
-        use pcmax_ptas::space::QSpace;
 
         /// `OPT(N)` and the witness `engine` extracts on the
         /// capacity-filtered space. The memoized walk leaves unreachable
         /// cells `UNVISITED`, so whole tables are not comparable.
         fn q_outcome<E: SpaceEngine>(engine: &E, problem: &DpProblem, caps: &[u64]) -> DpOutcome {
             let mut scratch = DpScratch::new();
-            let mut table = problem.build_table_for(engine, &mut scratch).unwrap();
+            let mut table = problem.build_table_in(&mut scratch).unwrap();
             let configs = problem.configs_with_offsets(&table);
             let space = QSpace::new(&configs, &table.sizes, caps);
             engine.sweep(&mut table, &space, &mut scratch);
@@ -1139,18 +1084,5 @@ mod tests {
             .unwrap();
         assert_eq!(serial.target, parallel.target);
         assert_eq!(serial.schedule, parallel.schedule);
-    }
-
-    #[test]
-    fn row_major_fallback_still_fills_the_table() {
-        // The bucketed sweep on a table without a level-major layout
-        // degrades to the serial sweep with identical results.
-        let problem = &problems()[0];
-        let mut table = problem.build_table().unwrap();
-        let configs = problem.configs_with_offsets(&table);
-        let mut scratch = DpScratch::new();
-        bucketed_sweep_space(&mut table, &PcmaxSpace::new(&configs), 2, &mut scratch);
-        assert_eq!(table.values, vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2]);
-        assert_eq!(scratch.cells_computed, 11);
     }
 }

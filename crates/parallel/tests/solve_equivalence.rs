@@ -1,8 +1,7 @@
 //! Property test: solve results (machine count AND witness schedule) are
-//! identical between the row-major layout (the sequential `IterativeDp` and
-//! the paper-literal `FaithfulDp`) and the level-major layout (the
-//! production `ParallelDp`) across random class-count vectors —
-//! bit-identical tables, not just equal optima.
+//! identical between the sequential oracle `IterativeDp`, the production
+//! block sweep `ParallelDp` and the paper-literal `FaithfulDp` across random
+//! class-count vectors — bit-identical tables, not just equal optima.
 
 use pcmax_parallel::{FaithfulDp, ParallelDp};
 use pcmax_ptas::dp::{verify_witness, DpProblem, DpSolver, IterativeDp};
@@ -17,7 +16,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn level_major_solves_match_row_major_solves(
+    fn parallel_solves_match_the_oracle_solves(
         problem in arb_problem(),
         threads in 1usize..=4,
     ) {

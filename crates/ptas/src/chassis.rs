@@ -172,8 +172,8 @@ pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutpu
 
 /// Most entries of a table whose buffers a thread keeps between [`drive`]
 /// solves: above every table the benchmark's workloads build (the largest,
-/// the pinned case, has 2.57 M entries), and about 42 MB of `values`, `perm`
-/// and `inv`, where a `DEFAULT_MAX_ENTRIES` table would pin about 670 MB.
+/// the pinned case, has 2.57 M entries), and about 8 MB of `u16` values,
+/// where a `DEFAULT_MAX_ENTRIES` table would pin about 134 MB.
 const KEPT_ENTRIES: usize = 1 << 22;
 
 thread_local! {

@@ -60,27 +60,12 @@ impl DpProblem {
             .ok_or_else(|| self.table_error())
     }
 
-    /// Builds the dense table in level-major storage order (each
-    /// anti-diagonal level one contiguous slice) — the layout the wavefront
-    /// executors use for parallel in-place scatter.
+    /// The row-major table of [`build_table_in`](Self::build_table_in),
+    /// under the name perfbench's layer replay calls it by. Every table is
+    /// row-major now; the name is kept until the benchmark's replay is
+    /// renamed with it.
     pub fn build_level_major_table_in(&self, scratch: &mut DpScratch) -> Result<DpTable> {
-        DpTable::new_level_major_in(&self.counts, self.unit, self.max_entries, scratch)
-            .ok_or_else(|| self.table_error())
-    }
-
-    /// Builds the dense table in the storage order `engine` sweeps:
-    /// level-major when [`SpaceEngine::level_major`] asks for it, row-major
-    /// otherwise. Every probe, `P||Cmax` or `Q||Cmax`, builds through here.
-    pub fn build_table_for<E: SpaceEngine>(
-        &self,
-        engine: &E,
-        scratch: &mut DpScratch,
-    ) -> Result<DpTable> {
-        if engine.level_major() {
-            self.build_level_major_table_in(scratch)
-        } else {
-            self.build_table_in(scratch)
-        }
+        self.build_table_in(scratch)
     }
 
     fn table_error(&self) -> Error {
@@ -143,7 +128,7 @@ impl<E: SpaceEngine> DpSolver for E {
     }
 
     fn solve_in(&self, problem: &DpProblem, scratch: &mut DpScratch) -> Result<DpOutcome> {
-        let mut table = problem.build_table_for(self, scratch)?;
+        let mut table = problem.build_table_in(scratch)?;
         let configs = problem.configs_with_offsets(&table);
         let space = PcmaxSpace::new(&configs);
         self.sweep(&mut table, &space, scratch);
@@ -260,15 +245,13 @@ pub fn finish(
 /// The probe epilogue shared by every engine and scenario: read `OPT(N)`,
 /// extract the witness through `space` if it fits `problem.max_machines`,
 /// then recycle the table's storage into the arena for the next probe.
-/// Reads go through [`DpTable::value_at`], so level-major tables work
-/// unchanged.
 pub fn finish_with<S: StateSpace>(
     problem: &DpProblem,
     table: DpTable,
     space: &S,
     scratch: &mut DpScratch,
 ) -> Result<DpOutcome> {
-    let opt = table.value_at(table.last_index());
+    let opt = table.values[table.last_index()];
     let machines = if opt >= UNVISITED {
         u32::MAX
     } else {

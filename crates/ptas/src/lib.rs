@@ -66,6 +66,6 @@ pub use driver::{rounded_problem, BisectionLog, Ptas, PtasOutput};
 pub use params::EpsilonParams;
 pub use rounding::{JobPartition, PcmaxRounding, RoundedLongJobs, Rounding};
 pub use space::{PcmaxSpace, QSpace, SpaceEngine, StateSpace};
-pub use table::{decode_into, next_in_level, DpScratch, DpTable, LevelLayout};
+pub use table::{decode_into, BlockPlan, DpScratch, DpTable};
 pub use trace::{dp_trace, DpTrace};
 pub use uniform::QPtas;

@@ -55,10 +55,10 @@ pub trait StateSpace: Sync {
     }
 
     /// The batched form of [`step_allowed`](Self::step_allowed) used by the
-    /// strip kernel: given a whole strip of predecessor values for one
-    /// transition, replace every lane the filter rejects with
-    /// [`INFEASIBLE`], so the subsequent lane-parallel min ignores it. The
-    /// saturating `min`/`+1` keep the sentinel absorbing, so a rejected
+    /// wavefront's block kernel: given a contiguous run of predecessor
+    /// values for one transition, replace every lane the filter rejects
+    /// with [`INFEASIBLE`], so the subsequent lane-parallel min ignores it.
+    /// The saturating `min`/`+1` keep the sentinel absorbing, so a rejected
     /// lane can never resurface as a finite value.
     ///
     /// The provided default applies the scalar filter lane by lane — for
@@ -186,19 +186,11 @@ impl StateSpace for QSpace<'_> {
 
 /// An engine that can fill a [`DpTable`] for any [`StateSpace`]: seeds
 /// `OPT(0) = 0` and computes every other entry with the min-reduce kernel.
-/// Engines may require a specific storage order via
-/// [`level_major`](SpaceEngine::level_major). This is the only trait an
-/// engine implements; the `P||Cmax` entry point [`crate::DpSolver`] follows
-/// from it.
+/// This is the only trait an engine implements; the `P||Cmax` entry point
+/// [`crate::DpSolver`] follows from it.
 pub trait SpaceEngine {
     /// Stable name for harness output.
     fn engine_name(&self) -> &'static str;
-
-    /// Whether tables for this engine should be built in level-major order
-    /// (see `DpProblem::build_table_for`).
-    fn level_major(&self) -> bool {
-        false
-    }
 
     /// Fills `table` (fresh from a builder, all entries unwritten except
     /// whatever the builder put there) for `space`, accounting counters to
@@ -244,7 +236,7 @@ pub fn extract_schedule_with<S: StateSpace>(
     let mut idx = table.last_index();
     let mut v = table.decode(idx);
     while idx != 0 {
-        let current = table.value_at(idx);
+        let current = table.values[idx];
         if current >= UNVISITED {
             return Err(Error::InvalidWitness {
                 reason: format!("walked into an unevaluated entry at index {idx}"),
@@ -256,7 +248,7 @@ pub fn extract_schedule_with<S: StateSpace>(
             .enumerate()
             .find(|(t_idx, (c, offset))| {
                 fits(c, &v)
-                    && table.value_at(idx - offset) == current - 1
+                    && table.values[idx - offset] == current - 1
                     && space.step_allowed(*t_idx, current - 1)
             });
         let (_, (c, offset)) = step.ok_or_else(|| Error::InvalidWitness {
@@ -290,7 +282,7 @@ mod tests {
         let configs = problem.configs_with_offsets(&table);
         serial_sweep(&mut table, &PcmaxSpace::new(&configs));
         assert_eq!(
-            table.values_row_major(),
+            table.values,
             vec![0, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 2],
             "Table I of the paper"
         );
@@ -323,7 +315,7 @@ mod tests {
         let space = QSpace::new(&configs, &table.sizes, &caps_fast);
         serial_sweep(&mut table, &space);
         assert_eq!(
-            table.value_at(table.last_index()),
+            table.values[table.last_index()],
             1,
             "both on the fast machine"
         );
@@ -332,11 +324,7 @@ mod tests {
         let caps_slow = [10u64, 10];
         let space2 = QSpace::new(&configs, &table2.sizes, &caps_slow);
         serial_sweep(&mut table2, &space2);
-        assert_eq!(
-            table2.value_at(table2.last_index()),
-            2,
-            "one job per machine"
-        );
+        assert_eq!(table2.values[table2.last_index()], 2, "one job per machine");
     }
 
     #[test]
@@ -350,7 +338,7 @@ mod tests {
         let space = QSpace::new(&configs, &table.sizes, &caps);
         serial_sweep(&mut table, &space);
         // Both sentinels mark unreachability; UNVISITED is the smaller one.
-        assert!(table.value_at(table.last_index()) >= UNVISITED);
+        assert!(table.values[table.last_index()] >= UNVISITED);
     }
 
     #[test]
@@ -368,7 +356,7 @@ mod tests {
         let caps = [12u64, 4];
         let space = QSpace::new(&configs, &table.sizes, &caps);
         serial_sweep(&mut table, &space);
-        assert_eq!(table.value_at(table.last_index()), 2);
+        assert_eq!(table.values[table.last_index()], 2);
         let witness = extract_schedule_with(&table, &space, 5).unwrap();
         assert_eq!(witness.len(), 2);
         // witness[0] is peeled at value 2 -> sorted machine 1 (cap 4): must

@@ -132,7 +132,7 @@ impl<E: SpaceEngine> Scenario for QPtas<E> {
 
     fn dp(&self, rounded: &Rounded<Self::Map>, scratch: &mut DpScratch) -> Result<DpOutcome> {
         let problem = &rounded.problem;
-        let mut table = problem.build_table_for(&self.engine, scratch)?;
+        let mut table = problem.build_table_in(scratch)?;
         let configs = problem.configs_with_offsets(&table);
         let space = QSpace::new(&configs, &table.sizes, &rounded.caps);
         self.engine.sweep(&mut table, &space, scratch);

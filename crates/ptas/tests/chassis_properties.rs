@@ -129,7 +129,7 @@ proptest! {
             let mut table = problem.build_table().expect("small table fits");
             let configs = problem.configs_with_offsets(&table);
             serial_sweep(&mut table, &PcmaxSpace::new(&configs));
-            table.values_row_major()
+            table.values
         };
         let q_values = {
             let mut table = problem.build_table_in(&mut scratch).expect("small table fits");
@@ -140,7 +140,7 @@ proptest! {
             // never bites and the Q walk must equal the identical one.
             let caps = vec![target; 64];
             serial_sweep(&mut table, &QSpace::new(&configs, &sizes, &caps));
-            table.values_row_major()
+            table.values
         };
         prop_assert_eq!(p_values, q_values);
     }
@@ -158,7 +158,7 @@ proptest! {
             let configs = problem.configs_with_offsets(&table);
             let sizes = table.sizes.clone();
             serial_sweep(&mut table, &QSpace::new(&configs, &sizes, caps));
-            table.values_row_major()
+            table.values
         };
         let loose: Vec<u64> = vec![target; 8];
         let mut tight = loose.clone();
