@@ -29,13 +29,12 @@ common options:
 
 solve options:
   --algo A          engine registry name: ls | lpt | multifit | ptas | par-ptas |
-                    spec-ptas | fptas | exact | milp | ptas-q | lpt-q | ls-online
-                    (aliases: pptas, spec, qptas, speed-lpt, online)
+                    fptas | exact | milp | ptas-q | lpt-q | ls-online
+                    (aliases: pptas, qptas, speed-lpt, online)
   --eps E           PTAS accuracy (default 0.3)
-  --threads T       most worker threads for the parallel solvers (DP tables
-                    too small to pay for a pool sweep on one); unset,
-                    par-ptas uses all cores and ptas-q runs the serial
-                    IterativeDp engine
+  --threads T       most worker threads of the wavefront DP in par-ptas and
+                    ptas-q (DP tables too small to pay for a pool sweep on
+                    one); unset, they use all cores
   --budget B        search-node budget for exact/milp
   --schedule        also print the full per-machine assignment
 
@@ -48,10 +47,9 @@ metrics options:
   --families LIST   comma-separated scenario families (default p,q,online)
   --count C         instances per family (default 3)
   --eps E           PTAS accuracy (default 0.3)
-  --threads T       most worker threads for the parallel solvers (DP tables
-                    too small to pay for a pool sweep on one); unset,
-                    par-ptas uses all cores and ptas-q runs the serial
-                    IterativeDp engine
+  --threads T       most worker threads of the wavefront DP in par-ptas and
+                    ptas-q (DP tables too small to pay for a pool sweep on
+                    one); unset, they use all cores
   --seed S          base RNG seed for the workload mix (default 1)
   --format F        registry export format: prom | json (default json)
   --out FILE        write the export to FILE (without --out, an explicit

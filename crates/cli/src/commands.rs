@@ -246,7 +246,6 @@ fn trace(
     let params = SolverParams {
         epsilon: eps,
         threads,
-        width: threads.unwrap_or(4),
         ..SolverParams::default()
     };
     // The trace session wraps the whole submission, so engine-side events
@@ -302,7 +301,6 @@ fn solve_one(
         epsilon: eps,
         threads,
         node_budget: budget,
-        width: threads.unwrap_or(4),
     };
     let report = with_engine(|engine| {
         let mut sub = Submission::new(inst.clone(), spec.name).with_params(params);
@@ -516,7 +514,6 @@ fn metrics_run(
     let params = SolverParams {
         epsilon: eps,
         threads,
-        width: threads.unwrap_or(4),
         ..SolverParams::default()
     };
     let mut solves = 0usize;

@@ -15,13 +15,23 @@ mod io;
 
 use std::process::ExitCode;
 
+/// Exits 2 with the usage text when the arguments do not parse, and 1 with
+/// the error alone when a parsed command fails (an unknown solver name, an
+/// instance the solver refuses, a daemon's error answer).
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match args::parse(&argv).and_then(commands::run) {
-        Ok(()) => ExitCode::SUCCESS,
+    let cmd = match args::parse(&argv) {
+        Ok(cmd) => cmd,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("{}", args::USAGE);
+            return ExitCode::from(2);
+        }
+    };
+    match commands::run(cmd) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

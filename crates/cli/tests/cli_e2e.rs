@@ -72,6 +72,7 @@ fn an_instance_whose_total_wraps_is_an_error() {
             stderr.starts_with("error:") && stderr.contains("overflows u64"),
             "{args:?}: {stderr}"
         );
+        assert!(!stderr.contains("usage:"), "{args:?}: not a usage error");
         assert!(out.stdout.is_empty(), "{args:?}: nothing is reported");
     }
     let _ = std::fs::remove_file(&path);
@@ -80,9 +81,27 @@ fn an_instance_whose_total_wraps_is_an_error() {
 #[test]
 fn unknown_flags_fail_with_usage() {
     let out = pcmax(&["solve", "-i", "x.json", "--frobnicate"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn an_unknown_algorithm_is_an_error_without_usage() {
+    let out = pcmax(&[
+        "solve", "--dist", "U(1,10)", "-m", "2", "-n", "6", "--algo", "no-such",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.starts_with("error: unknown algorithm no-such"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("par-ptas"),
+        "lists the known names: {stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "not a usage error: {stderr}");
 }
 
 #[test]

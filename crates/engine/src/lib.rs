@@ -14,7 +14,6 @@
 //! | `multifit`  | Coffman–Garey–Johnson MULTIFIT              | `1.22 + 2⁻⁷`       |
 //! | `ptas`      | sequential Hochbaum–Shmoys PTAS             | `1 + ε`            |
 //! | `par-ptas` (`pptas`) | wavefront-parallel PTAS (the paper) | `1 + ε`            |
-//! | `spec-ptas` (`spec`) | speculative `w`-ary bisection PTAS  | `1 + ε`            |
 //! | `exact` (`ip`, `bb`) | combinatorial branch-and-bound     | optimal (anytime)  |
 //! | `milp` (`ip-milp`)   | assignment-IP via from-scratch MILP | optimal           |
 //! | `fptas` (`sahni`)    | Sahni's fixed-`m` FPTAS             | `1 + ε`           |
@@ -45,7 +44,7 @@ use pcmax_exact::BranchAndBound;
 use pcmax_fptas::FixedMachinesFptas;
 use pcmax_metrics::{family, Family, Gauge, Histogram};
 use pcmax_milp::AssignmentIp;
-use pcmax_parallel::{ParallelDp, ParallelPtas, SpeculativePtas};
+use pcmax_parallel::{ParallelDp, ParallelPtas};
 use pcmax_ptas::{Ptas, QPtas};
 
 /// Construction-time parameters shared by every registry constructor.
@@ -54,17 +53,13 @@ use pcmax_ptas::{Ptas, QPtas};
 pub struct SolverParams {
     /// Relative error for the PTAS family and the FPTAS.
     pub epsilon: f64,
-    /// Most worker threads for the parallel solvers, fixed when the solver
-    /// is built (a solve request carries no thread count); DP tables below
-    /// the wavefront's serial cutoff sweep on one. `spec-ptas` applies it
-    /// to each of a round's concurrent probes. Unset, `par-ptas` and
-    /// `spec-ptas` use all cores, while `ptas-q` runs the serial
-    /// `IterativeDp` engine (set it to run `ptas-q` on the wavefront).
+    /// Most worker threads of the wavefront DP in `par-ptas` and `ptas-q`,
+    /// fixed when the solver is built (a solve request carries no thread
+    /// count); unset, they use all cores. DP tables below the wavefront's
+    /// serial cutoff sweep on one.
     pub threads: Option<usize>,
     /// Search-node budget for the exact and MILP solvers.
     pub node_budget: Option<u64>,
-    /// Concurrent probes per round for the speculative PTAS.
-    pub width: usize,
 }
 
 impl Default for SolverParams {
@@ -73,7 +68,6 @@ impl Default for SolverParams {
             epsilon: 0.3,
             threads: None,
             node_budget: None,
-            width: 4,
         }
     }
 }
@@ -250,19 +244,6 @@ static REGISTRY: &[SolverSpec] = &[
         },
     },
     SolverSpec {
-        name: "spec-ptas",
-        kind: SolverKind::DualApprox,
-        scenario: ScenarioKind::Identical,
-        aliases: &["spec"],
-        summary: "speculative w-ary bisection PTAS (1 + eps)",
-        guarantee: Guarantee::Epsilon,
-        build: |p| {
-            let mut spec = SpeculativePtas::new(p.epsilon, p.width)?;
-            spec.threads = p.threads;
-            Ok(Box::new(spec))
-        },
-    },
-    SolverSpec {
         name: "exact",
         kind: SolverKind::Exact,
         scenario: ScenarioKind::Identical,
@@ -301,12 +282,11 @@ static REGISTRY: &[SolverSpec] = &[
         aliases: &["qptas"],
         summary: "chassis dual approximation for Q||Cmax (certified target)",
         guarantee: Guarantee::Epsilon,
-        build: |p| match p.threads {
-            Some(t) => Ok(Box::new(QPtas::with_engine(
+        build: |p| {
+            Ok(Box::new(QPtas::with_engine(
                 p.epsilon,
-                ParallelDp::with_threads(t),
-            )?)),
-            None => Ok(Box::new(QPtas::new(p.epsilon)?)),
+                ParallelDp { threads: p.threads },
+            )?))
         },
     },
     SolverSpec {
@@ -450,7 +430,6 @@ mod tests {
     #[test]
     fn aliases_resolve_to_the_same_spec() {
         assert_eq!(lookup("pptas").unwrap().name, "par-ptas");
-        assert_eq!(lookup("spec").unwrap().name, "spec-ptas");
         assert_eq!(lookup("ip").unwrap().name, "exact");
         assert_eq!(lookup("ip-milp").unwrap().name, "milp");
         assert_eq!(lookup("PTAS").unwrap().name, "ptas", "case-insensitive");
@@ -537,16 +516,26 @@ mod tests {
     }
 
     #[test]
-    fn ptas_q_threads_param_selects_the_parallel_engine() {
-        let inst = Instance::with_speeds(vec![30, 11, 11, 7, 6, 2], vec![4, 2]).unwrap();
-        let mut params = SolverParams::with_epsilon(0.2);
-        params.threads = Some(3);
-        let parallel = build("ptas-q", &params).unwrap();
-        let serial = build("ptas-q", &SolverParams::with_epsilon(0.2)).unwrap();
-        let p = parallel.solve(&SolveRequest::new(&inst)).unwrap();
-        let s = serial.solve(&SolveRequest::new(&inst)).unwrap();
-        assert_eq!(p.makespan, s.makespan);
-        assert_eq!(p.certified_target, s.certified_target);
+    fn ptas_q_sweeps_on_the_wavefront_and_matches_the_serial_oracle() {
+        // Default params leave `threads` unset, as every wire frame does.
+        let params = SolverParams::default();
+        let ptas_q = build("ptas-q", &params).unwrap();
+        let oracle = QPtas::new(params.epsilon).unwrap();
+        // Summed: a family whose jobs are all short at `LB` has a one-entry
+        // table, which no engine sweeps.
+        let (mut cells, mut levels) = (0, 0);
+        for family in pcmax_workloads::paper_families() {
+            let speeds = pcmax_workloads::SpeedFamily::new(family, 4);
+            let inst = pcmax_workloads::generate_uniform(speeds, 1);
+            let report = ptas_q.solve(&SolveRequest::new(&inst)).unwrap();
+            cells += report.stats.dp_cells;
+            levels += report.stats.dp_levels_swept;
+            let serial = oracle.solve_detailed(&inst).unwrap();
+            assert_eq!(report.certified_target, Some(serial.target), "{speeds}");
+            assert_eq!(report.makespan, serial.schedule.makespan(&inst), "{speeds}");
+        }
+        assert!(cells > 0, "the wavefront counts its DP cells");
+        assert!(levels > 0, "the wavefront counts its levels");
     }
 
     #[test]

@@ -123,8 +123,7 @@ impl Submission {
         }
     }
 
-    /// Sets the solver construction parameters (ε, threads, node budget,
-    /// speculation width).
+    /// Sets the solver construction parameters (ε, threads, node budget).
     pub fn with_params(mut self, params: SolverParams) -> Self {
         self.params = params;
         self
@@ -749,7 +748,7 @@ mod tests {
         // Solved on the test thread, so an overflow fails the test instead
         // of a worker.
         let inst = Instance::new(vec![1 << 62, 1 << 62], 1).unwrap();
-        for name in ["ptas", "par-ptas", "ptas-q", "spec-ptas", "multifit"] {
+        for name in ["ptas", "par-ptas", "ptas-q", "multifit"] {
             let report = crate::build(name, &SolverParams::default())
                 .unwrap()
                 .solve(&SolveRequest::new(&inst))

@@ -44,7 +44,7 @@ fn ptas_entry_budget_is_a_dedicated_error() {
     let inst = instance();
     // One entry of budget: the first probe consumes it, the next check trips.
     let req = SolveRequest::new(&inst).with_budget(Budget::unlimited().entries(1));
-    for name in ["ptas", "par-ptas", "spec-ptas"] {
+    for name in ["ptas", "par-ptas"] {
         let solver = build(name, &SolverParams::default()).unwrap();
         match solver.solve(&req) {
             Err(Error::BudgetExhausted {

@@ -104,9 +104,9 @@ fn the_ptas_family_respects_its_guarantee_on_lpt_adversarial_inputs() {
     let params = SolverParams::default();
     let ptas_family: Vec<&SolverSpec> = registry()
         .iter()
-        .filter(|spec| ["ptas", "par-ptas", "spec-ptas"].contains(&spec.name))
+        .filter(|spec| ["ptas", "par-ptas"].contains(&spec.name))
         .collect();
-    assert_eq!(ptas_family.len(), 3);
+    assert_eq!(ptas_family.len(), 2);
     let adversarial = [5, 10]
         .into_iter()
         .flat_map(|m| (1..=5).map(move |seed| lpt_adversarial(m, seed)));

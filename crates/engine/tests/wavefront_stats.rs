@@ -4,7 +4,7 @@
 
 use pcmax_core::{Instance, SolveRequest};
 use pcmax_engine::{build, SolverParams};
-use pcmax_workloads::{generate, lpt_adversarial, Distribution, Family};
+use pcmax_workloads::{generate, Distribution, Family};
 
 fn instance() -> Instance {
     Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3, 23, 29], 4).unwrap()
@@ -22,61 +22,23 @@ fn parallel_ptas_reports_wavefront_counters() {
         threads: Some(4),
         ..SolverParams::default()
     };
-    // `spec-ptas` runs its probe rounds on the same pool and must merge
-    // every probe's counters, not only its entries and tables.
-    for name in ["par-ptas", "spec-ptas"] {
-        let solver = build(name, &params).unwrap();
-        let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
-        let stats = &report.stats;
-        assert!(
-            stats.dp_cells > 0,
-            "{name}: wavefront must count its DP cells"
-        );
-        assert!(
-            stats.dp_levels_swept > 0,
-            "{name}: wavefront must count its levels"
-        );
-        assert!(stats.pool_parks > 0, "{name}: the pool must park");
-        assert_eq!(
-            stats.pool_parks, stats.pool_wakes,
-            "{name}: every entered pool wait must return"
-        );
-        assert!(
-            stats.dp_kernel_allocs <= 4 * stats.bisection_probes.max(1),
-            "{name}: cell kernel must not allocate beyond per-worker buffers"
-        );
-        assert!(
-            stats.dp_phase_cells_per_sec().is_some(),
-            "{name}: throughput must be derivable from the report's dp phase"
-        );
-    }
-}
-
-#[test]
-fn spec_ptas_takes_its_thread_count_from_construction() {
-    // `LB` 89 is infeasible here, so the search bisects on, and its
-    // 302,328–368,550-cell tables hold 1.2×10⁵–2.8×10⁵ cell-transitions per
-    // outer level, above the serial cutoff of 10⁵: a sweep allowed two
-    // workers would hold two kernel buffers. One thread means one buffer per
-    // probe arena at most.
-    let inst = lpt_adversarial(30, 2);
-    let params = SolverParams {
-        epsilon: 0.3,
-        threads: Some(1),
-        ..SolverParams::default()
-    };
-    let report = build("spec-ptas", &params)
-        .unwrap()
-        .solve(&SolveRequest::new(&inst))
-        .unwrap();
+    let solver = build("par-ptas", &params).unwrap();
+    let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
     let stats = &report.stats;
-    assert!(stats.bisection_probes > 1, "want a multi-probe search");
+    assert!(stats.dp_cells > 0, "wavefront must count its DP cells");
+    assert!(stats.dp_levels_swept > 0, "wavefront must count its levels");
+    assert!(stats.pool_parks > 0, "the pool must park");
+    assert_eq!(
+        stats.pool_parks, stats.pool_wakes,
+        "every entered pool wait must return"
+    );
     assert!(
-        stats.dp_kernel_allocs <= stats.bisection_probes,
-        "{} kernel allocations over {} probes: the sweeps ran on more than \
-         the one thread the solver was built with",
-        stats.dp_kernel_allocs,
-        stats.bisection_probes
+        stats.dp_kernel_allocs <= 4 * stats.bisection_probes.max(1),
+        "cell kernel must not allocate beyond per-worker buffers"
+    );
+    assert!(
+        stats.dp_phase_cells_per_sec().is_some(),
+        "throughput must be derivable from the report's dp phase"
     );
 }
 

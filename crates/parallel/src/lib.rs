@@ -25,6 +25,11 @@
 //! Both produce bit-identical tables to the sequential solvers; the tests
 //! assert it.
 //!
+//! [`ParallelPtas`] is the paper's composition: the sequential bisection of
+//! `pcmax-ptas` with [`ParallelDp`] inside each probe. [`SpeculativePtas`]
+//! widens that bisection to `w` candidates per round on the caller, an
+//! extension beyond the paper that no registry row builds.
+//!
 //! Shared-memory accesses (fork/join handoffs, the table scatter/gather)
 //! flow through the [`sync`] seam: zero-cost passthroughs normally, and —
 //! under `feature = "audit"` — an event log plus a seeded interleaving

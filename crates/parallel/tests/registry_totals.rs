@@ -1,4 +1,4 @@
-//! `spec-ptas` aggregates each solve into the process-wide metrics registry
+//! `par-ptas` aggregates each solve into the process-wide metrics registry
 //! through the chassis, like every other dual-approximation solve. This is a
 //! test binary of its own: the registry is process-global, so a solve
 //! running concurrently in another test would move the counters under the
@@ -6,7 +6,7 @@
 
 use pcmax_core::{SolveRequest, Solver};
 use pcmax_metrics::SampleValue;
-use pcmax_parallel::SpeculativePtas;
+use pcmax_parallel::ParallelPtas;
 use pcmax_workloads::lpt_adversarial;
 
 /// The registry total of the counter `name` (0 before its first increment).
@@ -28,7 +28,7 @@ fn one_solve_moves_the_registry_by_exactly_its_own_stats() {
     let inst = lpt_adversarial(10, 1);
     let probes_before = counter("pcmax_bisection_probes_total");
     let cells_before = counter("pcmax_dp_cells_total");
-    let report = SpeculativePtas::new(0.3, 4)
+    let report = ParallelPtas::with_threads(0.3, 2)
         .unwrap()
         .solve(&SolveRequest::new(&inst))
         .unwrap();

@@ -5,16 +5,15 @@
 //! dual-approximation run: rounding the instance at a target (Lines 6–24),
 //! the DP on the rounded problem, and the `reconstruct` step that turns the
 //! DP's witness configs back into a schedule over the original jobs.
-//! [`probe`] is the one feasibility probe: it rounds once, keys the
+//! `probe` is the one feasibility probe: it rounds once, keys the
 //! request's profile cache on that rounding, and takes the [`DpOutcome`]
 //! from the cache or from the scenario's DP. [`search`] is the one search
-//! loop, model-agnostic and generic over how a round probes its
-//! candidates: the [`MakespanBounds`] bracket, the budget/cancellation
-//! gates, the trace spans, the re-probe that certifies the final target,
-//! the probe log and the stats bookkeeping. [`drive`] is `search` with one
-//! candidate per round, probed on the caller; `pcmax_parallel`'s
-//! `SpeculativePtas` is `search` with `w` candidates per round, probed
-//! concurrently on the worker pool.
+//! loop, model-agnostic: the [`MakespanBounds`] bracket, the
+//! budget/cancellation gates, the trace spans, the re-probe that certifies
+//! the final target, the probe log and the stats bookkeeping. It probes
+//! every candidate on the caller, in the calling thread's DP arena. [`drive`]
+//! is `search` with one candidate per round; `pcmax_parallel`'s
+//! `SpeculativePtas` is `search` with `w` candidates per round.
 
 use crate::config::Config;
 use crate::dp::DpProblem;
@@ -113,11 +112,11 @@ pub struct Rounded<M> {
 
 /// A feasible probe's witness: the DP's per-machine configs and the map of
 /// the rounding they came from.
-pub type Witness<M> = (Vec<Config>, M);
+type Witness<M> = (Vec<Config>, M);
 
 /// One candidate of a [`search`] round: its target and, once probed,
 /// `OPT(N)` (`u32::MAX` when unschedulable) and the witness iff feasible.
-pub type Candidate<M> = (Time, u32, Option<Witness<M>>);
+type Candidate<M> = (Time, u32, Option<Witness<M>>);
 
 /// A [`Scenario`]'s `Solver::solve`: [`drive`] the request, then [`report`]
 /// the result.
@@ -139,45 +138,21 @@ pub fn report(inst: &Instance, schedule: Schedule, target: Time, stats: SolveSta
 }
 
 /// Runs a full dual-approximation solve for any [`Scenario`] under an engine
-/// request: [`search`] with one candidate per round — the bisection of
-/// Algorithm 1 — probing on the caller through the request's profile cache
-/// and the calling thread's DP arena. Returns the schedule, the certified
-/// target `T*`, the probe log, and per-phase stats.
-///
-/// The arena stays on its thread between solves, so a worker allocates its
-/// table once: the `LB` probe [`search`] runs first builds the largest table
-/// of the bracket (table size grows as the target shrinks), and every later
-/// probe and solve reuses it. It goes back with its counters zeroed and
-/// without any buffer above `KEPT_ENTRIES` entries, whether the solve returned
-/// `Ok` or `Err`; a solve that panics drops it.
+/// request: [`search`] with one candidate per round, the bisection of
+/// Algorithm 1. Returns the schedule, the certified target `T*`, the probe
+/// log, and per-phase stats.
 pub fn drive<Sc: Scenario>(sc: &Sc, req: &SolveRequest<'_>) -> Result<(PtasOutput, SolveStats)> {
-    let inst = req.instance;
-    let mut scratch = ARENA.take();
-    let result = search(
-        sc,
-        req,
-        1,
-        &mut scratch,
-        |candidates, scratch, mut cache| {
-            for (t, dp_machines, witness) in candidates {
-                let _probe_span = req.trace_span("probe", *t);
-                (*dp_machines, *witness) = probe(sc, inst, *t, scratch, cache.as_deref_mut())?;
-            }
-            Ok(())
-        },
-    );
-    ARENA.set(scratch.kept(KEPT_ENTRIES));
-    result
+    search(sc, req, 1)
 }
 
-/// Most entries of a table whose buffers a thread keeps between [`drive`]
+/// Most entries of a table whose buffers a thread keeps between [`search`]
 /// solves: above every table the benchmark's workloads build (the largest,
 /// the pinned case, has 2.57 M entries), and about 8 MB of `u16` values,
 /// where a `DEFAULT_MAX_ENTRIES` table would pin about 134 MB.
 const KEPT_ENTRIES: usize = 1 << 22;
 
 thread_local! {
-    /// The DP arena [`drive`] keeps on each thread between solves.
+    /// The DP arena [`search`] keeps on each thread between solves.
     static ARENA: Cell<DpScratch> = Cell::new(DpScratch::new());
 }
 
@@ -186,29 +161,41 @@ thread_local! {
 /// candidates per round, after a first round that probes the bracket's
 /// lower end alone.
 ///
-/// Each round passes its candidates, in ascending order, to `probe_round`
-/// together with `scratch` and the request's profile cache (`None` without
-/// one); it fills in each candidate's `OPT(N)` and witness, and must add the
-/// DP counters of its probes to `scratch`. The solve's stats report those
-/// counters, so they must start at zero. The budget and
-/// cancellation gate runs before every round. The upper end drops to the
-/// smallest feasible candidate, and the lower end rises past the largest
-/// infeasible candidate below the new upper end: both rest on one-sided
-/// proofs (a feasible probe yields a schedule; an infeasible probe at `t`
-/// proves `OPT > t`, since rounded sizes never exceed the originals), so
-/// any width certifies the same `(1+ε)` guarantee. When no round found the
-/// final target feasible it is re-probed, then the gate runs once more
-/// before reconstruction.
+/// Every candidate is probed on the caller, in ascending order within its
+/// round, through the request's profile cache and the calling thread's DP
+/// arena. The budget and cancellation gate runs before every round. The
+/// upper end drops to the smallest feasible candidate, and the lower end
+/// rises past the largest infeasible candidate below the new upper end: both
+/// rest on one-sided proofs (a feasible probe yields a schedule; an
+/// infeasible probe at `t` proves `OPT > t`, since rounded sizes never
+/// exceed the originals), so any width certifies the same `(1+ε)`
+/// guarantee. When no round found the final target feasible it is
+/// re-probed, then the gate runs once more before reconstruction.
+///
+/// The arena stays on its thread between solves, so a worker allocates its
+/// table once: the `LB` probe builds the largest table of the bracket
+/// (table size grows as the target shrinks), and every later probe and
+/// solve reuses it. It goes back with its counters zeroed and without any
+/// buffer above `KEPT_ENTRIES` entries, whether the solve returned `Ok` or
+/// `Err`; a solve that panics drops it.
 pub fn search<Sc: Scenario>(
     sc: &Sc,
     req: &SolveRequest<'_>,
     width: usize,
+) -> Result<(PtasOutput, SolveStats)> {
+    let mut scratch = ARENA.take();
+    let result = search_in(sc, req, width, &mut scratch);
+    ARENA.set(scratch.kept(KEPT_ENTRIES));
+    result
+}
+
+/// [`search`] in `scratch`, whose counters must start at zero: the solve's
+/// stats report them.
+fn search_in<Sc: Scenario>(
+    sc: &Sc,
+    req: &SolveRequest<'_>,
+    width: usize,
     scratch: &mut DpScratch,
-    mut probe_round: impl FnMut(
-        &mut [Candidate<Sc::Map>],
-        &mut DpScratch,
-        Option<&mut SolveCache<'_>>,
-    ) -> Result<()>,
 ) -> Result<(PtasOutput, SolveStats)> {
     let inst = req.instance;
     let run_start = Instant::now();
@@ -238,7 +225,10 @@ pub fn search<Sc: Scenario>(
     let mut round = |candidates: &mut [Candidate<Sc::Map>], lower: Time, upper: Time| {
         check_budget(req, scratch.entries_touched, lower, upper)?;
         let dp_start = Instant::now();
-        probe_round(candidates, scratch, cache.as_mut())?;
+        for (t, dp_machines, witness) in candidates.iter_mut() {
+            let _probe_span = req.trace_span("probe", *t);
+            (*dp_machines, *witness) = probe(sc, inst, *t, scratch, cache.as_mut())?;
+        }
         dp_wall += dp_start.elapsed();
         log.probes.extend(
             candidates
@@ -360,9 +350,8 @@ fn fill_candidates<M>(lower: Time, upper: Time, width: usize, candidates: &mut V
 /// misses of this solve alone, and the keys it stored itself. A key this
 /// solve stored bypasses the cache: reading back our own outcome would
 /// report a cross-request hit on a cold cache (same work as an uncached
-/// probe). [`search`] makes one per cached solve; other callers [`probe`]
-/// without one.
-pub struct SolveCache<'a> {
+/// probe). [`search`] makes one per cached solve.
+struct SolveCache<'a> {
     cache: &'a dyn ProfileCache,
     self_stored: Vec<ProfileKey>,
     hits: u64,
@@ -405,7 +394,7 @@ impl<'a> SolveCache<'a> {
 /// runs it and stores the outcome. Returns `OPT(N)` (machine count,
 /// `u32::MAX` when unschedulable) together with the witness iff the target
 /// is feasible.
-pub fn probe<Sc: Scenario>(
+fn probe<Sc: Scenario>(
     sc: &Sc,
     inst: &Instance,
     target: Time,

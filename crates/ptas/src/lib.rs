@@ -27,10 +27,11 @@
 //!   one feasibility probe `chassis::probe` (round once, key the profile
 //!   cache on that rounding, take the DP outcome from the cache or the DP),
 //!   and the one model-agnostic search loop `chassis::search` with its
-//!   budget gates, probe log and stats bookkeeping. Every
+//!   budget gates, probe log and stats bookkeeping, which probes every
+//!   candidate on the caller in the thread's DP arena. Every
 //!   dual-approximation solver runs it: `chassis::drive` with one
 //!   candidate per round for [`Ptas`] and [`QPtas`], and
-//!   `pcmax_parallel::SpeculativePtas` with `w` concurrent candidates,
+//!   `pcmax_parallel::SpeculativePtas` with `w` candidates per round,
 //! * [`uniform`] — the `Q||Cmax` instantiation ([`QPtas`]).
 //!
 //! The parallel DP of the paper (Algorithm 3) lives in the `pcmax-parallel`

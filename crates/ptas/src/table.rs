@@ -40,7 +40,7 @@ impl KernelScratch {
 
 /// Reusable allocation arena of PTAS runs: the dense value table, the
 /// wavefront's block plan and the per-worker kernel buffers are allocated
-/// once and recycled across bisection probes, and `chassis::drive` keeps
+/// once and recycled across bisection probes, and `chassis::search` keeps
 /// one arena per thread across solves (see `DpScratch::kept`), so
 /// repeated probes stop paying the `O(σ)` allocation cost. The counters
 /// surface in `SolveStats` (see `chassis::merge_scratch`), making the reuse
@@ -88,8 +88,8 @@ impl DpScratch {
     }
 
     /// Pre-grows the value store to hold `entries` entries. Counts as one
-    /// allocation if it actually grows — the PTAS driver reserves the
-    /// largest table of the bracket up front so every probe then reuses.
+    /// allocation if it actually grows. No solve calls it: a solve's `LB`
+    /// probe builds the largest table of its bracket first.
     pub fn reserve(&mut self, entries: usize) {
         if self.values.capacity() < entries {
             self.values.reserve(entries - self.values.len());
@@ -114,19 +114,6 @@ impl DpScratch {
             kernels_outstanding: self.kernels_outstanding,
             ..Self::default()
         }
-    }
-
-    /// Adds the counters of `other` to this arena's — how a run whose
-    /// concurrent probes each had an arena of their own accounts them.
-    pub fn absorb(&mut self, other: &DpScratch) {
-        self.tables_allocated += other.tables_allocated;
-        self.tables_reused += other.tables_reused;
-        self.entries_touched += other.entries_touched;
-        self.levels_swept += other.levels_swept;
-        self.cells_computed += other.cells_computed;
-        self.pool_parks += other.pool_parks;
-        self.pool_wakes += other.pool_wakes;
-        self.kernel_allocs += other.kernel_allocs;
     }
 
     /// Returns a finished table's backing store for the next probe.

@@ -22,8 +22,8 @@
 //!   [`crate::MemoizedDp`], or the parallel wavefront executors from
 //!   `pcmax-parallel`.
 //! * **Driver**: the shared bisection [`drive`](crate::chassis::drive) loop
-//!   and its one [`probe`](crate::chassis::probe), which keys the profile
-//!   cache on the per-machine capacities in units; the speed-aware
+//!   and its one probe, which keys the profile cache on the per-machine
+//!   capacities in units; the speed-aware
 //!   [`pcmax_core::MakespanBounds`] bracket guarantees the upper endpoint is
 //!   always feasible (all rounded jobs fit the fastest machine at
 //!   `T = ⌈Σt/s_max⌉`).
@@ -52,7 +52,7 @@ use pcmax_core::{Instance, Result, Schedule, SolveReport, SolveRequest, SolveSta
 ///
 /// `QPtas::new(0.3)` runs the serial oracle [`IterativeDp`];
 /// `QPtas::with_engine(0.3, pcmax_parallel::ParallelDp::default())` runs the
-/// parallel wavefront.
+/// parallel wavefront, as the registry's `ptas-q` does.
 #[derive(Debug, Clone)]
 pub struct QPtas<E = IterativeDp> {
     params: EpsilonParams,

@@ -35,7 +35,7 @@
 //!
 //! Every solver is also reachable through the engine registry by a stable
 //! name (`"ls"`, `"lpt"`, `"multifit"`, `"ptas"`, `"par-ptas"`,
-//! `"spec-ptas"`, `"fptas"`, `"exact"`, `"milp"`), with budgets,
+//! `"fptas"`, `"exact"`, `"milp"`, `"ptas-q"`, …), with budgets,
 //! cancellation and structured statistics:
 //!
 //! ```
