@@ -78,7 +78,7 @@ pub const TRACE_HOT_FILES: &[&str] = &[
 ];
 
 /// Identifiers that emit trace events or record metrics — the
-/// free-function hooks of `pcmax-trace`, the request-level sinks of
+/// free-function hooks of `pcmax-trace`, the request-level span of
 /// `pcmax-core`, and the recording methods of `pcmax-metrics`
 /// (`inc` / `inc_by` / `observe`). A metric record is one relaxed atomic
 /// add when enabled — cheap per chunk, ruinous per cell.
@@ -89,8 +89,6 @@ const TRACE_HOOKS: &[&str] = &[
     "instant",
     "counter",
     "trace_span",
-    "trace_instant",
-    "trace_counter",
     "inc",
     "inc_by",
     "observe",

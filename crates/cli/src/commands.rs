@@ -246,7 +246,6 @@ fn trace(
     let params = SolverParams {
         epsilon: eps,
         threads,
-        ..SolverParams::default()
     };
     // The trace session wraps the whole submission, so engine-side events
     // (queue park/wake, worker lanes) land in the same timeline as the
@@ -300,7 +299,6 @@ fn solve_one(
     let params = SolverParams {
         epsilon: eps,
         threads,
-        node_budget: budget,
     };
     let report = with_engine(|engine| {
         let mut sub = Submission::new(inst.clone(), spec.name).with_params(params);
@@ -514,7 +512,6 @@ fn metrics_run(
     let params = SolverParams {
         epsilon: eps,
         threads,
-        ..SolverParams::default()
     };
     let mut solves = 0usize;
     with_engine(|engine| {

@@ -101,7 +101,7 @@ impl CancelToken {
     }
 }
 
-/// Receiver for structured trace events emitted during a solve.
+/// Receiver for the spans a solve emits.
 ///
 /// The trait lives in core so every solver can emit spans without depending
 /// on a tracing backend; `pcmax-trace` provides the production
@@ -117,12 +117,6 @@ pub trait TraceSink: Send + Sync {
     /// Closes the most recent open span with this name on the calling
     /// thread.
     fn span_exit(&self, name: &'static str);
-
-    /// Records a point event.
-    fn instant(&self, name: &'static str, arg: u64);
-
-    /// Records a counter sample.
-    fn counter(&self, name: &'static str, value: u64);
 }
 
 /// RAII span tied to a [`SolveRequest`]'s trace sink: enters on creation
@@ -151,7 +145,7 @@ pub struct SolveRequest<'a> {
     pub budget: Budget,
     /// Cooperative cancellation flag (default: never cancelled).
     pub cancel: CancelToken,
-    /// Optional receiver for span/instant/counter events (default: none).
+    /// Optional receiver for the solve's spans (default: none).
     pub trace: Option<Arc<dyn TraceSink>>,
     /// Optional instance-profile cache consulted per DP probe (default:
     /// none). Hits skip the DP and replay only the O(n) rounding; the
@@ -215,20 +209,6 @@ impl<'a> SolveRequest<'a> {
             sink.span_enter(name, arg);
         }
         ReqSpan { sink, name }
-    }
-
-    /// Records a point event on the attached sink (no-op without one).
-    pub fn trace_instant(&self, name: &'static str, arg: u64) {
-        if let Some(sink) = self.trace.as_deref() {
-            sink.instant(name, arg);
-        }
-    }
-
-    /// Records a counter sample on the attached sink (no-op without one).
-    pub fn trace_counter(&self, name: &'static str, value: u64) {
-        if let Some(sink) = self.trace.as_deref() {
-            sink.counter(name, value);
-        }
     }
 
     /// Returns `Err(Error::Cancelled)` if the token is raised — the check
@@ -545,14 +525,6 @@ mod tests {
         fn span_exit(&self, name: &'static str) {
             self.log.lock().unwrap().push(("exit", name, 0));
         }
-
-        fn instant(&self, name: &'static str, arg: u64) {
-            self.log.lock().unwrap().push(("instant", name, arg));
-        }
-
-        fn counter(&self, name: &'static str, value: u64) {
-            self.log.lock().unwrap().push(("counter", name, value));
-        }
     }
 
     #[test]
@@ -562,19 +534,9 @@ mod tests {
         let req = SolveRequest::new(&inst).with_trace(sink.clone());
         {
             let _phase = req.trace_span("assign", 3);
-            req.trace_instant("tick", 1);
-            req.trace_counter("cells", 9);
         }
         let log = sink.log.lock().unwrap();
-        assert_eq!(
-            *log,
-            vec![
-                ("enter", "assign", 3),
-                ("instant", "tick", 1),
-                ("counter", "cells", 9),
-                ("exit", "assign", 0),
-            ]
-        );
+        assert_eq!(*log, vec![("enter", "assign", 3), ("exit", "assign", 0)]);
     }
 
     #[test]
@@ -582,7 +544,6 @@ mod tests {
         let inst = inst();
         let req = SolveRequest::new(&inst);
         let _span = req.trace_span("assign", 0);
-        req.trace_instant("tick", 0);
         let dbg = format!("{req:?}");
         assert!(dbg.contains("trace: None"), "got: {dbg}");
         let sink: Arc<dyn TraceSink> = Arc::new(Recorder::default());

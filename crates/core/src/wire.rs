@@ -111,9 +111,11 @@ pub enum WireOutcome {
         cache_hits: u64,
         /// Profile-cache misses over the server's lifetime.
         cache_misses: u64,
-        /// Worker park events aggregated from every solve.
+        /// Condvar waits entered over the process's lifetime: the
+        /// wavefront pool's barrier waits and the engine workers' waits for
+        /// a job on the admission queue, so an idle server parks too.
         parks: u64,
-        /// Worker wake events aggregated from every solve.
+        /// Condvar waits returned from, over the same sites as `parks`.
         wakes: u64,
     },
 }

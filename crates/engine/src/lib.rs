@@ -58,8 +58,6 @@ pub struct SolverParams {
     /// count); unset, they use all cores. DP tables below the wavefront's
     /// serial cutoff sweep on one.
     pub threads: Option<usize>,
-    /// Search-node budget for the exact and MILP solvers.
-    pub node_budget: Option<u64>,
 }
 
 impl Default for SolverParams {
@@ -67,7 +65,6 @@ impl Default for SolverParams {
         Self {
             epsilon: 0.3,
             threads: None,
-            node_budget: None,
         }
     }
 }
@@ -250,12 +247,7 @@ static REGISTRY: &[SolverSpec] = &[
         aliases: &["ip", "bb"],
         summary: "combinatorial branch-and-bound, anytime (optimal)",
         guarantee: Guarantee::Optimal,
-        build: |p| {
-            Ok(Box::new(match p.node_budget {
-                Some(b) => BranchAndBound::with_budget(b.max(1)),
-                None => BranchAndBound::default(),
-            }))
-        },
+        build: |_| Ok(Box::new(BranchAndBound::default())),
     },
     SolverSpec {
         name: "milp",

@@ -652,8 +652,6 @@ mod tests {
             panic!("sink refuses spans");
         }
         fn span_exit(&self, _: &'static str) {}
-        fn instant(&self, _: &'static str, _: u64) {}
-        fn counter(&self, _: &'static str, _: u64) {}
     }
 
     #[test]

@@ -43,7 +43,6 @@ fn solver_reports_are_bit_identical_with_metrics_on_and_off() {
     let params = SolverParams {
         epsilon: 0.3,
         threads: Some(2),
-        ..SolverParams::default()
     };
     let engine = Engine::with_config(EngineConfig {
         workers: 1,

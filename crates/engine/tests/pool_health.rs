@@ -39,7 +39,6 @@ fn pool_parks_equal_wakes_after_wind_down_across_thread_counts() {
         let params = SolverParams {
             epsilon: EPSILON,
             threads: Some(threads),
-            ..SolverParams::default()
         };
         let solver = build("par-ptas", &params).unwrap();
         let report = solver.solve(&SolveRequest::new(&inst)).unwrap();
@@ -67,7 +66,6 @@ fn kernel_allocations_stay_per_worker_not_per_cell() {
         let params = SolverParams {
             epsilon: EPSILON,
             threads: Some(threads),
-            ..SolverParams::default()
         };
         let solver = build("par-ptas", &params).unwrap();
         let report = std::thread::scope(|s| {
@@ -97,7 +95,6 @@ fn traced_parallel_solve_yields_per_worker_utilization() {
     let params = SolverParams {
         epsilon: EPSILON,
         threads: Some(4),
-        ..SolverParams::default()
     };
     let solver = build("par-ptas", &params).unwrap();
     // Trace via the primitive request hook rather than the session engine:

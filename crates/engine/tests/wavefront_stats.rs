@@ -20,7 +20,6 @@ fn parallel_ptas_reports_wavefront_counters() {
     let params = SolverParams {
         epsilon: 0.2,
         threads: Some(4),
-        ..SolverParams::default()
     };
     let solver = build("par-ptas", &params).unwrap();
     let report = solver.solve(&SolveRequest::new(&inst)).unwrap();

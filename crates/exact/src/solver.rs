@@ -172,16 +172,17 @@ impl Solver for BranchAndBound {
         "IP"
     }
 
-    /// Anytime semantics under a budget: a request-level node limit shrinks
-    /// the search budget, and the search stops at the request's deadline;
-    /// either way the solver still returns its incumbent with
-    /// `proven_optimal = false` rather than erroring out. A cancel raised
-    /// mid-search returns `Cancelled`.
+    /// Anytime semantics under a budget: a request-level node limit
+    /// replaces the constructed budget, larger or smaller, as
+    /// [`with_budget`](Self::with_budget) would set it, and the search stops
+    /// at the request's deadline; either way the solver still returns its
+    /// incumbent with `proven_optimal = false` rather than erroring out. A
+    /// cancel raised mid-search returns `Cancelled`.
     fn solve(&self, req: &SolveRequest<'_>) -> Result<SolveReport> {
         req.check_cancelled()?;
         let start = Instant::now();
         let solver = match req.budget.node_limit {
-            Some(limit) => Self::with_budget(limit.min(self.node_budget).max(1)),
+            Some(limit) => Self::with_budget(limit.max(1)),
             None => *self,
         };
         let search_span = req.trace_span("search", solver.node_budget);
@@ -318,6 +319,21 @@ mod tests {
         // One node cannot prove optimality on this instance.
         assert!(!report.proven_optimal);
         assert!(report.stats.bisection_probes >= 1);
+    }
+
+    #[test]
+    fn request_node_limit_replaces_the_constructed_budget() {
+        use pcmax_core::Budget;
+        let inst = Instance::new(vec![9, 8, 7, 7, 6, 5, 5, 4, 3], 3).unwrap();
+        let needs = BranchAndBound::default().solve_detailed(&inst).unwrap();
+        assert!(needs.proven && needs.nodes > 10, "{} nodes", needs.nodes);
+        let req = SolveRequest::new(&inst).with_budget(Budget::unlimited().nodes(1_000));
+        let report = BranchAndBound::with_budget(10).solve(&req).unwrap();
+        assert!(
+            report.stats.bb_nodes > 10,
+            "{} nodes",
+            report.stats.bb_nodes
+        );
     }
 
     #[test]

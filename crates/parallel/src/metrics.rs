@@ -1,8 +1,8 @@
 //! Pool-health metric handles for the parallel executors.
 //!
 //! Aggregated, always-on counterparts of the `pcmax-trace` pool
-//! instrumentation: the park/wake instants, the chunk decisions and the
-//! per-worker busy time that the trace records as timeline events are
+//! instrumentation: the park/wake instants and the per-worker busy time
+//! under the `chunk` spans that the trace records as timeline events are
 //! accumulated here as process totals, so `pcmax compare` can report
 //! busy%/parks columns without an active trace session (see DESIGN.md §4e).
 //!
@@ -11,25 +11,22 @@
 //! `pcmax-audit` enforces that for `inc`/`observe` just as it does for
 //! trace hooks).
 
-use pcmax_metrics::{family, Counter, Family, Histogram};
+use pcmax_metrics::{family, Counter, Family};
 
-/// Worker park transitions across all pools (counterpart of
-/// `SolveStats::pool_parks`, summed process-wide).
+/// Condvar waits entered at the `sync` seam's `trace_park`, process-wide:
+/// the wavefront pool's level and barrier waits, which each sweep also
+/// sums into `SolveStats::pool_parks`, and the session engine's workers
+/// waiting for a job on the admission queue, which no solve reports.
 pub static POOL_PARKS: Counter = Counter::new(
     "pcmax_pool_parks_total",
-    "Worker park transitions across all persistent pools",
+    "Condvar waits of wavefront pool workers and of engine workers awaiting a job",
 );
 
-/// Worker wake transitions across all pools.
+/// Condvar waits returned from at the `sync` seam's `trace_wake`: the
+/// counterpart of [`POOL_PARKS`], over the same sites.
 pub static POOL_WAKES: Counter = Counter::new(
     "pcmax_pool_wakes_total",
-    "Worker wake transitions across all persistent pools",
-);
-
-/// Distribution of chunk sizes (in DP cells) claimed by wavefront workers.
-pub static CHUNK_CELLS: Histogram = Histogram::new(
-    "pcmax_pool_chunk_cells",
-    "DP cells per claimed wavefront chunk",
+    "Condvar wait returns of wavefront pool workers and of engine workers awaiting a job",
 );
 
 /// Per-worker busy time, in nanoseconds, summed over all chunks the worker

@@ -186,10 +186,6 @@ mod tests {
                     self.token.cancel();
                 }
             }
-
-            fn instant(&self, _name: &'static str, _arg: u64) {}
-
-            fn counter(&self, _name: &'static str, _value: u64) {}
         }
 
         let inst = lb_infeasible_instance();

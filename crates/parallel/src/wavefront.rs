@@ -3,27 +3,30 @@
 //! level, subproblem values are computed in parallel from the (immutable)
 //! lower levels.
 //!
-//! [`ParallelDp`] is the one production executor and the zero-allocation
-//! hot path of this crate: a [`crate::persistent`] worker pool spawned once
-//! per sweep over a row-major table cut into blocks (see
-//! `pcmax_ptas::BlockPlan`). The trailing classes of the table fold into
-//! blocks of consecutive cells; the wavefront runs over the anti-diagonal
-//! levels of the remaining *outer* classes, one worker fills each block,
-//! and every transition is one masked vector `min` over a contiguous run
-//! or, inside a block, one step of an ascending pass. [`FaithfulDp`] is
-//! the paper-literal ablation on the same pool: every level scans all σ
-//! entries of the table. Both sweep tables too small to pay for the pool
-//! inline on the caller (see [`sweep_workers`]).
+//! [`ParallelDp`] is the one production executor and the hot path of this
+//! crate, allocating nothing per level or cell: a [`crate::persistent`]
+//! worker pool spawned once per sweep over a row-major table cut into
+//! blocks (see `pcmax_ptas::BlockPlan`). The trailing classes of the table
+//! fold into blocks of consecutive cells; the wavefront runs over the
+//! anti-diagonal levels of the remaining *outer* classes, each level's
+//! blocks split evenly between the workers in contiguous runs (a static
+//! schedule, as in the paper's `parallel for`), and every transition is one
+//! masked vector `min` over a contiguous run or, inside a block, one step
+//! of an ascending pass. [`FaithfulDp`] is the paper-literal ablation on
+//! the same pool: every level scans all σ entries of the table. Both sweep
+//! tables too small to pay for the pool inline on the caller (see
+//! [`sweep_workers`]).
 
 use crate::{persistent, simd, sync};
 use pcmax_ptas::dp::fits;
 use pcmax_ptas::space::{SpaceEngine, StateSpace};
 use pcmax_ptas::table::{decode_into, BlockPlan, DpScratch, DpTable, KernelScratch, INFEASIBLE};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The production wavefront DP: the persistent-pool block sweep over a
-/// row-major table, with adaptive chunking (see [`bucketed_sweep_space`]).
+/// row-major table, each outer level's blocks split evenly between the
+/// workers (see [`bucketed_sweep_space`]).
 ///
 /// Produces bit-identical tables to `pcmax_ptas::IterativeDp`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -158,108 +161,6 @@ unsafe fn owned_block(cells: &[SyncCell], start: usize, len: usize) -> &mut [u16
     unsafe { std::slice::from_raw_parts_mut(UnsafeCell::raw_get(run.as_ptr().cast()), len) }
 }
 
-/// The trace-driven chunk autotuner: replaces the fixed `len.div_ceil(n)`
-/// split with a per-level proportional split over each worker's measured
-/// throughput, so a worker that keeps finishing early (asymmetric cores,
-/// interference, NUMA) is handed a larger share instead of parking at the
-/// barrier.
-///
-/// ## Why two speed buffers
-///
-/// Worker speeds are published through atomics, and *every* worker computes
-/// the *whole* partition locally — the partition is only disjoint if they
-/// all read identical speeds. A single buffer would race: a fast worker
-/// could publish its level-`l` measurement while a slow peer is still
-/// planning level `l` from the same slots. So the speeds are double-buffered
-/// by level parity: planning level `l` reads `speeds[l % 2]`, measurements
-/// taken *during* level `l` are written to `speeds[(l + 1) % 2]`, and the
-/// pool barrier between levels seals each buffer before anyone reads it.
-/// Every worker therefore snapshots the same sealed values and derives the
-/// same boundaries.
-///
-/// Under `feature = "audit"` the tuner is pinned off (static split):
-/// timing-driven boundaries would make per-thread op sequences differ
-/// between a recorded schedule and its replay, breaking the exploration
-/// scheduler and DPOR's determinism requirement.
-struct ChunkPlanner {
-    /// `speeds[parity * n + w]`: EWMA throughput of worker `w` (cells per
-    /// millisecond, clamped ≥ 1), for levels of that parity.
-    speeds: Vec<AtomicU64>,
-    n: usize,
-    adaptive: bool,
-}
-
-impl ChunkPlanner {
-    /// Neutral pre-measurement weight: all workers start equal, and the
-    /// EWMA pulls each lane toward its measured rate within a few levels.
-    const INITIAL_SPEED: u64 = 1 << 16;
-
-    fn new(n: usize) -> Self {
-        let adaptive = !cfg!(feature = "audit") && n > 1;
-        let speeds = (0..2 * n)
-            .map(|_| AtomicU64::new(Self::INITIAL_SPEED))
-            .collect();
-        Self {
-            speeds,
-            n,
-            adaptive,
-        }
-    }
-
-    /// Worker `w`'s half-open range of the `len` blocks of a level.
-    fn bounds(&self, w: usize, level: u32, len: usize) -> (usize, usize) {
-        if !self.adaptive {
-            let chunk = len.div_ceil(self.n);
-            return ((w * chunk).min(len), ((w + 1) * chunk).min(len));
-        }
-        let read = (level as usize % 2) * self.n;
-        let mut total = 0u128;
-        for slot in &self.speeds[read..read + self.n] {
-            // SeqCst is off the hot path (n loads per worker per level) and
-            // sidesteps any ordering subtlety; the disjointness argument
-            // rests on the barrier sealing this parity's buffer anyway.
-            total += slot.load(Ordering::SeqCst) as u128;
-        }
-        let mut start = 0usize;
-        let mut acc = 0u128;
-        for i in 0..self.n {
-            acc += self.speeds[read + i].load(Ordering::SeqCst) as u128;
-            let prorated = ((acc * len as u128) / total) as usize;
-            let end = if i + 1 == self.n {
-                len
-            } else {
-                prorated.clamp(start, len)
-            };
-            if i == w {
-                return (start, end);
-            }
-            start = end;
-        }
-        unreachable!("worker {w} out of range for a {}-worker planner", self.n)
-    }
-
-    /// Publishes worker `w`'s measured level-`level` throughput into the
-    /// buffer that plans level `level + 1` (see the type docs for why this
-    /// never races with [`bounds`]).
-    fn record(&self, w: usize, level: u32, cells: usize, nanos: u64) {
-        if !self.adaptive || cells == 0 {
-            return;
-        }
-        let read = (level as usize % 2) * self.n;
-        let write = ((level as usize + 1) % 2) * self.n;
-        let measured = ((cells as u128 * 1_000_000) / nanos.max(1) as u128).max(1);
-        let measured = u64::try_from(measured).unwrap_or(u64::MAX);
-        let old = self.speeds[read + w].load(Ordering::SeqCst);
-        // EWMA (¾ old, ¼ new): adapts within a few levels without letting a
-        // single stalled chunk zero out a worker's share.
-        let blended = (old / 4)
-            .saturating_mul(3)
-            .saturating_add(measured / 4)
-            .max(1);
-        self.speeds[write + w].store(blended, Ordering::SeqCst);
-    }
-}
-
 /// Cell-transitions per swept level below which a sweep runs inline on the
 /// caller instead of on the pool. Every pooled level pays a fixed release
 /// and barrier (about 20 µs on a 2-vCPU host) however few cells it holds,
@@ -267,9 +168,9 @@ impl ChunkPlanner {
 /// threads on that host, twice, 2 threads won on 2–3 of the 241 tables
 /// below 10⁵ per outer level (none below 5×10⁴) and on 30–32 of the 34 at
 /// or above it (EXPERIMENTS.md, "Serial cutoff"). Under
-/// `feature = "audit"` it is 0, as `ChunkPlanner` pins static chunking
-/// there: the race and DPOR suites keep exploring the pool on their tiny
-/// tables, and the inline path has no second thread to interleave.
+/// `feature = "audit"` it is 0: the race and DPOR suites keep exploring the
+/// pool on their tiny tables, and the inline path has no second thread to
+/// interleave.
 const POOL_MIN_WORK_PER_LEVEL: u64 = if cfg!(feature = "audit") { 0 } else { 100_000 };
 
 /// Workers a sweep runs on: `threads` when the table's work per swept
@@ -308,22 +209,26 @@ pub fn min_block_cells(len: usize) -> usize {
     }
 }
 
-/// The zero-allocation persistent-pool block sweep over a row-major table,
-/// with adaptive chunking — the production sweep. It runs on at most
-/// `threads` workers: a table below the serial cutoff (see
-/// [`sweep_workers`]) is swept inline on the caller.
+/// The persistent-pool block sweep over a row-major table — the production
+/// sweep. It runs on at most `threads` workers: a table below the serial
+/// cutoff (see [`sweep_workers`]) is swept inline on the caller.
 ///
-/// The table's [`BlockPlan`] groups its blocks by outer level. Each outer
-/// level is one release of the pool: the workers split its blocks into
-/// disjoint runs and fill them **in place** (see [`fill_block`]). Every
-/// cross read lands on a strictly lower outer level, sealed by the barrier,
-/// and every local read on an earlier cell of the worker's own block. The
-/// only buffers are the plan's and the per-worker [`KernelScratch`] sets,
-/// both recycled through `scratch` and the latter accounted by
-/// `DpScratch::kernel_allocs`. The space's step filter is applied to every
-/// predecessor value before the min-reduce; on `PcmaxSpace` it is the
-/// always-true default and the sweep monomorphizes back to the
-/// identical-machine kernel.
+/// The table's [`BlockPlan`] groups its blocks by outer level. Outer level
+/// 0 is block 0 alone, which the caller fills before the pool starts; every
+/// later outer level is one release of the pool. Worker `w` of `n` takes
+/// the level's blocks `[w·⌈len/n⌉, (w+1)·⌈len/n⌉) ∩ [0, len)`, a static
+/// schedule as in the paper's `parallel for`, and fills them **in place**
+/// (see [`fill_block`]). Every cross read lands on a strictly lower outer
+/// level, sealed by the barrier, and every local read on an earlier cell of
+/// the worker's own block. The plan and the per-worker [`KernelScratch`]
+/// sets are recycled through `scratch`, the latter accounted by
+/// `DpScratch::kernel_allocs`, so no sweep allocates per cell or per level;
+/// per sweep it allocates the `Vec` holding the worker sets, the busy-time
+/// handles while metrics are on and, when pooled, the pool's threads and
+/// their handles. The space's step filter is applied to every predecessor
+/// value before the min-reduce; on `PcmaxSpace` it is the always-true
+/// default and the sweep monomorphizes back to the identical-machine
+/// kernel.
 ///
 /// Expects `table.values[0]` seeded to 0 and leaves it so; every other
 /// cell is overwritten, so sweeping a filled table again is sound.
@@ -332,10 +237,11 @@ pub fn min_block_cells(len: usize) -> usize {
 /// caller-owned table and compare the filled values bit-for-bit against the
 /// sequential DP under many explored schedules.
 ///
-/// On a kernel panic the pool winds down, the plan and every worker's
-/// [`KernelScratch`] are returned to `scratch` first, and only then is the
-/// payload re-raised — a poisoned solve cannot leak scratch into fresh
-/// allocations on the next probe (`DpScratch::take_kernel_bufs` asserts it).
+/// On a kernel panic, on the caller's level 0 or on the pool, the pool
+/// winds down, the plan and every worker's [`KernelScratch`] are returned
+/// to `scratch` first, and only then is the payload re-raised — a poisoned
+/// solve cannot leak scratch into fresh allocations on the next probe
+/// (`DpScratch::take_kernel_bufs` asserts it).
 pub fn bucketed_sweep_space<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
@@ -347,10 +253,9 @@ pub fn bucketed_sweep_space<S: StateSpace>(
     let swept_levels = table.levels().saturating_sub(1);
     let cells_computed = table.len - 1;
     let n = sweep_workers(threads, cells_computed, transitions.len(), plan.levels());
-    let states = scratch.take_kernel_bufs(n);
+    let mut states = scratch.take_kernel_bufs(n);
     let block = plan.block();
     let cells = shared_cells(&mut table.values);
-    let planner = &ChunkPlanner::new(n);
     // Per-worker busy counters resolved once per sweep: `with_label` takes
     // a mutex, so the chunk loop below only touches pre-resolved handles.
     let busy: Option<Vec<_>> = pcmax_metrics::enabled().then(|| {
@@ -363,18 +268,21 @@ pub fn bucketed_sweep_space<S: StateSpace>(
 
     let kernel = |w: usize, level: u32, kb: &mut KernelScratch| {
         let span = plan_ref.level_span(level);
-        let (lo, hi) = planner.bounds(w, level, span.len());
+        let share = span.len().div_ceil(n);
+        let (lo, hi) = (
+            (w * share).min(span.len()),
+            ((w + 1) * share).min(span.len()),
+        );
         if lo >= hi {
             return;
         }
-        let chunk_cells = ((hi - lo) * block) as u64;
-        pcmax_trace::chunk_decision(w as u64, chunk_cells);
-        crate::metrics::CHUNK_CELLS.observe(chunk_cells);
-        // Chunk span and chunk-size observation only — no trace or metric
-        // hooks inside the block loop below or in `fill_block` (enforced by
-        // the audit lint's trace-hot rule).
+        // The chunk span only — no trace or metric hooks inside the block
+        // loop below or in `fill_block` (enforced by the audit lint's
+        // trace-hot rule).
         let _chunk_span = pcmax_trace::span("chunk", w as u64);
-        let t0 = (planner.adaptive || busy.is_some()).then(std::time::Instant::now);
+        let started = busy
+            .as_ref()
+            .map(|busy| (&busy[w], std::time::Instant::now()));
         kb.prepare(block);
         // One ISA dispatch per chunk: on an AVX2 CPU running a baseline
         // build, every block fill re-enters through the `target_feature`
@@ -384,20 +292,20 @@ pub fn bucketed_sweep_space<S: StateSpace>(
                 fill_block(space, plan_ref, cells, at, kb);
             }
         });
-        if let Some(t0) = t0 {
-            let nanos = t0.elapsed().as_nanos() as u64;
-            if let Some(busy) = busy {
-                busy[w].inc_by(nanos);
-            }
-            if planner.adaptive {
-                planner.record(w, level, (hi - lo) * block, nanos);
-            }
+        if let Some((busy, t0)) = started {
+            busy.inc_by(t0.elapsed().as_nanos() as u64);
         }
     };
 
     let sweep_start = std::time::Instant::now();
+    // Outer level 0 is block 0 alone, worker 0's whole share: filling it on
+    // the caller spares the pool a release and barrier for one block.
+    debug_assert_eq!(plan.level_span(0).len(), 1, "outer level 0 is block 0");
     let (states, counters, panicked) =
-        persistent::run_levels_catching(states, 0..plan.levels(), kernel);
+        match catch_unwind(AssertUnwindSafe(|| kernel(0, 0, &mut states[0]))) {
+            Ok(()) => persistent::run_levels_catching(states, 1..plan.levels(), kernel),
+            Err(payload) => (states, persistent::PoolCounters::default(), Some(payload)),
+        };
     // Busy-fraction denominator: each of the n workers could at most have
     // been busy for the whole sweep extent.
     crate::metrics::POOL_EXTENT_NANOS.inc_by(sweep_start.elapsed().as_nanos() as u64 * n as u64);
@@ -775,10 +683,39 @@ mod tests {
     fn block_sweep_matches_the_serial_sweep_at_every_thread_count() {
         for problem in problems().into_iter().chain([pooled_problem()]) {
             let want = oracle_values(&problem, None);
-            for threads in [1usize, 2, 4] {
+            for threads in [1usize, 2, 3, 4] {
                 let (got, _) = block_values(&problem, None, threads);
                 assert_eq!(got, want, "{threads} threads diverged");
             }
+        }
+    }
+
+    #[test]
+    fn the_caller_fills_outer_level_0_and_the_pool_takes_the_rest() {
+        // Outer level 0 is block 0 alone, so the pool is released once per
+        // later outer level: the leader's `level` spans count the releases.
+        let problem = pooled_problem();
+        let levels = plan_of(&problem).levels() as usize;
+        for threads in [2usize, 4] {
+            let session = pcmax_trace::Session::start().expect("no other session is active");
+            let (values, scratch) = {
+                let _leader = pcmax_trace::span("leader", threads as u64);
+                block_values(&problem, None, threads)
+            };
+            let timeline = session.finish();
+            assert!(scratch.pool_parks > 0, "{threads} threads ran on the pool");
+            assert_eq!(values, oracle_values(&problem, None));
+            let lane = timeline
+                .lanes
+                .iter()
+                .find(|lane| lane.events.iter().any(|e| e.name == "leader"))
+                .expect("the leader's lane");
+            let releases = lane
+                .events
+                .iter()
+                .filter(|e| e.kind == pcmax_trace::EventKind::SpanEnter && e.name == "level")
+                .count();
+            assert_eq!(releases, levels - 1, "{threads} threads");
         }
     }
 
@@ -882,15 +819,23 @@ mod tests {
 
     #[test]
     fn panicking_sweep_returns_kernel_buffers_before_unwinding() {
-        /// A state space whose batched filter detonates: every block with a
-        /// fitting cross step panics mid-level.
-        struct Bomb<'a>(PcmaxSpace<'a>);
+        /// A state space whose filter detonates: the batched form on every
+        /// block with a fitting cross step, on the pool, or the scalar form
+        /// on every local step, first in block 0 on the caller.
+        struct Bomb<'a> {
+            space: PcmaxSpace<'a>,
+            local: bool,
+        }
         impl StateSpace for Bomb<'_> {
             fn transitions(&self) -> &[(Config, usize)] {
-                self.0.transitions()
+                self.space.transitions()
+            }
+            fn step_allowed(&self, _t_idx: usize, _below: u16) -> bool {
+                assert!(!self.local, "rigged local step filter");
+                true
             }
             fn value_of_batch(&self, _t_idx: usize, _below: &mut [u16]) {
-                panic!("rigged step filter");
+                assert!(self.local, "rigged cross step filter");
             }
         }
 
@@ -903,57 +848,30 @@ mod tests {
         let allocs = scratch.kernel_allocs;
         assert_eq!(allocs, 2, "both workers of the pool hold a buffer");
 
-        let mut table = problem.build_table_in(&mut scratch).unwrap();
-        let configs = problem.configs_with_offsets(&table);
-        table.values[0] = 0;
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            bucketed_sweep_space(
-                &mut table,
-                &Bomb(PcmaxSpace::new(&configs)),
-                2,
-                &mut scratch,
-            )
-        }));
-        assert!(caught.is_err(), "the rigged filter must unwind the sweep");
-        scratch.recycle(table);
+        for local in [false, true] {
+            let mut table = problem.build_table_in(&mut scratch).unwrap();
+            let configs = problem.configs_with_offsets(&table);
+            table.values[0] = 0;
+            let space = Bomb {
+                space: PcmaxSpace::new(&configs),
+                local,
+            };
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                bucketed_sweep_space(&mut table, &space, 2, &mut scratch)
+            }));
+            assert!(caught.is_err(), "the rigged filter must unwind the sweep");
+            scratch.recycle(table);
 
-        // The wind-down handed every buffer home: the next probe reuses them
-        // (and `take_kernel_bufs` would assert on any outstanding leak).
-        ParallelDp::with_threads(2)
-            .solve_in(problem, &mut scratch)
-            .unwrap();
-        assert_eq!(
-            scratch.kernel_allocs, allocs,
-            "a poisoned solve must not leak kernel scratch"
-        );
-    }
-
-    #[test]
-    fn adaptive_chunking_still_partitions_exactly() {
-        // Exercise the planner's prefix arithmetic directly across skewed
-        // speed profiles: the n ranges must tile 0..len exactly, whatever
-        // the measurements said.
-        for n in [1usize, 2, 3, 4, 7] {
-            let planner = ChunkPlanner::new(n);
-            for (w, speed) in [(0usize, 10u64), (1, 100_000), (2, 1)] {
-                if w < n {
-                    // Feed wildly skewed measurements for both parities.
-                    planner.record(w, 0, 1000, 1_000_000_000 / speed.max(1));
-                    planner.record(w, 1, 1000, 1_000_000_000 / speed.max(1));
-                }
-            }
-            for level in 1..6u32 {
-                for len in [0usize, 1, 5, 16, 1000, 1001] {
-                    let mut expect = 0usize;
-                    for w in 0..n {
-                        let (lo, hi) = planner.bounds(w, level, len);
-                        assert_eq!(lo, expect, "worker {w} must start where {w}-1 ended");
-                        assert!(hi >= lo && hi <= len);
-                        expect = hi;
-                    }
-                    assert_eq!(expect, len, "the chunks must cover the level");
-                }
-            }
+            // Every buffer went home before the unwind: the next probe
+            // reuses them (and `take_kernel_bufs` would assert on any
+            // outstanding leak).
+            ParallelDp::with_threads(2)
+                .solve_in(problem, &mut scratch)
+                .unwrap();
+            assert_eq!(
+                scratch.kernel_allocs, allocs,
+                "a poisoned solve must not leak kernel scratch (local: {local})"
+            );
         }
     }
 

@@ -465,10 +465,6 @@ mod tests {
             fn span_exit(&self, name: &'static str) {
                 self.0.lock().unwrap().push(("exit", name, 0));
             }
-
-            fn instant(&self, _name: &'static str, _arg: u64) {}
-
-            fn counter(&self, _name: &'static str, _value: u64) {}
         }
 
         let inst = Instance::new(vec![13, 11, 9, 8, 8, 7, 5, 4, 2, 2, 1, 1], 3).unwrap();
@@ -614,10 +610,6 @@ mod tests {
                     self.0.cancel();
                 }
             }
-
-            fn instant(&self, _name: &'static str, _arg: u64) {}
-
-            fn counter(&self, _name: &'static str, _value: u64) {}
         }
 
         let inst = Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3], 4).unwrap();

@@ -207,21 +207,6 @@ pub fn counter(name: &'static str, value: u64) {
     push(EventKind::Counter, name, value);
 }
 
-/// Records a wavefront chunk-autotuner decision: worker `w` was assigned a
-/// chunk of `cells` cells for the level it is about to sweep. Packed into
-/// one instant arg (worker in the high 16 bits, cells in the low 48) so the
-/// hot path stays a single [`instant`]; decode with [`decode_chunk_decision`].
-#[inline]
-pub fn chunk_decision(worker: u64, cells: u64) {
-    instant("chunk-size", (worker << 48) | cells.min((1 << 48) - 1));
-}
-
-/// Splits a `chunk-size` instant arg back into `(worker, cells)`.
-#[inline]
-pub fn decode_chunk_decision(arg: u64) -> (u64, u64) {
-    (arg >> 48, arg & ((1 << 48) - 1))
-}
-
 /// RAII span: enters on creation, exits on drop. If tracing was disabled at
 /// creation the drop is a no-op, so a session starting mid-span cannot
 /// record an unbalanced exit.
@@ -264,14 +249,6 @@ impl pcmax_core::TraceSink for GlobalSink {
 
     fn span_exit(&self, name: &'static str) {
         span_exit(name);
-    }
-
-    fn instant(&self, name: &'static str, arg: u64) {
-        instant(name, arg);
-    }
-
-    fn counter(&self, name: &'static str, value: u64) {
-        counter(name, value);
     }
 }
 
@@ -529,22 +506,6 @@ mod tests {
         let timeline = session.finish();
         assert_eq!(timeline.total_events(), 16);
         assert_eq!(timeline.dropped(), 84);
-    }
-
-    #[test]
-    fn chunk_decisions_round_trip_through_the_packed_arg() {
-        let _serial = test_support::serial();
-        let session = Session::start().expect("no session active");
-        chunk_decision(3, 12_345);
-        chunk_decision(0, (1 << 48) + 7); // oversized chunks saturate
-        let timeline = session.finish();
-        let lane = &timeline.lanes[0];
-        assert_eq!(lane.events[0].name, "chunk-size");
-        assert_eq!(decode_chunk_decision(lane.events[0].arg), (3, 12_345));
-        assert_eq!(
-            decode_chunk_decision(lane.events[1].arg),
-            (0, (1 << 48) - 1)
-        );
     }
 
     #[test]
