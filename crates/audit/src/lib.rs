@@ -12,8 +12,8 @@
 //!   no trace hooks and no allocation in the cell-kernel hot loops, no
 //!   `MutexGuard` held across a condvar wait, and no build artifacts
 //!   tracked in git. Run with `cargo run -p pcmax-audit -- lint`.
-//! * **Concurrency checker** ([`race`], [`explore`], [`blocking`],
-//!   [`dpor`], `feature = "audit"`): a happens-before race detector
+//! * **Concurrency checker** (`race`, `explore`, `blocking`,
+//!   `dpor`, `feature = "audit"`): a happens-before race detector
 //!   (per-thread vector clocks) over the serialized traces produced by
 //!   `pcmax_parallel::sync::audit`'s turn-based scheduler, a blocking
 //!   analysis (lock-order cycles, lost wakeups) over the same traces, and

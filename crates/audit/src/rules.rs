@@ -17,9 +17,9 @@
 //! * **`trace-hot`** — no trace hooks *or metric-recording calls* inside
 //!   the zero-allocation block kernel's loops. In [`TRACE_HOT_FILES`], a
 //!   `for` loop is on the per-block or per-cell hot path when its body
-//!   calls one of [`KERNEL_MARKERS`] (the block fill, or the audit seam's
+//!   calls one of `KERNEL_MARKERS` (the block fill, or the audit seam's
 //!   per-cell access hooks that every cell read and write carries) or when
-//!   it lies inside one of [`KERNEL_FNS`]: even a disabled hook's atomic
+//!   it lies inside one of `KERNEL_FNS`: even a disabled hook's atomic
 //!   load there multiplies by the block or cell count, and an *enabled*
 //!   metric's relaxed add is a guaranteed cache ping on every one. Spans
 //!   belong *around* the block loop (chunk/level granularity) and metrics
@@ -34,7 +34,7 @@
 //!   Buffers are reserved *outside* the block loop (metric family children
 //!   resolved once per sweep); override only with a justified
 //!   `audit:allow(alloc-hot)` comment.
-//! * **`guard-across-park`** — no [`sync::Mutex`] guard binding held
+//! * **`guard-across-park`** — no [`pcmax_parallel::sync::Mutex`] guard binding held
 //!   across a condvar wait or a thread park. A `let g = ….lock(…)…;`
 //!   binding that is still live (not dropped, not consumed as the wait's
 //!   own guard argument) when a `.wait(…)` / `.wait_timeout(…)` /
@@ -558,7 +558,7 @@ fn for_loop_bodies(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
 }
 
 /// Token-index ranges `(open, close)` of the bodies of every function named
-/// in [`KERNEL_FNS`].
+/// in `KERNEL_FNS`.
 fn kernel_fn_bodies(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
     let mut bodies = Vec::new();
     for i in 0..toks.len().saturating_sub(1) {
@@ -591,8 +591,8 @@ fn kernel_fn_bodies(toks: &[crate::lexer::Token]) -> Vec<(usize, usize)> {
 }
 
 /// For a candidate at token `w`: whether its innermost enclosing `for`
-/// body is a kernel loop — it calls one of [`KERNEL_MARKERS`], or it lies
-/// inside one of [`KERNEL_FNS`]. Judging the *innermost* loop keeps spans
+/// body is a kernel loop — it calls one of `KERNEL_MARKERS`, or it lies
+/// inside one of `KERNEL_FNS`. Judging the *innermost* loop keeps spans
 /// and buffers set up per level, around a block loop, legal.
 fn in_kernel_loop(
     toks: &[crate::lexer::Token],

@@ -2,7 +2,7 @@
 //!
 //! In the online model jobs arrive one at a time and each must be placed
 //! irrevocably before the next is revealed — no sorting, no lookahead.
-//! [`OnlineScheduler`] is the streaming core (it never sees an [`Instance`],
+//! [`OnlineScheduler`] is the streaming core (it never sees an [`Instance`](pcmax_core::Instance),
 //! only a sequence of `arrive` calls); [`LsOnline`] adapts it to the batch
 //! [`Solver`] interface by replaying an instance's jobs in index order, which
 //! makes the online/offline gap directly measurable with `pcmax compare`.

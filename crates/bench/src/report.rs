@@ -14,6 +14,8 @@ pub fn render_speedup(fig: &SpeedupFigure) -> String {
         "== {} (m={}, n={}, {} instances/family, eps=0.3) ==",
         fig.label, fig.machines, fig.jobs, fig.reps
     );
+    // Every cell opens with a space, so a value wider than its column
+    // (speedups vs IP reach six digits) never runs into its neighbour.
     let procs = fig
         .rows
         .first()
@@ -21,7 +23,7 @@ pub fn render_speedup(fig: &SpeedupFigure) -> String {
         .unwrap_or_default();
     let header: String = procs
         .iter()
-        .map(|p| format!("{:>8}", format!("P={p}")))
+        .map(|p| format!(" {:>7}", format!("P={p}")))
         .collect();
 
     let _ = writeln!(out, "\n(a) average speedup vs sequential PTAS");
@@ -30,7 +32,7 @@ pub fn render_speedup(fig: &SpeedupFigure) -> String {
         let cells: String = row
             .speedup_vs_ptas
             .iter()
-            .map(|s| format!("{s:>8.2}"))
+            .map(|s| format!(" {s:>7.2}"))
             .collect();
         let _ = writeln!(out, "{:<22}{cells}", row.family.dist.to_string());
     }
@@ -41,7 +43,7 @@ pub fn render_speedup(fig: &SpeedupFigure) -> String {
         let cells: String = row
             .speedup_vs_ip
             .iter()
-            .map(|s| format!("{s:>8.1}"))
+            .map(|s| format!(" {s:>7.1}"))
             .collect();
         let _ = writeln!(
             out,
@@ -54,7 +56,11 @@ pub fn render_speedup(fig: &SpeedupFigure) -> String {
     let _ = writeln!(out, "\n(c) average running times [s]");
     let _ = writeln!(out, "{:<22}{:>10}{:>10}{}", "family", "IP", "PTAS", header);
     for row in &fig.rows {
-        let cells: String = row.time_par_s.iter().map(|t| format!("{t:>8.4}")).collect();
+        let cells: String = row
+            .time_par_s
+            .iter()
+            .map(|t| format!(" {t:>7.4}"))
+            .collect();
         let _ = writeln!(
             out,
             "{:<22}{:>10.3}{:>10.4}{cells}",
@@ -125,6 +131,28 @@ mod tests {
         assert!(s.contains("(a)") && s.contains("(b)") && s.contains("(c)"));
         assert!(s.contains("U(1,10)"));
         assert!(s.contains("P=2"));
+    }
+
+    #[test]
+    fn six_digit_speedups_keep_their_columns_apart() {
+        let fig = SpeedupFigure {
+            label: "Figure X".into(),
+            machines: 4,
+            jobs: 8,
+            reps: 1,
+            rows: vec![FamilyRow {
+                family: Family::new(4, 8, Distribution::U1To10),
+                procs: vec![2, 4],
+                speedup_vs_ptas: vec![1.5, 2.5],
+                speedup_vs_ip: vec![136_498.2, 213_665.4],
+                time_ip_s: 1.0,
+                time_ptas_s: 0.1,
+                time_par_s: vec![0.066, 0.04],
+                ip_proven_frac: 1.0,
+            }],
+        };
+        let s = render_speedup(&fig);
+        assert!(s.contains(" 136498.2 213665.4 "), "{s}");
     }
 
     #[test]

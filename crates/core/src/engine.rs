@@ -26,8 +26,6 @@ pub struct Budget {
     pub deadline: Option<Instant>,
     /// Search-node limit (branch-and-bound nodes, MILP nodes).
     pub node_limit: Option<u64>,
-    /// DP-table entry limit (caps the PTAS table size σ).
-    pub entry_limit: Option<usize>,
 }
 
 impl Budget {
@@ -47,12 +45,6 @@ impl Budget {
     /// Sets the search-node limit.
     pub fn nodes(mut self, limit: u64) -> Self {
         self.node_limit = Some(limit);
-        self
-    }
-
-    /// Sets the DP-entry limit.
-    pub fn entries(mut self, limit: usize) -> Self {
-        self.entry_limit = Some(limit);
         self
     }
 
@@ -255,7 +247,7 @@ pub struct SolveStats {
     pub dp_entries_touched: u64,
     /// Dense DP tables whose backing storage was freshly allocated.
     pub dp_tables_allocated: u64,
-    /// Dense DP tables served from the reusable [`DpScratch`]-style arena
+    /// Dense DP tables served from the reusable `DpScratch`-style arena
     /// without a fresh allocation.
     pub dp_tables_reused: u64,
     /// Anti-diagonal levels swept by the parallel wavefront executors.
@@ -296,20 +288,6 @@ impl SolveStats {
             .filter(|p| p.name == name)
             .map(|p| p.wall)
             .sum()
-    }
-
-    /// Wavefront throughput over the *total* solve wall time — including
-    /// bisection setup and reconstruction, so it understates the kernel.
-    /// Use [`dp_phase_cells_per_sec`](Self::dp_phase_cells_per_sec) to
-    /// compare DP executors like with like; this variant is kept for
-    /// whole-solve accounting. `None` when no cells were counted or the
-    /// clock read zero.
-    pub fn dp_cells_per_sec(&self) -> Option<f64> {
-        let secs = self.wall.as_secs_f64();
-        if self.dp_cells == 0 || secs <= 0.0 {
-            return None;
-        }
-        Some(self.dp_cells as f64 / secs)
     }
 
     /// Wavefront throughput scoped to the `"dp"` phase: DP cells per second
@@ -474,9 +452,8 @@ mod tests {
 
     #[test]
     fn budget_builders_compose() {
-        let b = Budget::unlimited().nodes(10).entries(100);
+        let b = Budget::unlimited().nodes(10);
         assert_eq!(b.node_limit, Some(10));
-        assert_eq!(b.entry_limit, Some(100));
         assert!(b.deadline.is_none());
         assert!(!b.deadline_exceeded());
         let timed_out = Budget::with_timeout(Duration::ZERO);
@@ -500,15 +477,15 @@ mod tests {
             wall: Duration::from_secs(2),
             ..SolveStats::default()
         };
-        // Total-wall variant divides by 2s; without a "dp" phase the scoped
-        // variant is undefined.
-        assert_eq!(stats.dp_cells_per_sec(), Some(500.0));
+        // Without a "dp" phase the scoped rate is undefined.
         assert_eq!(stats.dp_phase_cells_per_sec(), None);
         stats.push_phase("dp", Duration::from_millis(250));
         stats.push_phase("dp", Duration::from_millis(250));
         assert_eq!(stats.dp_phase_cells_per_sec(), Some(2_000.0));
-        // The scoped rate can only exceed the diluted total-wall rate.
-        assert!(stats.dp_phase_cells_per_sec() > stats.dp_cells_per_sec());
+        // The scoped rate can only exceed the rate over the whole solve's
+        // wall (500 cells/s here), which folds in time spent outside the DP.
+        let whole_solve_rate = stats.dp_cells as f64 / stats.wall.as_secs_f64();
+        assert!(stats.dp_phase_cells_per_sec() > Some(whole_solve_rate));
     }
 
     /// Records every hook call, for asserting what solvers emit.

@@ -16,9 +16,9 @@
 //! * [`bounds`] — the lower/upper bounds on the optimal makespan used by the
 //!   Hochbaum–Shmoys bisection (Equations 1 and 2 of Ghalami & Grosu 2017),
 //! * [`engine`] — the solver-engine layer: [`Solver`], [`SolveRequest`]
-//!   (budget + cancellation + threads) and [`SolveReport`] (schedule +
-//!   certified target + [`SolveStats`]) — the uniform interface every
-//!   algorithm in the workspace implements,
+//!   (budget + cancellation + optional trace sink and profile cache) and
+//!   [`SolveReport`] (schedule + certified target + [`SolveStats`]) — the
+//!   uniform interface every algorithm in the workspace implements,
 //! * [`Scheduler`] — the legacy thin trait, blanket-implemented for every
 //!   [`Solver`],
 //! * small statistics, JSON and RNG helpers shared by the harness and the

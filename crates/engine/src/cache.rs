@@ -59,21 +59,6 @@ impl ProfileMemo {
         }
     }
 
-    /// Number of resident outcomes.
-    pub fn len(&self) -> usize {
-        self.state.lock().map.len()
-    }
-
-    /// Whether the memo holds no outcomes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum resident outcomes before FIFO eviction kicks in.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lookups that found an outcome, over the memo's lifetime.
     pub fn hits(&self) -> u64 {
         // audit:allow(relaxed): monotonic statistic, read for reporting only.
@@ -84,14 +69,6 @@ impl ProfileMemo {
     pub fn misses(&self) -> u64 {
         // audit:allow(relaxed): monotonic statistic, read for reporting only.
         self.misses.load(Ordering::Relaxed) as u64
-    }
-
-    /// Drops every resident outcome (the lifetime hit/miss totals stay).
-    pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.map.clear();
-        st.order.clear();
-        CACHE_ENTRIES.set(0.0);
     }
 }
 
@@ -150,6 +127,11 @@ mod tests {
         }
     }
 
+    /// Outcomes resident in `memo`.
+    fn resident(memo: &ProfileMemo) -> usize {
+        memo.state.lock().map.len()
+    }
+
     #[test]
     fn get_put_roundtrip_counts_hits_and_misses() {
         let memo = ProfileMemo::new(8);
@@ -157,7 +139,7 @@ mod tests {
         memo.put(key(2), infeasible(3));
         assert_eq!(memo.get(&key(2)), Some(infeasible(3)));
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        assert_eq!(memo.len(), 1);
+        assert_eq!(resident(&memo), 1);
     }
 
     #[test]
@@ -166,7 +148,7 @@ mod tests {
         memo.put(key(1), infeasible(1));
         memo.put(key(2), infeasible(2));
         memo.put(key(3), infeasible(3));
-        assert_eq!(memo.len(), 2);
+        assert_eq!(resident(&memo), 2);
         assert!(memo.get(&key(1)).is_none(), "oldest entry evicted");
         assert!(memo.get(&key(2)).is_some() && memo.get(&key(3)).is_some());
     }
@@ -182,17 +164,7 @@ mod tests {
                 schedule: Some(vec![vec![1, 0, 0]]),
             },
         );
-        assert_eq!(memo.len(), 1);
+        assert_eq!(resident(&memo), 1);
         assert!(memo.get(&key(1)).is_some_and(|o| o.feasible()));
-    }
-
-    #[test]
-    fn clear_resets_entries_but_not_totals() {
-        let memo = ProfileMemo::new(4);
-        memo.put(key(1), infeasible(1));
-        let _ = memo.get(&key(1));
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.hits(), 1);
     }
 }

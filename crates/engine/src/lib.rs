@@ -29,14 +29,14 @@
 //!
 //! **Running solvers** goes through the submission-based [`session`] layer:
 //! [`Engine::submit`] takes a [`Submission`] (registry name + owned
-//! instance + composable observers) and returns a [`SolveHandle`] with
-//! `poll`/`wait`/`cancel`.
+//! instance + composable observers) and returns a [`SolveHandle`] whose
+//! `wait` blocks for the report.
 
 pub mod cache;
 pub mod session;
 
 pub use cache::ProfileMemo;
-pub use session::{Engine, EngineConfig, EngineTotals, SolveHandle, SolvePoll, Submission};
+pub use session::{Engine, EngineConfig, EngineTotals, SolveHandle, Submission};
 
 use pcmax_baselines::{Lpt, Ls, LsOnline, Multifit, SpeedLpt};
 use pcmax_core::{Error, Result, SolveReport, Solver};

@@ -3,10 +3,10 @@
 //! [`Engine::submit`] is the single pipeline every caller solves through:
 //! a [`Submission`] names a registry solver, owns its [`Instance`], and
 //! composes observers (a [`TraceSink`], the always-on metrics registry,
-//! per-solve [`SolveStats`]) instead of picking an entry point per
-//! concern. Submitting returns a [`SolveHandle`] with non-blocking
-//! [`poll`](SolveHandle::poll), blocking [`wait`](SolveHandle::wait) and
-//! handle-owned [`cancel`](SolveHandle::cancel).
+//! per-solve [`SolveStats`](pcmax_core::SolveStats)) instead of picking an
+//! entry point per concern. Submitting returns a [`SolveHandle`], whose one
+//! method, [`wait`](SolveHandle::wait), blocks for the result; a caller
+//! cancels through the token it shared with [`Submission::with_cancel`].
 //!
 //! Behind the surface sits a persistent worker pool shared across
 //! sessions, fed by a bounded FIFO admission queue. Each submission builds
@@ -123,7 +123,7 @@ impl Submission {
         }
     }
 
-    /// Sets the solver construction parameters (ε, threads, node budget).
+    /// Sets the solver construction parameters (ε, threads).
     pub fn with_params(mut self, params: SolverParams) -> Self {
         self.params = params;
         self
@@ -136,15 +136,16 @@ impl Submission {
         self
     }
 
-    /// Shares `token` as the submission's cancel token (for callers that
-    /// cancel a batch as one); [`SolveHandle::cancel`] raises this token.
+    /// Shares `token` as the submission's cancel token: raising it from any
+    /// thread stops the solve at its next budget gate, and
+    /// [`SolveHandle::wait`] then returns [`Error::Cancelled`].
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
     }
 
-    /// Attaches a trace-sink observer: the solve's `req.trace_span` /
-    /// instant / counter emissions land in `sink`.
+    /// Attaches a trace-sink observer: the spans the solve opens with
+    /// `req.trace_span` land in `sink`.
     pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
         self
@@ -169,35 +170,17 @@ impl std::fmt::Debug for Submission {
     }
 }
 
-/// Non-blocking progress states of a submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolvePoll {
-    /// Admitted, waiting for a worker.
-    Queued,
-    /// A worker is solving it.
-    Running,
-    /// Finished; [`SolveHandle::wait`] returns without blocking.
-    Done,
-}
-
-/// Slot state shared between one handle and the worker pool.
-#[derive(Debug)]
-enum SlotState {
-    Queued,
-    Running,
-    /// `Option` so `wait` can move the result out exactly once.
-    Done(Option<Result<SolveReport>>),
-}
-
+/// The result cell shared between one handle and the worker pool: empty
+/// until the job finishes, and `wait` moves the result out exactly once.
 #[derive(Debug)]
 struct Slot {
-    state: sync::Mutex<SlotState>,
+    result: sync::Mutex<Option<Result<SolveReport>>>,
     done: sync::Condvar,
 }
 
 impl Slot {
     fn finish(&self, result: Result<SolveReport>) {
-        *self.state.lock() = SlotState::Done(Some(result));
+        *self.result.lock() = Some(result);
         self.done.notify_all();
     }
 }
@@ -205,53 +188,19 @@ impl Slot {
 /// The caller's side of one accepted submission.
 #[derive(Debug)]
 pub struct SolveHandle {
-    id: u64,
     slot: Arc<Slot>,
-    cancel: CancelToken,
 }
 
 impl SolveHandle {
-    /// Engine-unique submission id (also the wire-protocol correlation id).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Requests cancellation. The solve observes the token at its next
-    /// budget gate and [`wait`](Self::wait) then returns
-    /// [`Error::Cancelled`]; a cancel that loses the race to a finished
-    /// solve is a no-op.
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// A clone of the submission's cancel token, for detached cancellation
-    /// (e.g. a daemon's `cancel` frame arriving on another thread).
-    pub fn canceller(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Current progress, without blocking.
-    pub fn poll(&self) -> SolvePoll {
-        match &*self.slot.state.lock() {
-            SlotState::Queued => SolvePoll::Queued,
-            SlotState::Running => SolvePoll::Running,
-            SlotState::Done(_) => SolvePoll::Done,
-        }
-    }
-
     /// Blocks until the solve finishes and returns its result. Consumes the
     /// handle: the report moves out, it is never cloned or reused.
     pub fn wait(self) -> Result<SolveReport> {
-        let mut st = self.slot.state.lock();
+        let mut result = self.slot.result.lock();
         loop {
-            match &mut *st {
-                SlotState::Done(result) => {
-                    return result
-                        .take()
-                        .unwrap_or_else(|| unreachable!("solve result taken twice"));
-                }
-                _ => st = self.slot.done.wait(st),
+            if let Some(result) = result.take() {
+                return result;
             }
+            result = self.slot.done.wait(result);
         }
     }
 }
@@ -268,8 +217,10 @@ struct QueueState {
     /// `false` once shutdown began: submissions are refused, workers drain
     /// and exit.
     open: bool,
-    next_id: u64,
     served: u64,
+    /// Jobs still queued when shutdown began, each failed with
+    /// [`Error::Cancelled`].
+    cancelled: u64,
 }
 
 struct Shared {
@@ -281,7 +232,7 @@ struct Shared {
 
 /// Lifetime totals returned by [`Engine::shutdown`] — the numbers the
 /// daemon's `bye` frame reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineTotals {
     /// Submissions a worker ran to completion (any outcome class).
     pub served: u64,
@@ -298,15 +249,11 @@ pub struct EngineTotals {
 /// profile cache. See the [module docs](self) for the full contract.
 pub struct Engine {
     shared: Arc<Shared>,
-    workers: Vec<(std::thread::JoinHandle<()>, sync::SpawnId)>,
+    /// Emptied by the first [`shutdown`](Engine::shutdown).
+    workers: sync::Mutex<Vec<(std::thread::JoinHandle<()>, sync::SpawnId)>>,
 }
 
 impl Engine {
-    /// An engine with the default configuration (one worker per core).
-    pub fn new() -> Self {
-        Self::with_config(EngineConfig::default())
-    }
-
     /// An engine sized by `config`.
     pub fn with_config(config: EngineConfig) -> Self {
         let shared = Arc::new(Shared {
@@ -314,8 +261,8 @@ impl Engine {
                 jobs: VecDeque::new(),
                 in_flight: 0,
                 open: true,
-                next_id: 0,
                 served: 0,
+                cancelled: 0,
             }),
             ready: sync::Condvar::new(),
             capacity: config.capacity.max(1),
@@ -327,7 +274,10 @@ impl Engine {
             let (task, spawn_id) = sync::fork(move || worker_loop(&pool, worker));
             workers.push((std::thread::spawn(task), spawn_id));
         }
-        Self { shared, workers }
+        Self {
+            shared,
+            workers: sync::Mutex::new(workers),
+        }
     }
 
     /// Submits a solve. Returns the handle on admission, or
@@ -344,14 +294,11 @@ impl Engine {
                 capacity: self.shared.capacity,
             });
         }
-        q.next_id += 1;
         q.in_flight += 1;
-        let id = q.next_id;
         let slot = Arc::new(Slot {
-            state: sync::Mutex::new(SlotState::Queued),
+            result: sync::Mutex::new(None),
             done: sync::Condvar::new(),
         });
-        let cancel = submission.cancel.clone();
         q.jobs.push_back(Job {
             submission,
             slot: Arc::clone(&slot),
@@ -360,72 +307,58 @@ impl Engine {
         ADMITTED.inc();
         drop(q);
         self.shared.ready.notify_one();
-        Ok(SolveHandle { id, slot, cancel })
-    }
-
-    /// The engine's shared instance-profile cache.
-    pub fn cache(&self) -> &ProfileMemo {
-        &self.shared.cache
-    }
-
-    /// Submissions workers ran to completion so far.
-    pub fn served(&self) -> u64 {
-        self.shared.queue.lock().served
+        Ok(SolveHandle { slot })
     }
 
     /// Stops admission, fails still-queued jobs with [`Error::Cancelled`],
     /// joins the workers (running solves finish first) and returns the
-    /// lifetime totals.
-    pub fn shutdown(mut self) -> EngineTotals {
-        self.shutdown_inner()
-    }
-
-    fn shutdown_inner(&mut self) -> EngineTotals {
+    /// lifetime totals. A later call, and the engine's `Drop`, find nothing
+    /// left to stop and return the same totals.
+    pub fn shutdown(&self) -> EngineTotals {
         let drained = {
             let mut q = self.shared.queue.lock();
             q.open = false;
             let drained: Vec<Job> = q.jobs.drain(..).collect();
             q.in_flight -= drained.len();
+            q.cancelled += drained.len() as u64;
             QUEUE_DEPTH.set(0.0);
             drained
         };
         self.shared.ready.notify_all();
-        let cancelled = drained.len() as u64;
         for job in drained {
             job.slot.finish(Err(Error::Cancelled));
         }
-        for (handle, spawn_id) in self.workers.drain(..) {
+        // Joined under the lock, so a concurrent call returns only once
+        // every worker is gone.
+        let mut workers = self.workers.lock();
+        for (handle, spawn_id) in workers.drain(..) {
             if let Err(panic) = sync::join_with(spawn_id, || handle.join()) {
                 if !std::thread::panicking() {
                     std::panic::resume_unwind(panic);
                 }
             }
         }
+        drop(workers);
+        let q = self.shared.queue.lock();
         EngineTotals {
-            served: self.shared.queue.lock().served,
-            cancelled,
+            served: q.served,
+            cancelled: q.cancelled,
             cache_hits: self.shared.cache.hits(),
             cache_misses: self.shared.cache.misses(),
         }
     }
 }
 
-impl Default for Engine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Drop for Engine {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.shutdown();
     }
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.workers.lock().len())
             .field("capacity", &self.shared.capacity)
             .finish()
     }
@@ -462,7 +395,6 @@ fn next_job(shared: &Shared, worker: usize) -> Option<Job> {
 /// Runs one job and finishes its slot. A panicking solve fails its own
 /// handle with [`Error::SolverPanicked`]; the worker keeps serving.
 fn run_job(shared: &Shared, job: Job) {
-    *job.slot.state.lock() = SlotState::Running;
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| execute(shared, &job)))
         .unwrap_or_else(|payload| {
             PANICS.inc();
@@ -561,30 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_reaches_done_and_wait_returns_without_blocking() {
-        let engine = small_engine();
-        let handle = engine.submit(Submission::new(instance(), "lpt")).unwrap();
-        while handle.poll() != SolvePoll::Done {
-            std::thread::yield_now();
-        }
-        assert!(handle.wait().is_ok());
-    }
-
-    #[test]
-    fn handle_cancel_cancels_the_solve() {
-        let engine = small_engine();
-        let sub = Submission::new(instance(), "ptas");
-        // Raise the token before submitting: the solve's first budget gate
-        // observes it regardless of scheduling.
-        let handle = engine.submit(sub).unwrap();
-        handle.cancel();
-        match handle.wait() {
-            Err(Error::Cancelled) | Ok(_) => {} // Ok iff the solve won the race
-            Err(other) => panic!("expected Cancelled (or a completed solve), got {other:?}"),
-        }
-    }
-
-    #[test]
     fn pre_cancelled_token_fails_deterministically() {
         let engine = small_engine();
         let token = CancelToken::new();
@@ -613,12 +521,15 @@ mod tests {
         assert_eq!(totals.cancelled, 2);
         assert!(matches!(a.wait(), Err(Error::Cancelled)));
         assert!(matches!(b.wait(), Err(Error::Cancelled)));
+        // A repeated shutdown has nothing left to drain and reports the
+        // same totals.
+        assert_eq!(engine.shutdown(), totals);
     }
 
     #[test]
     fn submit_after_shutdown_is_refused() {
-        let mut engine = small_engine();
-        engine.shutdown_inner();
+        let engine = small_engine();
+        engine.shutdown();
         assert!(matches!(
             engine.submit(Submission::new(instance(), "lpt")),
             Err(Error::BadModel(_))
@@ -666,27 +577,24 @@ mod tests {
             .submit(Submission::new(instance(), "ptas").with_trace(Arc::new(PanickingSink)))
             .unwrap();
         let next = engine.submit(Submission::new(instance(), "lpt")).unwrap();
-        // Poll with a deadline so a lost worker fails the test, not hangs it.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        for handle in [&bad, &next] {
-            while handle.poll() != SolvePoll::Done {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "submission {} still {:?} after 5 s",
-                    handle.id(),
-                    handle.poll()
-                );
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        match bad.wait() {
+        // Wait on a helper thread with a deadline, so a lost worker fails
+        // the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send((bad.wait(), next.wait()));
+        });
+        let (bad, next) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("both submissions answered within 5 s");
+        waiter.join().unwrap();
+        match bad {
             Err(Error::SolverPanicked { solver, message }) => {
                 assert_eq!(solver, "ptas");
                 assert_eq!(message, "sink refuses spans");
             }
             other => panic!("expected SolverPanicked, got {other:?}"),
         }
-        assert!(next.wait().is_ok(), "the worker must serve the next job");
+        assert!(next.is_ok(), "the worker must serve the next job");
         assert_eq!(PANICS.get(), panics + 1);
         assert_eq!(engine.shutdown().served, 2);
     }
@@ -702,7 +610,6 @@ mod tests {
             .unwrap();
         assert_eq!(cold.stats.cache_hits, 0, "cold run cannot hit");
         assert!(cold.stats.cache_misses > 0);
-        assert!(!engine.cache().is_empty());
         let warm = engine
             .submit(Submission::new(inst.clone(), "ptas"))
             .unwrap()
@@ -712,6 +619,12 @@ mod tests {
         assert_eq!(warm.stats.cache_misses, 0);
         assert_eq!(warm.makespan, cold.makespan);
         assert_eq!(warm.schedule.assignment(), cold.schedule.assignment());
+        // Both solves looked up the engine's one shared memo.
+        let totals = engine.shutdown();
+        assert_eq!(
+            (totals.cache_hits, totals.cache_misses),
+            (warm.stats.cache_hits, cold.stats.cache_misses)
+        );
     }
 
     #[test]
@@ -771,7 +684,13 @@ mod tests {
             assert_eq!(report.stats.cache_hits, 0);
             assert_eq!(report.stats.cache_misses, 0);
         }
-        assert!(engine.cache().is_empty());
+        // Nothing was stored: the first cached solve still misses.
+        let cached = engine
+            .submit(Submission::new(inst, "ptas"))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(cached.stats.cache_hits, 0);
     }
 
     #[test]

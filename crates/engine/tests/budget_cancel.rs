@@ -40,27 +40,6 @@ fn precancelled_token_stops_every_registered_solver() {
 }
 
 #[test]
-fn ptas_entry_budget_is_a_dedicated_error() {
-    let inst = instance();
-    // One entry of budget: the first probe consumes it, the next check trips.
-    let req = SolveRequest::new(&inst).with_budget(Budget::unlimited().entries(1));
-    for name in ["ptas", "par-ptas"] {
-        let solver = build(name, &SolverParams::default()).unwrap();
-        match solver.solve(&req) {
-            Err(Error::BudgetExhausted {
-                incumbent,
-                lower_bound,
-            }) => assert!(
-                incumbent.is_some_and(|upper| lower_bound <= upper),
-                "{name}"
-            ),
-            Err(other) => panic!("{name}: expected BudgetExhausted, got {other:?}"),
-            Ok(_) => panic!("{name}: expected BudgetExhausted, got a schedule"),
-        }
-    }
-}
-
-#[test]
 fn expired_deadline_is_a_dedicated_error() {
     let inst = instance();
     let req = SolveRequest::new(&inst).with_budget(Budget::with_timeout(std::time::Duration::ZERO));

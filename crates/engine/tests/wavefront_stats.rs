@@ -50,5 +50,5 @@ fn sequential_ptas_leaves_wavefront_counters_zero() {
     assert_eq!(report.stats.dp_levels_swept, 0);
     assert_eq!(report.stats.pool_parks, 0);
     assert_eq!(report.stats.pool_wakes, 0);
-    assert!(report.stats.dp_cells_per_sec().is_none());
+    assert!(report.stats.dp_phase_cells_per_sec().is_none());
 }

@@ -7,7 +7,7 @@
 //! zero-cost passthrough to `std` (`#[inline]` wrappers with no extra
 //! state). Under `feature = "audit"` the same API additionally:
 //!
-//! * logs every shared-memory access as a typed [`audit::Event`] (reads,
+//! * logs every shared-memory access as a typed `audit::Event` (reads,
 //!   writes, atomic loads/stores with their ordering class, lock
 //!   acquire/release, condvar wait/notify/wake, spawn/join edges), ready for
 //!   the happens-before race detector in `pcmax-audit`, and
@@ -15,7 +15,7 @@
 //!   with two policies: seeded-random (SplitMix64, the legacy sweeps) and
 //!   *scripted*, where an explorer dictates the thread granted at each
 //!   scheduling decision — the controlled mode `pcmax-audit`'s DPOR search
-//!   drives. Every run records its decision sequence ([`audit::Decision`]),
+//!   drives. Every run records its decision sequence (`audit::Decision`),
 //!   so any schedule replays exactly from its choice list.
 //!
 //! Under the scheduler, lock ownership and condvar wait-sets are tracked *in
@@ -28,7 +28,7 @@
 //!
 //! The instrumentation is opt-in twice over: the feature gates compilation,
 //! and at runtime events are only recorded by threads registered with an
-//! active [`audit::Session`] — `cargo test --features audit` does not slow
+//! active `audit::Session` — `cargo test --features audit` does not slow
 //! down or alter unrelated tests.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -247,7 +247,7 @@ impl Default for AtomicCounter {
 /// An auditable mutex. Lock/unlock events carry the object identity, giving
 /// the race detector the release→acquire edges of the lock protocol. Under
 /// the interleaving scheduler, ownership is decided by the *model*
-/// ([`audit`] tracks a lock-owner table and parks contenders in a
+/// (`audit` tracks a lock-owner table and parks contenders in a
 /// `LockWaiting` state), so the runnable set at every scheduling decision is
 /// a deterministic function of the schedule — the property the DPOR explorer
 /// needs. The real `std` lock trails the model by at most the holder's few

@@ -15,7 +15,7 @@
 //! of an ascending pass. [`FaithfulDp`] is the paper-literal ablation on
 //! the same pool: every level scans all σ entries of the table. Both sweep
 //! tables too small to pay for the pool inline on the caller (see
-//! [`sweep_workers`]).
+//! `sweep_workers`).
 
 use crate::{persistent, simd, sync};
 use pcmax_ptas::dp::fits;
@@ -211,14 +211,14 @@ pub fn min_block_cells(len: usize) -> usize {
 
 /// The persistent-pool block sweep over a row-major table — the production
 /// sweep. It runs on at most `threads` workers: a table below the serial
-/// cutoff (see [`sweep_workers`]) is swept inline on the caller.
+/// cutoff (see `sweep_workers`) is swept inline on the caller.
 ///
 /// The table's [`BlockPlan`] groups its blocks by outer level. Outer level
 /// 0 is block 0 alone, which the caller fills before the pool starts; every
 /// later outer level is one release of the pool. Worker `w` of `n` takes
 /// the level's blocks `[w·⌈len/n⌉, (w+1)·⌈len/n⌉) ∩ [0, len)`, a static
 /// schedule as in the paper's `parallel for`, and fills them **in place**
-/// (see [`fill_block`]). Every cross read lands on a strictly lower outer
+/// (see `fill_block`). Every cross read lands on a strictly lower outer
 /// level, sealed by the barrier, and every local read on an earlier cell of
 /// the worker's own block. The plan and the per-worker [`KernelScratch`]
 /// sets are recycled through `scratch`, the latter accounted by
@@ -401,7 +401,7 @@ fn fill_block<S: StateSpace>(
 /// this ablation measures. Each level (Lines 10–25) is then one release of
 /// the persistent pool: worker `w` scans its contiguous slice of all σ
 /// entries and computes, in place, those with `d_i = l`. The serial cutoff
-/// is the production sweep's ([`sweep_workers`]), so the `ablation_levels`
+/// is the production sweep's (`sweep_workers`), so the `ablation_levels`
 /// bench compares the two level walks under one execution policy.
 ///
 /// Reads satisfy the wavefront's read precondition — a nonzero config

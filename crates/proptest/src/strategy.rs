@@ -151,7 +151,7 @@ pub mod collection {
         }
     }
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait IntoLen {
         /// Converts to an inclusive `(min, max)` length pair.
         fn into_len(self) -> (usize, usize);
@@ -176,7 +176,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -218,12 +218,14 @@ fn search_in<Sc: Scenario>(
     } = MakespanBounds::of(inst);
     let mut log = BisectionLog::default();
     let mut cache = req.cache.as_deref().map(SolveCache::new);
-    // Wall time spent inside probes only, reported as the `"dp"` phase:
-    // `dp_cells_per_sec` divides by the *total* solve wall and so
-    // understates DP throughput; `dp_phase_cells_per_sec` divides by this.
+    // Wall time spent inside probes only, reported as the `"dp"` phase that
+    // `dp_phase_cells_per_sec` divides by.
     let mut dp_wall = Duration::ZERO;
+    // Each round first polls the request's budget gate; `[lower, upper]`
+    // is the current bracket, reported in a budget-exhausted error as the
+    // best-known bounds.
     let mut round = |candidates: &mut [Candidate<Sc::Map>], lower: Time, upper: Time| {
-        check_budget(req, scratch.entries_touched, lower, upper)?;
+        req.check_budget(Some(upper), lower)?;
         let dp_start = Instant::now();
         for (t, dp_machines, witness) in candidates.iter_mut() {
             let _probe_span = req.trace_span("probe", *t);
@@ -304,7 +306,7 @@ fn search_in<Sc: Scenario>(
     // probe was a hit reaches this point having spent almost no budget,
     // and a cancel raised during the search must still abort the
     // (per-instance, never cached) witness reconstruction.
-    check_budget(req, scratch.entries_touched, target, target)?;
+    req.check_budget(Some(target), target)?;
     let recon_start = Instant::now();
     let recon_span = req.trace_span("reconstruct", 0);
     let schedule = sc.reconstruct(inst, &configs, &map)?;
@@ -453,28 +455,4 @@ fn record_totals(stats: &SolveStats) {
     DP_KERNEL_ALLOCS.inc_by(stats.dp_kernel_allocs);
     PROFILE_CACHE_HITS.inc_by(stats.cache_hits);
     PROFILE_CACHE_MISSES.inc_by(stats.cache_misses);
-}
-
-/// Pre-probe budget gate: cancellation, wall-clock deadline and the
-/// DP-entry limit against the `entries_touched` so far. `[lower, upper]` is
-/// the current bracket, reported in the budget-exhausted error as the
-/// best-known bounds.
-fn check_budget(
-    req: &SolveRequest<'_>,
-    entries_touched: u64,
-    lower: Time,
-    upper: Time,
-) -> Result<()> {
-    req.check_budget(Some(upper), lower)?;
-    if req
-        .budget
-        .entry_limit
-        .is_some_and(|limit| entries_touched >= limit as u64)
-    {
-        return Err(Error::BudgetExhausted {
-            incumbent: Some(upper),
-            lower_bound: lower,
-        });
-    }
-    Ok(())
 }

@@ -504,21 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn entry_budget_exhaustion_is_a_dedicated_error() {
-        use pcmax_core::{Budget, Error, SolveRequest};
-        let inst = Instance::new(vec![19, 17, 16, 12, 11, 10, 9, 7, 5, 3], 4).unwrap();
-        // One entry of budget: the first probe consumes it, the second trips.
-        let req = SolveRequest::new(&inst).with_budget(Budget::unlimited().entries(1));
-        match ptas().solve_with(&req) {
-            Err(Error::BudgetExhausted {
-                incumbent,
-                lower_bound,
-            }) => assert!(incumbent.is_some_and(|upper| lower_bound <= upper)),
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn solver_report_certifies_the_target() {
         use pcmax_core::{SolveRequest, Solver};
         let inst = Instance::new(vec![13, 11, 9, 8, 8, 7, 5, 4, 2, 2, 1, 1], 3).unwrap();

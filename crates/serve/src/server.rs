@@ -53,43 +53,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The engine behind a once-latch: `shutdown` consumes the engine exactly
-/// once and memoizes the totals; later calls (and late submissions) see
-/// the shut-down state.
-struct EngineCell {
-    engine: Mutex<Option<Engine>>,
-    totals: Mutex<Option<EngineTotals>>,
-}
-
-impl EngineCell {
-    fn new(config: EngineConfig) -> Self {
-        Self {
-            engine: Mutex::new(Some(Engine::with_config(config))),
-            totals: Mutex::new(None),
-        }
-    }
-
-    fn submit(&self, submission: Submission) -> pcmax_core::Result<SolveHandle> {
-        match &*lock(&self.engine) {
-            Some(engine) => engine.submit(submission),
-            None => Err(Error::BadModel("serve: engine already shut down".into())),
-        }
-    }
-
-    fn shutdown(&self) -> EngineTotals {
-        if let Some(engine) = lock(&self.engine).take() {
-            let totals = engine.shutdown();
-            *lock(&self.totals) = Some(totals);
-        }
-        lock(&self.totals).unwrap_or_default()
-    }
-}
-
 /// The daemon. [`bind`](Server::bind), then [`run`](Server::run) until a
 /// client sends `shutdown`.
 pub struct Server {
     listener: TcpListener,
-    engine: Arc<EngineCell>,
+    engine: Arc<Engine>,
     stop: Arc<AtomicBool>,
 }
 
@@ -99,7 +67,7 @@ impl Server {
     pub fn bind(config: ServerConfig) -> io::Result<Self> {
         Ok(Self {
             listener: TcpListener::bind(&config.addr)?,
-            engine: Arc::new(EngineCell::new(config.engine)),
+            engine: Arc::new(Engine::with_config(config.engine)),
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -144,7 +112,7 @@ enum Pending {
 
 fn handle_connection(
     stream: TcpStream,
-    engine: &Arc<EngineCell>,
+    engine: &Engine,
     stop: &Arc<AtomicBool>,
     listener_addr: SocketAddr,
 ) -> io::Result<()> {

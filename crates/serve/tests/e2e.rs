@@ -7,8 +7,9 @@ use pcmax_core::wire::{read_frame, WireOutcome, WireResponse, WireSolve};
 use pcmax_core::{Instance, Time};
 use pcmax_engine::EngineConfig;
 use pcmax_serve::Client;
-use pcmax_workloads::{generate_batch, Distribution, Family};
+use pcmax_workloads::{generate, generate_batch, Distribution, Family};
 use std::io::Write;
+use std::time::Duration;
 
 fn small_server() -> (
     std::thread::JoinHandle<std::io::Result<pcmax_engine::EngineTotals>>,
@@ -161,6 +162,44 @@ fn errors_do_not_wedge_the_connection() {
         .solve(solve_frame("ls", sample_instance()))
         .expect("good solve");
     assert!(matches!(ok.outcome, WireOutcome::Ok { .. }));
+    client.shutdown().expect("bye");
+    server.join().expect("server thread").expect("server io");
+}
+
+#[test]
+fn a_cancel_frame_stops_an_in_flight_solve_and_the_connection_serves_on() {
+    let (server, addr) = small_server();
+    // `milp` runs for minutes on this instance without a deadline, so only
+    // the cancel can end it in time.
+    let slow = generate(Family::new(5, 40, Distribution::U1To100), 1);
+    let mut client = Client::connect(addr).expect("connect");
+    let solve = client.submit(solve_frame("milp", slow)).expect("submit");
+    let cancel = client.cancel(solve).expect("cancel send");
+    // Read on a helper thread, so a solve the cancel missed fails the test
+    // after 5 s instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let answers = (client.recv(), client.recv());
+        let _ = tx.send((answers, client));
+    });
+    let ((stopped, ack), mut client) = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the solve and the cancel answered within 5 s");
+    reader.join().expect("reader thread");
+    // Answers come in submission order: the solve's, then the cancel's ack.
+    let stopped = stopped.expect("recv").expect("frame");
+    assert_eq!(stopped.id, solve);
+    assert!(
+        matches!(stopped.outcome, WireOutcome::Cancelled),
+        "{stopped:?}"
+    );
+    let ack = ack.expect("recv").expect("frame");
+    assert_eq!(ack.id, cancel);
+    assert!(matches!(ack.outcome, WireOutcome::Cancelled), "{ack:?}");
+    let ok = client
+        .solve(solve_frame("ls", sample_instance()))
+        .expect("good solve");
+    assert!(matches!(ok.outcome, WireOutcome::Ok { .. }), "{ok:?}");
     client.shutdown().expect("bye");
     server.join().expect("server thread").expect("server io");
 }
