@@ -12,8 +12,9 @@
 //!   systematic mode: exhaustively enumerates the non-equivalent schedules
 //!   of the fork/join microworkload (count checked against the hand-derived
 //!   bound), proves the explorer finds an injected order-dependent race
-//!   (printing its minimal replayable schedule), and sweeps the persistent
-//!   pool's schedule space under BUDGET (default 2000) runs.
+//!   (printing its minimal replayable schedule), and exhausts the persistent
+//!   pool's schedule space on a one-job instance within BUDGET (default
+//!   2000) runs, failing if the budget cuts it off.
 //! * `cargo run -p pcmax-audit -- trace-check FILE` — validate an exported
 //!   Chrome-trace JSON timeline (parses, non-empty, required fields,
 //!   balanced per-thread spans); exits 1 on a malformed trace.
@@ -312,9 +313,9 @@ fn run_dpor(budget: Option<&str>) -> ExitCode {
         }
     }
 
-    // 3. The real executor: the persistent pool's park/notify barrier on a
-    //    one-job instance, swept up to the budget (the minimal instance is
-    //    fully enumerable well inside the default).
+    // 3. The real executor: the persistent pool's level barrier on a
+    //    one-job instance, swept up to the budget. The minimal instance is
+    //    fully enumerable well inside the default, so the sweep must finish.
     let problem = {
         let mut counts = vec![0u32; 16];
         counts[2] = 1;
@@ -341,7 +342,7 @@ fn run_dpor(budget: Option<&str>) -> ExitCode {
             );
         },
     );
-    let pool_ok = pool.is_clean();
+    let pool_ok = pool.complete && pool.is_clean();
     println!(
         "pcmax-audit dpor: persistent pool — {} schedules, complete={}, {} race(s), \
          {} cycle(s), {} lost wakeup(s), {} deadlock(s) … {}",

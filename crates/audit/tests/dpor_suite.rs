@@ -15,6 +15,7 @@ use pcmax_audit::dpor::workloads::{
     FORK_JOIN_TWO_WORKERS_SCHEDULES, TRIPLE_RMW_THREE_WORKERS_SCHEDULES,
 };
 use pcmax_audit::explore::{sweep, sweep_exhaustive};
+use pcmax_parallel::persistent::run_levels_catching;
 use pcmax_parallel::wavefront::bucketed_sweep_space;
 use pcmax_parallel::FaithfulDp;
 use pcmax_ptas::dp::DpProblem;
@@ -92,7 +93,7 @@ fn microworkload_schedule_counts_match_hand_derived_bounds() {
 fn persistent_pool_minimal_instance_is_exhaustively_covered() {
     // One job, two workers: small enough that DPOR provably exhausts the
     // pool's entire schedule space — every non-equivalent interleaving of
-    // the park/notify barrier is run, and all are clean.
+    // the level barrier is run, and all are clean.
     let mut counts = vec![0u32; 16];
     counts[2] = 1;
     let problem = DpProblem::new(counts, 2, 30, 64);
@@ -119,11 +120,14 @@ fn persistent_pool_minimal_instance_is_exhaustively_covered() {
         report.schedules
     );
     assert!(report.is_clean(), "pool findings: {report:?}");
-    // Block 0 (rank 0 alone) is filled on the caller, so the pool is
-    // released once, for block 1: 16 schedule classes.
+    // Block 0 (rank 0 alone) is filled on the caller, so the pool runs one
+    // level, whose only block is worker 0's: worker 1's share is empty and
+    // touches no cell. The only dependent pair is then the two arrivals at
+    // that level's barrier, so there are 2 schedule classes: worker 0
+    // arrives last, or worker 1 does.
     assert_eq!(
-        report.schedules, 16,
-        "the pool handoff must admit exactly the one-release schedule classes"
+        report.schedules, 2,
+        "the pool's one barrier must admit exactly its two arrival orders"
     );
     assert!(report.max_threads > 1);
 }
@@ -142,10 +146,16 @@ fn persistent_pool_exhaustive_sweep_is_clean() {
         },
     );
     assert!(
-        report.schedules > 100,
-        "budget-bounded coverage must still explore broadly (got {})",
+        report.complete,
+        "the pool on the tiny instance must be fully enumerable \
+         (ran {} schedules without exhausting the space)",
         report.schedules
     );
+    // Two pooled levels, so two barriers: outer level 1 gives each worker
+    // one block, outer level 2 gives its one block to worker 0. The pin is
+    // the count of classes DPOR enumerates for that shape; a change to the
+    // barrier protocol or to the tiny table's partition moves it.
+    assert_eq!(report.schedules, 25, "the tiny pool's schedule classes");
     assert!(
         report.races.is_empty(),
         "persistent pool races: {:?}",
@@ -165,6 +175,50 @@ fn persistent_pool_exhaustive_sweep_is_clean() {
         report.deadlocks.is_empty(),
         "persistent pool model deadlocks: {:?}",
         report.deadlocks
+    );
+    assert!(report.max_threads > 1);
+}
+
+#[test]
+fn a_kernel_panic_winds_the_pool_down_under_every_schedule() {
+    // Worker 1 panics on level 1 after its add. Under every schedule both
+    // workers finish level 1, leave at its barrier, and the payload comes
+    // back with both states once both are joined.
+    let report = sweep_exhaustive(
+        4000,
+        || {
+            run_levels_catching(vec![0u32; 2], 0..3, |w, level, s| {
+                *s += 1;
+                if w == 1 && level == 1 {
+                    panic!("kernel exploded at level 1");
+                }
+            })
+        },
+        |schedule, (states, counters, panicked)| {
+            assert!(
+                panicked.is_some(),
+                "schedule {schedule:?}: the payload was lost"
+            );
+            assert_eq!(states, &[2, 2], "schedule {schedule:?}: wrong states");
+            assert_eq!(
+                counters.parks, counters.wakes,
+                "schedule {schedule:?}: a barrier wait never returned"
+            );
+        },
+    );
+    assert!(
+        report.complete,
+        "the panicking pool must be fully enumerable \
+         (ran {} schedules without exhausting the space)",
+        report.schedules
+    );
+    assert!(report.is_clean(), "panicking pool findings: {report:?}");
+    // Three levels and a stop at the second barrier: the pin is the count of
+    // classes DPOR enumerates for the two barriers reached. A waiter that
+    // read the stashed panic instead of its barrier's stop deadlocks here.
+    assert_eq!(
+        report.schedules, 12,
+        "the panicking pool's schedule classes"
     );
     assert!(report.max_threads > 1);
 }

@@ -53,20 +53,22 @@ pub fn render_speedup(fig: &SpeedupFigure) -> String {
         );
     }
 
-    let _ = writeln!(out, "\n(c) average running times [s]");
+    // Milliseconds: the PTAS and P columns of the smaller figures solve in
+    // tens of microseconds, which four decimals of seconds print as zero.
+    let _ = writeln!(out, "\n(c) average running times [ms]");
     let _ = writeln!(out, "{:<22}{:>10}{:>10}{}", "family", "IP", "PTAS", header);
     for row in &fig.rows {
         let cells: String = row
             .time_par_s
             .iter()
-            .map(|t| format!(" {t:>7.4}"))
+            .map(|t| format!(" {:>7.3}", t * 1e3))
             .collect();
         let _ = writeln!(
             out,
-            "{:<22}{:>10.3}{:>10.4}{cells}",
+            "{:<22} {:>9.3} {:>9.3}{cells}",
             row.family.dist.to_string(),
-            row.time_ip_s,
-            row.time_ptas_s
+            row.time_ip_s * 1e3,
+            row.time_ptas_s * 1e3
         );
     }
     out
@@ -131,6 +133,8 @@ mod tests {
         assert!(s.contains("(a)") && s.contains("(b)") && s.contains("(c)"));
         assert!(s.contains("U(1,10)"));
         assert!(s.contains("P=2"));
+        assert!(s.contains("running times [ms]"), "{s}");
+        assert!(s.contains("  1000.000   100.000  66.000  40.000"), "{s}");
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl Instance {
         ids.sort_by(|&a, &b| self.times[b].cmp(&self.times[a]).then(a.cmp(&b)));
         ids
     }
-
-    /// Returns a new instance with the same jobs but `m'` machines.
-    pub fn with_machines(&self, machines: usize) -> Result<Self> {
-        Self::new(self.times.clone(), machines)
-    }
 }
 
 impl ToJson for Instance {
@@ -322,13 +317,5 @@ mod tests {
     fn speeds_json_rejects_length_mismatch() {
         let err = crate::json::from_str::<Instance>(r#"{"times":[1],"machines":3,"speeds":[2,1]}"#);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn with_machines_keeps_jobs() {
-        let inst = Instance::new(vec![2, 8, 6], 3).unwrap();
-        let other = inst.with_machines(5).unwrap();
-        assert_eq!(other.machines(), 5);
-        assert_eq!(other.times(), inst.times());
     }
 }

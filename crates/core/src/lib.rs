@@ -52,8 +52,5 @@ pub use scheduler::{ApproxRatio, Scheduler};
 /// Processing time / makespan scalar. The paper assumes positive integers.
 pub type Time = u64;
 
-/// Index of a job within an [`Instance`] (`0..n`).
-pub type JobId = usize;
-
 /// Index of a machine (`0..m`).
 pub type MachineId = usize;

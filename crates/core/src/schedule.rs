@@ -186,18 +186,6 @@ impl<'a> ScheduleBuilder<'a> {
         &self.loads
     }
 
-    /// Index of a machine with minimum current load (smallest index on ties —
-    /// the deterministic tie-break the paper's pseudocode uses).
-    pub fn least_loaded(&self) -> MachineId {
-        let mut best = 0;
-        for (i, &w) in self.loads.iter().enumerate().skip(1) {
-            if w < self.loads[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
     /// Finishes construction. Returns an error if any job is unassigned.
     pub fn build(self) -> Result<Schedule> {
         let mut assignment = Vec::with_capacity(self.assignment.len());
@@ -287,10 +275,10 @@ mod tests {
         let mut b = ScheduleBuilder::new(&inst);
         b.assign(1, 0); // t=5
         b.assign(0, 1); // t=3
-        assert_eq!(b.least_loaded(), 1);
+        assert_eq!(b.loads(), &[5, 3]);
         b.assign(3, 1); // t=4 -> loads 5,7
         b.assign(2, 0); // t=2 -> loads 7,7
-        assert_eq!(b.least_loaded(), 0, "tie breaks to lowest index");
+        assert_eq!(b.loads(), &[7, 7]);
         let s = b.build().unwrap();
         assert_eq!(s.makespan(&inst), 7);
     }

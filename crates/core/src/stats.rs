@@ -1,6 +1,6 @@
-//! Tiny statistics helpers shared by the experiment harness (averaging the 20
-//! instances per family in Section V, speedup ratios, etc.). Kept here so the
-//! harness and tests agree on the exact definitions.
+//! The mean shared by the experiment harness (averaging the 20 instances
+//! per family in Section V, speedup ratios, etc.). Kept here so the harness
+//! and tests agree on its exact definition.
 
 /// Arithmetic mean; `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -8,36 +8,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
         return None;
     }
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
-}
-
-/// Population standard deviation; `None` for an empty slice.
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
-}
-
-/// Geometric mean; `None` if empty or any value is non-positive.
-/// Speedups are ratios, so their central tendency is often reported this way.
-pub fn geo_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    Some((log_sum / xs.len() as f64).exp())
-}
-
-/// Minimum and maximum; `None` for an empty slice.
-pub fn min_max(xs: &[f64]) -> Option<(f64, f64)> {
-    let mut it = xs.iter().copied();
-    let first = it.next()?;
-    let mut lo = first;
-    let mut hi = first;
-    for x in it {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    Some((lo, hi))
 }
 
 #[cfg(test)]
@@ -52,33 +22,5 @@ mod tests {
     #[test]
     fn mean_basic() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
-    }
-
-    #[test]
-    fn std_dev_of_constant_is_zero() {
-        assert_eq!(std_dev(&[5.0, 5.0, 5.0]), Some(0.0));
-    }
-
-    #[test]
-    fn std_dev_known_value() {
-        // Population sd of {2, 4} is 1.
-        assert!((std_dev(&[2.0, 4.0]).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geo_mean_of_reciprocal_pair_is_one() {
-        assert!((geo_mean(&[2.0, 0.5]).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geo_mean_rejects_nonpositive() {
-        assert_eq!(geo_mean(&[1.0, 0.0]), None);
-        assert_eq!(geo_mean(&[1.0, -2.0]), None);
-    }
-
-    #[test]
-    fn min_max_basic() {
-        assert_eq!(min_max(&[3.0, -1.0, 2.0]), Some((-1.0, 3.0)));
-        assert_eq!(min_max(&[]), None);
     }
 }

@@ -1,30 +1,30 @@
 //! The one worker pool of the wavefront DP: workers are spawned **once per
-//! sweep** and parked on the [`crate::sync`] Condvar wrappers between
-//! anti-diagonal levels, so a sweep pays one spawn/join however many levels
-//! it has. Because every handoff (level release, completion barrier,
-//! shutdown) goes through the one `sync::Mutex` and its two Condvars, the
-//! `pcmax-audit` race detector observes a lock-induced happens-before edge
-//! for each of them — the same edges real hardware gets from the mutex, so
-//! "audit passes" transfers to the release build.
+//! sweep** and meet at one barrier after every anti-diagonal level, so a
+//! sweep pays one spawn/join however many levels it has. The barrier is one
+//! [`sync::Mutex`] and one [`sync::Condvar`], so the `pcmax-audit` race
+//! detector observes a lock-induced happens-before edge at every level —
+//! the same edges real hardware gets from the mutex, so "audit passes"
+//! transfers to the release build.
 //!
-//! ## Handoff protocol
+//! ## Level barrier
 //!
-//! One leader (the calling thread, which doubles as worker 0) and `n − 1`
-//! parked workers share a [`sync::Mutex`]`<Ctl>` with two condvars:
+//! Every worker — the caller as worker 0, plus the `n − 1` spawned ones —
+//! runs the same loop over the levels: its share of the level under
+//! `catch_unwind`, then one arrival at the barrier, as the threads of the
+//! paper's `parallel for` meet at its implicit barrier. The last worker to
+//! arrive resets `Ctl::arrived`, bumps `Ctl::generation`, sets `Ctl::stop`
+//! if a kernel panic has been stashed in `Ctl::panic`, and `notify_all`s;
+//! the others wait until the generation moves, which makes the wait immune
+//! to spurious wakeups.
 //!
-//! * `ready` — the leader bumps `Ctl::epoch`, stores the level, resets
-//!   `Ctl::remaining = n` and `notify_all`s; workers wake when they see a
-//!   fresh epoch (or `shutdown`).
-//! * `done` — each worker runs the kernel for the level, decrements
-//!   `remaining`, and the last one `notify_one`s the leader, which waits
-//!   until `remaining == 0` before releasing the next level.
-//!
-//! The epoch counter makes the barrier immune to spurious wakeups and to
-//! the "worker re-enters the wait before the leader re-locks" interleaving:
-//! a worker only runs a level when the epoch moved past the one it last
-//! completed. Kernel panics (leader's or a worker's) are caught, stashed in
-//! `Ctl::panic`, and re-raised by the leader *after* every worker has been
-//! shut down and joined — no thread is left parked.
+//! The generation can move only once while a worker waits, since the next
+//! barrier needs that worker too, so the `stop` a waiter reads is the one
+//! set at its own barrier. A waiter must not ask whether `panic` is set
+//! instead: a peer may already have stashed a panic at the next level's
+//! barrier, and a waiter that left on it would strand that peer. On `stop`
+//! every worker leaves after the same level, and the payload is returned
+//! (or re-raised) only after every worker has been joined — no thread is
+//! left parked.
 
 use crate::sync;
 use std::any::Any;
@@ -36,46 +36,80 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 /// down, so `parks == wakes` on completion — asserted in tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Condvar waits entered (leader barrier waits + worker level waits).
+    /// Barrier waits entered. The last worker to arrive at a level never
+    /// waits, so a level parks at most `n − 1` workers, once each (a
+    /// spurious wakeup re-enters the wait and counts again).
     pub parks: u64,
     /// Condvar waits returned from.
     pub wakes: u64,
 }
 
-/// Shared pool control block, guarded by the one `sync::Mutex`.
+/// The barrier's state, guarded by the one `sync::Mutex`.
 struct Ctl {
-    /// Level-release generation; bumped once per released level.
-    epoch: u64,
-    /// The level the current epoch asks workers to sweep.
-    level: u32,
-    /// Workers (leader included) still running the current epoch.
-    remaining: usize,
-    /// Set by the leader when no more levels will be released.
-    shutdown: bool,
-    /// First kernel panic payload; re-raised by the leader after joining.
+    /// Workers that have reached the current barrier.
+    arrived: usize,
+    /// Barriers completed; a waiter leaves once it moves.
+    generation: u64,
+    /// First kernel panic payload; handed back after every worker is joined.
     panic: Option<Box<dyn Any + Send>>,
+    /// Set by the last arrival of a barrier when `panic` is set: every
+    /// worker leaves after this level.
+    stop: bool,
     counters: PoolCounters,
 }
 
-struct Shared {
+struct Barrier {
     ctl: sync::Mutex<Ctl>,
-    /// Leader → workers: a new level (or shutdown) is available.
-    ready: sync::Condvar,
-    /// Workers → leader: the last worker of the epoch finished.
-    done: sync::Condvar,
+    /// Last arrival → waiters: the generation moved.
+    moved: sync::Condvar,
+    /// Workers that arrive at every barrier, worker 0 included.
+    n: usize,
 }
 
-/// Ensures no worker is left parked if the leader unwinds: sets `shutdown`
-/// and wakes everyone. Armed for the whole scoped region, disarmed-by-design
-/// on the normal path too (a second shutdown is idempotent).
-struct ShutdownOnDrop<'a>(&'a Shared);
+impl Barrier {
+    /// Worker `worker`'s loop: its share of each level, then the barrier.
+    fn run<S, F>(&self, kernel: &F, worker: usize, levels: Range<u32>, state: &mut S)
+    where
+        F: Fn(usize, u32, &mut S) + Sync,
+    {
+        for level in levels {
+            // Worker 0's span covers its share and the barrier, so its
+            // duration is the level's critical path.
+            let _level_span = (worker == 0).then(|| pcmax_trace::span("level", level as u64));
+            let result = catch_unwind(AssertUnwindSafe(|| kernel(worker, level, state)));
+            if self.arrive(worker, result.err()) {
+                return;
+            }
+        }
+    }
 
-impl Drop for ShutdownOnDrop<'_> {
-    fn drop(&mut self) {
-        let mut ctl = self.0.ctl.lock();
-        ctl.shutdown = true;
-        drop(ctl);
-        self.0.ready.notify_all();
+    /// Arrives at the current barrier, stashing `panicked`, and returns once
+    /// every worker has arrived: the `stop` set by the barrier's last
+    /// arrival.
+    fn arrive(&self, worker: usize, panicked: Option<Box<dyn Any + Send>>) -> bool {
+        let mut ctl = self.ctl.lock();
+        if let Some(payload) = panicked {
+            ctl.panic.get_or_insert(payload);
+        }
+        ctl.arrived += 1;
+        if ctl.arrived == self.n {
+            ctl.arrived = 0;
+            ctl.generation += 1;
+            ctl.stop = ctl.panic.is_some();
+            let stop = ctl.stop;
+            drop(ctl);
+            self.moved.notify_all();
+            return stop;
+        }
+        let generation = ctl.generation;
+        while ctl.generation == generation {
+            ctl.counters.parks += 1;
+            sync::trace_park(worker);
+            ctl = self.moved.wait(ctl);
+            sync::trace_wake(worker);
+            ctl.counters.wakes += 1;
+        }
+        ctl.stop
     }
 }
 
@@ -133,160 +167,47 @@ where
         return (states, PoolCounters::default(), None);
     }
 
-    let shared = Shared {
+    let barrier = Barrier {
         ctl: sync::Mutex::new(Ctl {
-            epoch: 0,
-            level: 0,
-            remaining: 0,
-            shutdown: false,
+            arrived: 0,
+            generation: 0,
             panic: None,
+            stop: false,
             counters: PoolCounters::default(),
         }),
-        ready: sync::Condvar::new(),
-        done: sync::Condvar::new(),
+        moved: sync::Condvar::new(),
+        n,
     };
-    let shared = &shared;
+    let barrier = &barrier;
     let kernel = &kernel;
-
-    // Leader keeps state 0; workers 1..n take theirs by value and hand them
-    // back through the thread join.
-    let mut worker_states: Vec<(usize, S)> = states.drain(1..).enumerate().collect();
-    let mut leader_state = states.pop().unwrap_or_else(|| unreachable!("n >= 2"));
-
-    let mut counters = PoolCounters::default();
-    let mut panicked = None;
+    // The caller keeps state 0; workers 1..n take theirs by value and hand
+    // them back through the thread join.
+    let spawned: Vec<S> = states.drain(1..).collect();
     std::thread::scope(|scope| {
-        let guard = ShutdownOnDrop(shared);
-        let handles: Vec<_> = worker_states
-            .drain(..)
+        let handles: Vec<_> = spawned
+            .into_iter()
+            .enumerate()
             .map(|(i, mut state)| {
+                let levels = levels.clone();
                 let (task, id) = sync::fork(move || {
-                    worker_loop(shared, kernel, i + 1, &mut state);
+                    barrier.run(kernel, i + 1, levels, &mut state);
                     state
                 });
                 (scope.spawn(task), id)
             })
             .collect();
-
-        for level in levels {
-            // The level span covers release through barrier completion, so
-            // its duration is the true per-level critical path.
-            let _level_span = pcmax_trace::span("level", level as u64);
-            // Release the level to everyone (leader included).
-            {
-                let mut ctl = shared.ctl.lock();
-                ctl.epoch += 1;
-                ctl.level = level;
-                ctl.remaining = n;
-            }
-            shared.ready.notify_all();
-
-            // The leader is worker 0: do its share, then barrier-wait.
-            run_one(shared, kernel, 0, level, &mut leader_state);
-            let mut ctl = shared.ctl.lock();
-            while ctl.remaining > 0 {
-                ctl.counters.parks += 1;
-                sync::trace_park(0);
-                ctl = shared.done.wait(ctl);
-                sync::trace_wake(0);
-                ctl.counters.wakes += 1;
-            }
-            if ctl.panic.is_some() {
-                // Leave the loop with the pool intact; the guard + joins
-                // below wind everything down before the payload is re-raised.
-                break;
-            }
-        }
-
-        // Normal or panic exit: park no one, wake everyone, join in order.
-        drop(guard);
+        barrier.run(kernel, 0, levels, &mut states[0]);
         for (handle, id) in handles {
-            let state = match sync::join_with(id, || handle.join()) {
-                Ok(state) => state,
-                // The worker closure itself cannot panic (kernel panics are
+            match sync::join_with(id, || handle.join()) {
+                Ok(state) => states.push(state),
+                // The worker loop itself cannot panic (kernel panics are
                 // caught and stashed), so a join error is re-raised as-is.
                 Err(payload) => resume_unwind(payload),
-            };
-            states.push(state);
+            }
         }
-        let mut ctl = shared.ctl.lock();
-        counters = ctl.counters;
-        panicked = ctl.panic.take();
     });
-
-    states.insert(0, leader_state);
-    (states, counters, panicked)
-}
-
-/// The parked-worker loop: wait for a fresh epoch (or shutdown), sweep the
-/// released level, report completion, repeat.
-fn worker_loop<S, F>(shared: &Shared, kernel: &F, worker: usize, state: &mut S)
-where
-    F: Fn(usize, u32, &mut S) + Sync,
-{
-    let mut seen_epoch = 0u64;
-    loop {
-        let level;
-        {
-            let mut ctl = shared.ctl.lock();
-            while !ctl.shutdown && ctl.epoch == seen_epoch {
-                ctl.counters.parks += 1;
-                sync::trace_park(worker);
-                ctl = shared.ready.wait(ctl);
-                sync::trace_wake(worker);
-                ctl.counters.wakes += 1;
-            }
-            if ctl.epoch == seen_epoch {
-                // Shutdown with no pending epoch: every released barrier was
-                // already completed by this worker.
-                return;
-            }
-            seen_epoch = ctl.epoch;
-            level = ctl.level;
-            if ctl.shutdown {
-                // A level was released but a panic (leader's or a peer's)
-                // raised shutdown before this worker started it. The leader
-                // is barrier-waiting on `remaining`, so complete the
-                // handshake — skipping the kernel — then exit. Without this
-                // the leader would wait forever on a worker that already
-                // left.
-                ctl.remaining -= 1;
-                let finished = ctl.remaining == 0;
-                drop(ctl);
-                if finished {
-                    shared.done.notify_one();
-                }
-                return;
-            }
-        }
-        run_one(shared, kernel, worker, level, state);
-    }
-}
-
-/// Runs one worker's share of one level, catching a kernel panic into
-/// `Ctl::panic`, and performs the completion handshake either way (so the
-/// leader's barrier never hangs on a panicking worker).
-fn run_one<S, F>(shared: &Shared, kernel: &F, worker: usize, level: u32, state: &mut S)
-where
-    F: Fn(usize, u32, &mut S) + Sync,
-{
-    let result = catch_unwind(AssertUnwindSafe(|| kernel(worker, level, state)));
-    let mut ctl = shared.ctl.lock();
-    if let Err(payload) = result {
-        ctl.panic.get_or_insert(payload);
-        // Stop releasing further levels; parked peers wake and exit.
-        ctl.shutdown = true;
-    }
-    ctl.remaining -= 1;
-    let finished = ctl.remaining == 0;
-    let abort = ctl.shutdown;
-    drop(ctl);
-    if finished {
-        shared.done.notify_one();
-    }
-    if abort {
-        shared.ready.notify_all();
-    }
+    let mut ctl = barrier.ctl.lock();
+    (states, ctl.counters, ctl.panic.take())
 }
 
 #[cfg(test)]

@@ -162,12 +162,13 @@ unsafe fn owned_block(cells: &[SyncCell], start: usize, len: usize) -> &mut [u16
 }
 
 /// Cell-transitions per swept level below which a sweep runs inline on the
-/// caller instead of on the pool. Every pooled level pays a fixed release
-/// and barrier (about 20 µs on a 2-vCPU host) however few cells it holds,
-/// plus one spawn per sweep. Sweeping 275 U(1,100) probe tables at 1 and 2
-/// threads on that host, twice, 2 threads won on 2–3 of the 241 tables
-/// below 10⁵ per outer level (none below 5×10⁴) and on 30–32 of the 34 at
-/// or above it (EXPERIMENTS.md, "Serial cutoff"). Under
+/// caller instead of on the pool. Every pooled level pays a fixed barrier
+/// however few cells it holds (2–7 µs at 2 workers on a 2-vCPU host, timed
+/// with an empty kernel; EXPERIMENTS.md, "Level barrier"), plus one spawn
+/// per sweep. Sweeping 275 U(1,100) probe tables at 1 and 2 threads on that
+/// host, twice, when a level cost a release and a barrier, 2 threads won on
+/// 2–3 of the 241 tables below 10⁵ per outer level (none below 5×10⁴) and
+/// on 30–32 of the 34 at or above it (EXPERIMENTS.md, "Serial cutoff"). Under
 /// `feature = "audit"` it is 0: the race and DPOR suites keep exploring the
 /// pool on their tiny tables, and the inline path has no second thread to
 /// interleave.
@@ -215,8 +216,9 @@ pub fn min_block_cells(len: usize) -> usize {
 ///
 /// The table's [`BlockPlan`] groups its blocks by outer level. Outer level
 /// 0 is block 0 alone, which the caller fills before the pool starts; every
-/// later outer level is one release of the pool. Worker `w` of `n` takes
-/// the level's blocks `[w·⌈len/n⌉, (w+1)·⌈len/n⌉) ∩ [0, len)`, a static
+/// later outer level is one level of the pool, closed by its barrier.
+/// Worker `w` of `n` takes the level's blocks
+/// `[w·⌈len/n⌉, (w+1)·⌈len/n⌉) ∩ [0, len)`, a static
 /// schedule as in the paper's `parallel for`, and fills them **in place**
 /// (see `fill_block`). Every cross read lands on a strictly lower outer
 /// level, sealed by the barrier, and every local read on an earlier cell of
@@ -299,7 +301,7 @@ pub fn bucketed_sweep_space<S: StateSpace>(
 
     let sweep_start = std::time::Instant::now();
     // Outer level 0 is block 0 alone, worker 0's whole share: filling it on
-    // the caller spares the pool a release and barrier for one block.
+    // the caller spares the pool a barrier for one block.
     debug_assert_eq!(plan.level_span(0).len(), 1, "outer level 0 is block 0");
     let (states, counters, panicked) =
         match catch_unwind(AssertUnwindSafe(|| kernel(0, 0, &mut states[0]))) {
@@ -398,7 +400,7 @@ fn fill_block<S: StateSpace>(
 
 /// The paper-literal sweep over a row-major table. The digit-sum array `D`
 /// (Lines 4–8) is computed serially: it is O(σ) against the O(σ·n′) scan
-/// this ablation measures. Each level (Lines 10–25) is then one release of
+/// this ablation measures. Each level (Lines 10–25) is then one level of
 /// the persistent pool: worker `w` scans its contiguous slice of all σ
 /// entries and computes, in place, those with `d_i = l`. The serial cutoff
 /// is the production sweep's (`sweep_workers`), so the `ablation_levels`
@@ -692,8 +694,8 @@ mod tests {
 
     #[test]
     fn the_caller_fills_outer_level_0_and_the_pool_takes_the_rest() {
-        // Outer level 0 is block 0 alone, so the pool is released once per
-        // later outer level: the leader's `level` spans count the releases.
+        // Outer level 0 is block 0 alone, so the pool runs every later outer
+        // level: worker 0's `level` spans, on the caller's lane, count them.
         let problem = pooled_problem();
         let levels = plan_of(&problem).levels() as usize;
         for threads in [2usize, 4] {
@@ -710,12 +712,12 @@ mod tests {
                 .iter()
                 .find(|lane| lane.events.iter().any(|e| e.name == "leader"))
                 .expect("the leader's lane");
-            let releases = lane
+            let pooled = lane
                 .events
                 .iter()
                 .filter(|e| e.kind == pcmax_trace::EventKind::SpanEnter && e.name == "level")
                 .count();
-            assert_eq!(releases, levels - 1, "{threads} threads");
+            assert_eq!(pooled, levels - 1, "{threads} threads");
         }
     }
 

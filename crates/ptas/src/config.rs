@@ -71,20 +71,6 @@ fn dfs(
     current[class_idx] = 0;
 }
 
-/// The load of a configuration: `Σ (i+1)·unit·s_i` over 0-based indices.
-pub fn config_load(config: &[u32], unit: Time) -> Time {
-    config
-        .iter()
-        .enumerate()
-        .map(|(idx, &s)| (idx as Time + 1) * unit * s as Time)
-        .sum()
-}
-
-/// Number of jobs in a configuration.
-pub fn config_jobs(config: &[u32]) -> u64 {
-    config.iter().map(|&s| s as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,17 +156,16 @@ mod tests {
         let unit = 3;
         let target = 25;
         for c in enumerate_configs(&counts, unit, target) {
-            assert!(config_load(&c, unit) <= target);
+            let load: Time = c
+                .iter()
+                .enumerate()
+                .map(|(idx, &s)| (idx as Time + 1) * unit * Time::from(s))
+                .sum();
+            assert!(load <= target);
             for (i, &s) in c.iter().enumerate() {
                 assert!(s <= counts[i]);
             }
         }
-    }
-
-    #[test]
-    fn config_helpers() {
-        assert_eq!(config_load(&[1, 0, 2], 5), 5 + 30);
-        assert_eq!(config_jobs(&[1, 0, 2]), 3);
     }
 
     #[test]

@@ -149,16 +149,6 @@ impl RoundedLongJobs {
     pub fn class_size(&self, class_1based: usize) -> Time {
         class_1based as Time * self.unit
     }
-
-    /// Total number of long jobs `n'`.
-    pub fn total_jobs(&self) -> u64 {
-        self.counts.iter().map(|&c| c as u64).sum()
-    }
-
-    /// Maximum additive rounding error per job: original − rounded `< unit`.
-    pub fn max_rounding_error(&self) -> Time {
-        self.unit
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +216,7 @@ mod tests {
         let p = JobPartition::split(&inst, &params(), 1000);
         assert!(p.long.is_empty());
         let r = RoundedLongJobs::round(&inst, &params(), &p);
-        assert_eq!(r.total_jobs(), 0);
+        assert_eq!(r.counts.iter().sum::<u32>(), 0);
     }
 
     #[test]

@@ -571,25 +571,6 @@ impl DpTable {
         self.len - 1
     }
 
-    /// The precomputed flat offset of a full-width config (length `k²`)
-    /// restricted to active classes, together with its active-class
-    /// projection. Returns `None` if the config uses an inactive class
-    /// (it can never be ≤ any table vector then).
-    pub fn project_config(&self, config: &[u32]) -> Option<(Vec<u32>, usize)> {
-        let mut projected = vec![0u32; self.active.len()];
-        for (a, &class) in self.active.iter().enumerate() {
-            projected[a] = config[class];
-        }
-        // Any count on an inactive class disqualifies the config.
-        let total_active: u64 = projected.iter().map(|&s| s as u64).sum();
-        let total: u64 = config.iter().map(|&s| s as u64).sum();
-        if total_active != total {
-            return None;
-        }
-        let offset = self.index(&projected);
-        Some((projected, offset))
-    }
-
     /// Expands a vector over active classes back to full `k²` width.
     pub fn expand(&self, v: &[u32], classes: usize) -> Vec<u32> {
         let mut full = vec![0u32; classes];
@@ -720,23 +701,12 @@ mod tests {
     }
 
     #[test]
-    fn project_and_expand_are_inverse_on_active_classes() {
+    fn expand_puts_active_digits_back_at_their_classes() {
         let t = paper_table();
         let mut config = vec![0u32; 16];
         config[2] = 1;
         config[4] = 2;
-        let (projected, offset) = t.project_config(&config).unwrap();
-        assert_eq!(projected, vec![1, 2]);
-        assert_eq!(offset, t.index(&[1, 2]));
-        assert_eq!(t.expand(&projected, 16), config);
-    }
-
-    #[test]
-    fn project_rejects_inactive_class_use() {
-        let t = paper_table();
-        let mut config = vec![0u32; 16];
-        config[0] = 1; // class 1 is inactive
-        assert!(t.project_config(&config).is_none());
+        assert_eq!(t.expand(&[1, 2], 16), config);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl DpTrace {
             .map(|l| l.iter().copied().max().unwrap_or(0))
             .sum()
     }
-
-    /// Entries per level (the paper's `q_l`).
-    pub fn level_widths(&self) -> Vec<usize> {
-        self.levels.iter().map(Vec::len).collect()
-    }
 }
 
 /// Computes the [`DpTrace`] of `problem` without solving it: for every table
@@ -88,7 +83,8 @@ mod tests {
     fn level_widths_match_the_anti_diagonals_of_table_i() {
         let trace = dp_trace(&paper_problem()).unwrap();
         // 3×4 grid: anti-diagonal widths 1,2,3,3,2,1.
-        assert_eq!(trace.level_widths(), vec![1, 2, 3, 3, 2, 1]);
+        let widths: Vec<usize> = trace.levels.iter().map(Vec::len).collect();
+        assert_eq!(widths, vec![1, 2, 3, 3, 2, 1]);
         assert_eq!(trace.depth(), 6);
     }
 
