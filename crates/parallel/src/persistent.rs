@@ -23,8 +23,12 @@
 //! instead: a peer may already have stashed a panic at the next level's
 //! barrier, and a waiter that left on it would strand that peer. On `stop`
 //! every worker leaves after the same level, and the payload is returned
-//! (or re-raised) only after every worker has been joined — no thread is
-//! left parked.
+//! (or re-raised) only after every worker has been joined.
+//!
+//! If the OS refuses to spawn a worker, the barrier counts only the workers
+//! already started (`Ctl::n`) and the spawn error is stashed like a kernel
+//! panic, so they all leave after the first level and the error is handed
+//! back; no worker waits for one that never started.
 
 use crate::sync;
 use std::any::Any;
@@ -46,6 +50,9 @@ pub struct PoolCounters {
 
 /// The barrier's state, guarded by the one `sync::Mutex`.
 struct Ctl {
+    /// Workers that arrive at every barrier, worker 0 included: the pool's
+    /// size, less the workers whose spawn was refused.
+    n: usize,
     /// Workers that have reached the current barrier.
     arrived: usize,
     /// Barriers completed; a waiter leaves once it moves.
@@ -62,8 +69,6 @@ struct Barrier {
     ctl: sync::Mutex<Ctl>,
     /// Last arrival → waiters: the generation moved.
     moved: sync::Condvar,
-    /// Workers that arrive at every barrier, worker 0 included.
-    n: usize,
 }
 
 impl Barrier {
@@ -92,7 +97,7 @@ impl Barrier {
             ctl.panic.get_or_insert(payload);
         }
         ctl.arrived += 1;
-        if ctl.arrived == self.n {
+        if ctl.arrived == ctl.n {
             ctl.arrived = 0;
             ctl.generation += 1;
             ctl.stop = ctl.panic.is_some();
@@ -111,6 +116,33 @@ impl Barrier {
         }
         ctl.stop
     }
+
+    /// The spawn of worker `started` was refused: from now on only the
+    /// `started` workers already running (worker 0 included) arrive, and the
+    /// error is stashed as the payload, so they all leave after the first
+    /// level. No barrier has completed yet, as worker 0 arrives only after
+    /// the spawns.
+    fn refuse(&self, started: usize, err: std::io::Error) {
+        let mut ctl = self.ctl.lock();
+        ctl.n = started;
+        let payload = format!("failed to spawn pool worker {started}: {err}");
+        ctl.panic.get_or_insert(Box::new(payload));
+    }
+}
+
+/// Spawns pool worker `worker` on `scope`. Unit tests can make it refuse a
+/// chosen worker, as the OS refuses a thread it cannot create.
+fn spawn<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    worker: usize,
+    task: impl FnOnce() -> T + Send + 'scope,
+) -> std::io::Result<std::thread::ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if tests::REFUSED.with(std::cell::Cell::get) == Some(worker) {
+        return Err(std::io::Error::other("refused by the test"));
+    }
+    let _ = worker;
+    std::thread::Builder::new().spawn_scoped(scope, task)
 }
 
 /// Runs `kernel(worker, level, state)` for every worker on every level of
@@ -139,10 +171,11 @@ where
 
 /// [`run_levels`] that survives kernel panics: the pool is wound down, every
 /// worker joined, and the first panic payload is **returned** instead of
-/// re-raised — with all `states` intact. Callers that pool scratch buffers
-/// in the states (the bucketed wavefront sweep) use this to return them to
-/// their owner before re-raising, so a poisoned solve cannot leak scratch
-/// and silently re-allocate on the next probe.
+/// re-raised — with all `states` intact. A refused worker spawn is handed
+/// back the same way, its error message as the payload. Callers that pool
+/// scratch buffers in the states (the bucketed wavefront sweep) use this to
+/// return them to their owner before re-raising, so a poisoned solve cannot
+/// leak scratch and silently re-allocate on the next probe.
 pub fn run_levels_catching<S, F>(
     mut states: Vec<S>,
     levels: Range<u32>,
@@ -169,6 +202,7 @@ where
 
     let barrier = Barrier {
         ctl: sync::Mutex::new(Ctl {
+            n,
             arrived: 0,
             generation: 0,
             panic: None,
@@ -176,33 +210,31 @@ where
             counters: PoolCounters::default(),
         }),
         moved: sync::Condvar::new(),
-        n,
     };
     let barrier = &barrier;
     let kernel = &kernel;
-    // The caller keeps state 0; workers 1..n take theirs by value and hand
-    // them back through the thread join.
-    let spawned: Vec<S> = states.drain(1..).collect();
+    // The caller runs worker 0 on state 0; worker w borrows state w, so a
+    // refused spawn loses no state.
+    let (first, rest) = states.split_at_mut(1);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = spawned
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut state)| {
-                let levels = levels.clone();
-                let (task, id) = sync::fork(move || {
-                    barrier.run(kernel, i + 1, levels, &mut state);
-                    state
-                });
-                (scope.spawn(task), id)
-            })
-            .collect();
-        barrier.run(kernel, 0, levels, &mut states[0]);
+        let mut handles = Vec::with_capacity(rest.len());
+        for (i, state) in rest.iter_mut().enumerate() {
+            let levels = levels.clone();
+            let (task, id) = sync::fork(move || barrier.run(kernel, i + 1, levels, state));
+            match spawn(scope, i + 1, task) {
+                Ok(handle) => handles.push((handle, id)),
+                Err(err) => {
+                    barrier.refuse(i + 1, err);
+                    break;
+                }
+            }
+        }
+        barrier.run(kernel, 0, levels, &mut first[0]);
         for (handle, id) in handles {
-            match sync::join_with(id, || handle.join()) {
-                Ok(state) => states.push(state),
-                // The worker loop itself cannot panic (kernel panics are
-                // caught and stashed), so a join error is re-raised as-is.
-                Err(payload) => resume_unwind(payload),
+            // The worker loop itself cannot panic (kernel panics are caught
+            // and stashed), so a join error is re-raised as-is.
+            if let Err(payload) = sync::join_with(id, || handle.join()) {
+                resume_unwind(payload);
             }
         }
     });
@@ -214,6 +246,12 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    thread_local! {
+        /// The worker whose spawn [`spawn`] refuses on this thread, if any.
+        pub(super) static REFUSED: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
+    }
 
     /// Each worker sums `worker · 1000 + level` into its own state; the
     /// result is deterministic and exercises every barrier.
@@ -306,6 +344,30 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn a_refused_spawn_is_handed_back_without_a_hang() {
+        for refused in 1..4usize {
+            // The pool runs on a helper thread, so a hang fails the test
+            // instead of wedging it.
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                REFUSED.with(|r| r.set(Some(refused)));
+                let _ = tx.send(run_levels_catching(vec![0u32; 4], 0..5, |_, _, s| *s += 1));
+            });
+            let (states, counters, panicked) = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a refused spawn must not hang the pool");
+            let payload = panicked.expect("the spawn error must be handed back");
+            let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("failed to spawn pool worker"), "{msg}");
+            // The workers already started ran the first level only; the
+            // others never ran, and every state came back in order.
+            let expected: Vec<u32> = (0..4).map(|w| u32::from(w < refused)).collect();
+            assert_eq!(states, expected, "refused = {refused}");
+            assert_eq!(counters.parks, counters.wakes, "refused = {refused}");
+        }
     }
 
     #[test]
