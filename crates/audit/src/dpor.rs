@@ -99,8 +99,10 @@ pub struct DporReport {
     pub lost_wakeups: Vec<(Vec<usize>, LostWakeup)>,
     /// Schedules that model-deadlocked, with the scheduler's message.
     pub deadlocks: Vec<(Vec<usize>, String)>,
-    /// True iff the search space was exhausted (no budget cut-off, no
-    /// early stop on a race).
+    /// True iff the search space was exhausted: no budget cut-off, no early
+    /// stop on a race, and no model deadlock (a deadlocked run loses its
+    /// trace, so the backtrack points it would have added were never
+    /// explored).
     pub complete: bool,
 }
 
@@ -139,7 +141,8 @@ struct Point {
 /// postconditions (determinism of the workload's output, say).
 ///
 /// Stops early on the first race (after shrinking a counterexample —
-/// `complete` stays false); records model deadlocks and keeps going.
+/// `complete` stays false); records model deadlocks and keeps going, but a
+/// sweep with a deadlock is never `complete`.
 pub fn explore_exhaustive<R>(
     budget: usize,
     workload: impl Fn() -> R,
@@ -196,7 +199,7 @@ pub fn explore_exhaustive<R>(
         // unexplored, non-slept backtrack candidate; pop exhausted points.
         loop {
             let Some(point) = stack.last_mut() else {
-                report.complete = true;
+                report.complete = report.deadlocks.is_empty();
                 return report;
             };
             point.sleep.insert(point.chosen);
@@ -569,6 +572,23 @@ mod tests {
             );
             assert_eq!(replay.races[0].loc, cx.race.loc);
         }
+    }
+
+    #[test]
+    fn a_deadlocked_sweep_is_not_reported_complete() {
+        use pcmax_parallel::sync::{Condvar, Mutex};
+        // Nobody notifies the condvar, so the first schedule deadlocks and
+        // its trace, with every backtrack point it would add, is lost.
+        let report = explore_exhaustive(
+            64,
+            || {
+                let (lock, moved) = (Mutex::new(()), Condvar::new());
+                drop(moved.wait(lock.lock()));
+            },
+            |_, _| {},
+        );
+        assert_eq!(report.deadlocks.len(), 1, "{report:?}");
+        assert!(!report.complete, "{report:?}");
     }
 
     #[test]

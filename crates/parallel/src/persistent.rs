@@ -22,22 +22,22 @@
 //! set at its own barrier. A waiter must not ask whether `panic` is set
 //! instead: a peer may already have stashed a panic at the next level's
 //! barrier, and a waiter that left on it would strand that peer. On `stop`
-//! every worker leaves after the same level, and the payload is returned
-//! (or re-raised) only after every worker has been joined.
+//! every worker leaves after the same level, and the payload is re-raised
+//! only after every worker has been joined.
 //!
 //! If the OS refuses to spawn a worker, the barrier counts only the workers
 //! already started (`Ctl::n`) and the spawn error is stashed like a kernel
-//! panic, so they all leave after the first level and the error is handed
-//! back; no worker waits for one that never started.
+//! panic, so they all leave after the first level and the error is
+//! re-raised; no worker waits for one that never started.
 
 use crate::sync;
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Park/wake accounting for one `run_levels` call, surfaced through
-/// `SolveStats`. Every entered condvar wait returns before the pool winds
-/// down, so `parks == wakes` on completion — asserted in tests.
+/// Park/wake accounting for one `run_levels` call that returns, surfaced
+/// through `SolveStats`. Every entered condvar wait returns before the pool
+/// winds down, so `parks == wakes` — asserted in tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Barrier waits entered. The last worker to arrive at a level never
@@ -57,7 +57,7 @@ struct Ctl {
     arrived: usize,
     /// Barriers completed; a waiter leaves once it moves.
     generation: u64,
-    /// First kernel panic payload; handed back after every worker is joined.
+    /// First kernel panic payload; re-raised after every worker is joined.
     panic: Option<Box<dyn Any + Send>>,
     /// Set by the last arrival of a barrier when `panic` is set: every
     /// worker leaves after this level.
@@ -147,57 +147,35 @@ fn spawn<'scope, T: Send + 'scope>(
 
 /// Runs `kernel(worker, level, state)` for every worker on every level of
 /// `levels` (in order), with a full barrier between consecutive levels, on a
-/// pool of `states.len()` workers spawned once. Worker `w` exclusively owns
-/// `states[w]` for the whole call; shared table access must go through the
+/// pool of `states.len()` workers spawned once. Worker `w` borrows
+/// `states[w]` exclusively for the whole call, so every state stays with the
+/// caller whatever happens; shared table access must go through the
 /// caller's own synchronization (see `wavefront::SyncCell`). Returns the
-/// states (input order) and the park/wake counters.
+/// park/wake counters.
 ///
 /// With a single state or an empty level range no threads are spawned and
-/// the counters stay zero — the sequential fallback is the kernel loop.
+/// the counters stay zero: the sequential fallback is a plain kernel loop,
+/// which a kernel panic unwinds directly.
 ///
-/// A kernel panic unwinds out of this call (see [`run_levels_catching`] for
-/// the variant that hands the states back first).
-pub fn run_levels<S, F>(states: Vec<S>, levels: Range<u32>, kernel: F) -> (Vec<S>, PoolCounters)
-where
-    S: Send,
-    F: Fn(usize, u32, &mut S) + Sync,
-{
-    let (states, counters, panicked) = run_levels_catching(states, levels, kernel);
-    if let Some(payload) = panicked {
-        resume_unwind(payload);
-    }
-    (states, counters)
-}
-
-/// [`run_levels`] that survives kernel panics: the pool is wound down, every
-/// worker joined, and the first panic payload is **returned** instead of
-/// re-raised — with all `states` intact. A refused worker spawn is handed
-/// back the same way, its error message as the payload. Callers that pool
-/// scratch buffers in the states (the bucketed wavefront sweep) use this to
-/// return them to their owner before re-raising, so a poisoned solve cannot
-/// leak scratch and silently re-allocate on the next probe.
-pub fn run_levels_catching<S, F>(
-    mut states: Vec<S>,
-    levels: Range<u32>,
-    kernel: F,
-) -> (Vec<S>, PoolCounters, Option<Box<dyn Any + Send>>)
+/// On the pool, a kernel panic winds every worker down after the same
+/// level, and the first payload is re-raised once every worker has been
+/// joined. A refused worker spawn is re-raised the same way, its error
+/// message as the payload.
+pub fn run_levels<S, F>(states: &mut [S], levels: Range<u32>, kernel: F) -> PoolCounters
 where
     S: Send,
     F: Fn(usize, u32, &mut S) + Sync,
 {
     let n = states.len();
     if n == 0 || levels.is_empty() {
-        return (states, PoolCounters::default(), None);
+        return PoolCounters::default();
     }
     if n == 1 {
-        let state = &mut states[0];
         for level in levels {
             let _level_span = pcmax_trace::span("level", level as u64);
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| kernel(0, level, state))) {
-                return (states, PoolCounters::default(), Some(payload));
-            }
+            kernel(0, level, &mut states[0]);
         }
-        return (states, PoolCounters::default(), None);
+        return PoolCounters::default();
     }
 
     let barrier = Barrier {
@@ -213,8 +191,7 @@ where
     };
     let barrier = &barrier;
     let kernel = &kernel;
-    // The caller runs worker 0 on state 0; worker w borrows state w, so a
-    // refused spawn loses no state.
+    // The caller runs worker 0 on state 0; worker w borrows state w.
     let (first, rest) = states.split_at_mut(1);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(rest.len());
@@ -239,7 +216,12 @@ where
         }
     });
     let mut ctl = barrier.ctl.lock();
-    (states, ctl.counters, ctl.panic.take())
+    let (counters, panicked) = (ctl.counters, ctl.panic.take());
+    drop(ctl);
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
+    }
+    counters
 }
 
 #[cfg(test)]
@@ -256,10 +238,11 @@ mod tests {
     /// Each worker sums `worker · 1000 + level` into its own state; the
     /// result is deterministic and exercises every barrier.
     fn sweep(workers: usize, levels: Range<u32>) -> (Vec<u64>, PoolCounters) {
-        let states = vec![0u64; workers];
-        run_levels(states, levels, |w, l, acc| {
+        let mut states = vec![0u64; workers];
+        let counters = run_levels(&mut states, levels, |w, l, acc| {
             *acc += (w as u64) * 1000 + l as u64;
-        })
+        });
+        (states, counters)
     }
 
     #[test]
@@ -290,7 +273,7 @@ mod tests {
         // worker finished l, so the max level any kernel has observed can
         // never exceed the level it is currently running.
         let seen = AtomicU64::new(0);
-        let (_states, _) = run_levels(vec![(); 4], 0..32, |_w, l, ()| {
+        run_levels(&mut [(); 4], 0..32, |_w, l, ()| {
             let prev = seen.fetch_max(l as u64, Ordering::SeqCst);
             assert!(prev <= l as u64, "barrier violation: saw {prev} during {l}");
         });
@@ -299,7 +282,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_and_pool_winds_down() {
         let caught = std::panic::catch_unwind(|| {
-            run_levels(vec![0u32; 3], 0..8, |w, l, _s| {
+            run_levels(&mut [0u32; 3], 0..8, |w, l, _s| {
                 if w == 2 && l == 3 {
                     panic!("kernel exploded at level 3");
                 }
@@ -314,17 +297,18 @@ mod tests {
     }
 
     #[test]
-    fn catching_variant_returns_every_state_after_a_panic() {
+    fn a_panic_leaves_every_state_with_the_caller() {
         for workers in [1usize, 3] {
-            let (states, _counters, panicked) =
-                run_levels_catching(vec![7u32; workers], 0..8, |w, l, s| {
+            let mut states = vec![7u32; workers];
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_levels(&mut states, 0..8, |w, l, s| {
                     *s += 1;
                     if w == workers - 1 && l == 2 {
                         panic!("kernel exploded mid-sweep");
                     }
-                });
-            let payload = panicked.expect("panic payload must be handed back");
-            assert_eq!(states.len(), workers, "no state may be lost to unwinding");
+                })
+            }));
+            let payload = caught.expect_err("panic must propagate");
             assert!(states.iter().all(|&s| s > 7), "every worker ran levels");
             let msg = payload
                 .downcast_ref::<&str>()
@@ -337,7 +321,7 @@ mod tests {
     #[test]
     fn leader_panic_propagates_too() {
         let caught = std::panic::catch_unwind(|| {
-            run_levels(vec![0u32; 2], 0..4, |w, l, _s| {
+            run_levels(&mut [0u32; 2], 0..4, |w, l, _s| {
                 if w == 0 && l == 1 {
                     panic!("leader kernel exploded");
                 }
@@ -354,19 +338,22 @@ mod tests {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
                 REFUSED.with(|r| r.set(Some(refused)));
-                let _ = tx.send(run_levels_catching(vec![0u32; 4], 0..5, |_, _, s| *s += 1));
+                let mut states = vec![0u32; 4];
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    run_levels(&mut states, 0..5, |_, _, s| *s += 1)
+                }));
+                let _ = tx.send((states, caught.err()));
             });
-            let (states, counters, panicked) = rx
+            let (states, panicked) = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("a refused spawn must not hang the pool");
-            let payload = panicked.expect("the spawn error must be handed back");
+            let payload = panicked.expect("the spawn error must be re-raised");
             let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
             assert!(msg.contains("failed to spawn pool worker"), "{msg}");
             // The workers already started ran the first level only; the
-            // others never ran, and every state came back in order.
+            // others never ran.
             let expected: Vec<u32> = (0..4).map(|w| u32::from(w < refused)).collect();
             assert_eq!(states, expected, "refused = {refused}");
-            assert_eq!(counters.parks, counters.wakes, "refused = {refused}");
         }
     }
 

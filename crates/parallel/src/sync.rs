@@ -779,15 +779,6 @@ pub mod audit {
         await_turn(session, st, id)
     }
 
-    /// Blocks until the scheduler grants this thread the turn, releasing the
-    /// turn it currently holds (if any).
-    pub fn yield_turn() {
-        let (Some(session), Some(id)) = (active(), me()) else {
-            return;
-        };
-        drop(acquire_turn(&session, id));
-    }
-
     /// Yields for the turn, then records `op` while holding it.
     fn turn_and_record(op_of: impl FnOnce(usize) -> Op) {
         let (Some(session), Some(id)) = (active(), me()) else {

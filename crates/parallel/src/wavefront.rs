@@ -22,7 +22,6 @@ use pcmax_ptas::dp::fits;
 use pcmax_ptas::space::{SpaceEngine, StateSpace};
 use pcmax_ptas::table::{decode_into, BlockPlan, DpScratch, DpTable, KernelScratch, INFEASIBLE};
 use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The production wavefront DP: the persistent-pool block sweep over a
 /// row-major table, each outer level's blocks split evenly between the
@@ -177,7 +176,7 @@ const POOL_MIN_WORK_PER_LEVEL: u64 = if cfg!(feature = "audit") { 0 } else { 100
 /// Workers a sweep runs on: `threads` when the table's work per swept
 /// level — `cells × transitions ÷ swept` — reaches
 /// [`POOL_MIN_WORK_PER_LEVEL`], otherwise 1, which sweeps on the caller
-/// through `persistent::run_levels`' one-state path (no spawn, no barrier,
+/// through `persistent::run_levels`' one-state loop (no spawn, no barrier,
 /// one `KernelScratch`). Decided once per table, not per level: the spawn
 /// is paid per sweep whichever levels use the pool, so a per-level test
 /// could only drop the barriers of a pooled sweep's narrow edge levels.
@@ -223,14 +222,13 @@ pub fn min_block_cells(len: usize) -> usize {
 /// (see `fill_block`). Every cross read lands on a strictly lower outer
 /// level, sealed by the barrier, and every local read on an earlier cell of
 /// the worker's own block. The plan and the per-worker [`KernelScratch`]
-/// sets are recycled through `scratch`, the latter accounted by
+/// sets are borrowed in place from `scratch`, the latter accounted by
 /// `DpScratch::kernel_allocs`, so no sweep allocates per cell or per level;
-/// per sweep it allocates the `Vec` holding the worker sets, the busy-time
-/// handles while metrics are on and, when pooled, the pool's threads and
-/// their handles. The space's step filter is applied to every predecessor
-/// value before the min-reduce; on `PcmaxSpace` it is the always-true
-/// default and the sweep monomorphizes back to the identical-machine
-/// kernel.
+/// per sweep it allocates the busy-time handles while metrics are on and,
+/// when pooled, the pool's threads and their handles. The space's step
+/// filter is applied to every predecessor value before the min-reduce; on
+/// `PcmaxSpace` it is the always-true default and the sweep monomorphizes
+/// back to the identical-machine kernel.
 ///
 /// Expects `table.values[0]` seeded to 0 and leaves it so; every other
 /// cell is overwritten, so sweeping a filled table again is sound.
@@ -239,11 +237,9 @@ pub fn min_block_cells(len: usize) -> usize {
 /// caller-owned table and compare the filled values bit-for-bit against the
 /// sequential DP under many explored schedules.
 ///
-/// On a kernel panic, on the caller's level 0 or on the pool, the pool
-/// winds down, the plan and every worker's [`KernelScratch`] are returned
-/// to `scratch` first, and only then is the payload re-raised — a poisoned
-/// solve cannot leak scratch into fresh allocations on the next probe
-/// (`DpScratch::take_kernel_bufs` asserts it).
+/// A kernel panic, on the caller's level 0 or on the pool, unwinds out of
+/// the sweep once the pool has wound down. The plan and the kernel buffers
+/// never leave `scratch`, so the next probe reuses them all.
 pub fn bucketed_sweep_space<S: StateSpace>(
     table: &mut DpTable,
     space: &S,
@@ -251,11 +247,12 @@ pub fn bucketed_sweep_space<S: StateSpace>(
     scratch: &mut DpScratch,
 ) {
     let transitions = space.transitions();
-    let plan = scratch.take_plan(table, transitions, min_block_cells(table.len));
+    let min_block = min_block_cells(table.len);
+    let levels = scratch.build_plan(table, transitions, min_block).levels();
     let swept_levels = table.levels().saturating_sub(1);
     let cells_computed = table.len - 1;
-    let n = sweep_workers(threads, cells_computed, transitions.len(), plan.levels());
-    let mut states = scratch.take_kernel_bufs(n);
+    let n = sweep_workers(threads, cells_computed, transitions.len(), levels);
+    let (plan, states) = scratch.plan_and_kernels(n);
     let block = plan.block();
     let cells = shared_cells(&mut table.values);
     // Per-worker busy counters resolved once per sweep: `with_label` takes
@@ -266,10 +263,9 @@ pub fn bucketed_sweep_space<S: StateSpace>(
             .collect::<Vec<_>>()
     });
     let busy = &busy;
-    let plan_ref = &plan;
 
     let kernel = |w: usize, level: u32, kb: &mut KernelScratch| {
-        let span = plan_ref.level_span(level);
+        let span = plan.level_span(level);
         let share = span.len().div_ceil(n);
         let (lo, hi) = (
             (w * share).min(span.len()),
@@ -291,7 +287,7 @@ pub fn bucketed_sweep_space<S: StateSpace>(
         // trampoline and the run loops widen.
         simd::dispatch(|| {
             for at in span.start + lo..span.start + hi {
-                fill_block(space, plan_ref, cells, at, kb);
+                fill_block(space, plan, cells, at, kb);
             }
         });
         if let Some((busy, t0)) = started {
@@ -303,25 +299,15 @@ pub fn bucketed_sweep_space<S: StateSpace>(
     // Outer level 0 is block 0 alone, worker 0's whole share: filling it on
     // the caller spares the pool a barrier for one block.
     debug_assert_eq!(plan.level_span(0).len(), 1, "outer level 0 is block 0");
-    let (states, counters, panicked) =
-        match catch_unwind(AssertUnwindSafe(|| kernel(0, 0, &mut states[0]))) {
-            Ok(()) => persistent::run_levels_catching(states, 1..plan.levels(), kernel),
-            Err(payload) => (states, persistent::PoolCounters::default(), Some(payload)),
-        };
+    kernel(0, 0, &mut states[0]);
+    let counters = persistent::run_levels(states, 1..levels, kernel);
     // Busy-fraction denominator: each of the n workers could at most have
     // been busy for the whole sweep extent.
     crate::metrics::POOL_EXTENT_NANOS.inc_by(sweep_start.elapsed().as_nanos() as u64 * n as u64);
-    scratch.return_kernel_bufs(states);
-    scratch.return_plan(plan);
     scratch.levels_swept += u64::from(swept_levels);
     scratch.cells_computed += cells_computed as u64;
     scratch.pool_parks += counters.parks;
     scratch.pool_wakes += counters.wakes;
-    if let Some(payload) = panicked {
-        // Scratch is home; the solve may now die exactly like an uncaught
-        // kernel panic would have.
-        std::panic::resume_unwind(payload);
-    }
 }
 
 /// Fills the block at position `at` of the plan's order, in place.
@@ -458,7 +444,7 @@ fn faithful_sweep<S: StateSpace>(
             unsafe { cells[idx].set(best.saturating_add(1)) };
         }
     };
-    let (_, counters) = persistent::run_levels(vec![Vec::new(); n], 1..levels, kernel);
+    let counters = persistent::run_levels(&mut vec![Vec::new(); n], 1..levels, kernel);
     scratch.levels_swept += levels.saturating_sub(1) as u64;
     scratch.cells_computed += (d.len() - 1) as u64;
     scratch.pool_parks += counters.parks;
@@ -820,10 +806,11 @@ mod tests {
     }
 
     #[test]
-    fn panicking_sweep_returns_kernel_buffers_before_unwinding() {
+    fn a_kernel_panic_leaves_every_kernel_buffer_in_the_arena() {
         /// A state space whose filter detonates: the batched form on every
-        /// block with a fitting cross step, on the pool, or the scalar form
-        /// on every local step, first in block 0 on the caller.
+        /// block with a fitting cross step, from outer level 1 on (on the
+        /// pool, or in the caller's one-state loop at 1 thread), or the
+        /// scalar form on every local step, first in block 0 on the caller.
         struct Bomb<'a> {
             space: PcmaxSpace<'a>,
             local: bool,
@@ -850,7 +837,7 @@ mod tests {
         let allocs = scratch.kernel_allocs;
         assert_eq!(allocs, 2, "both workers of the pool hold a buffer");
 
-        for local in [false, true] {
+        for (local, threads) in [(false, 2), (true, 2), (false, 1)] {
             let mut table = problem.build_table_in(&mut scratch).unwrap();
             let configs = problem.configs_with_offsets(&table);
             table.values[0] = 0;
@@ -859,20 +846,19 @@ mod tests {
                 local,
             };
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                bucketed_sweep_space(&mut table, &space, 2, &mut scratch)
+                bucketed_sweep_space(&mut table, &space, threads, &mut scratch)
             }));
             assert!(caught.is_err(), "the rigged filter must unwind the sweep");
             scratch.recycle(table);
 
-            // Every buffer went home before the unwind: the next probe
-            // reuses them (and `take_kernel_bufs` would assert on any
-            // outstanding leak).
+            // Every buffer stayed in the arena: the next probe reuses them.
             ParallelDp::with_threads(2)
                 .solve_in(problem, &mut scratch)
                 .unwrap();
             assert_eq!(
                 scratch.kernel_allocs, allocs,
-                "a poisoned solve must not leak kernel scratch (local: {local})"
+                "a poisoned solve must not leak kernel scratch \
+                 (local: {local}, threads: {threads})"
             );
         }
     }

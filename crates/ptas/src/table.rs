@@ -42,9 +42,12 @@ impl KernelScratch {
 /// wavefront's block plan and the per-worker kernel buffers are allocated
 /// once and recycled across bisection probes, and `chassis::search` keeps
 /// one arena per thread across solves (see `DpScratch::kept`), so
-/// repeated probes stop paying the `O(σ)` allocation cost. The counters
-/// surface in `SolveStats` (see `chassis::merge_scratch`), making the reuse
-/// observable from the outside.
+/// repeated probes stop paying the `O(σ)` allocation cost. A sweep borrows
+/// the plan and the kernel buffers in place
+/// ([`plan_and_kernels`](Self::plan_and_kernels)), so they never leave the
+/// arena, not even when the sweep panics. The counters surface in
+/// `SolveStats` (see `chassis::merge_scratch`), making the reuse observable
+/// from the outside.
 #[derive(Debug, Default)]
 pub struct DpScratch {
     /// Recycled backing store for [`DpTable::values`].
@@ -55,12 +58,6 @@ pub struct DpScratch {
     /// cell kernel (one [`KernelScratch`] per worker, reused across levels
     /// *and* probes).
     kernels: Vec<KernelScratch>,
-    /// Kernel buffers currently handed out by
-    /// [`take_kernel_bufs`](Self::take_kernel_bufs) and not yet returned.
-    /// The next `take` asserts this is zero: a sweep that lost its buffers
-    /// (e.g. a panic unwound past the return) must fail loudly instead of
-    /// silently re-allocating on the next probe.
-    kernels_outstanding: usize,
     /// Table builds that had to grow the backing allocation.
     pub tables_allocated: u64,
     /// Table builds served entirely from recycled capacity.
@@ -111,7 +108,6 @@ impl DpScratch {
             values: capped(self.values, max_entries),
             plan: self.plan.capped(max_entries),
             kernels: self.kernels,
-            kernels_outstanding: self.kernels_outstanding,
             ..Self::default()
         }
     }
@@ -123,61 +119,30 @@ impl DpScratch {
         }
     }
 
-    /// The block plan of `table` under `transitions` (see
-    /// [`BlockPlan::build`]), built in the buffers of the last plan. Hand
-    /// it back with [`return_plan`](Self::return_plan).
-    pub fn take_plan(
+    /// Builds the block plan of `table` under `transitions` (see
+    /// [`BlockPlan::build`]) in this arena's plan buffers.
+    pub fn build_plan(
         &mut self,
         table: &DpTable,
         transitions: &[(Config, usize)],
         min_block: usize,
-    ) -> BlockPlan {
-        let mut plan = std::mem::take(&mut self.plan);
-        plan.build(table, transitions, min_block);
-        plan
+    ) -> &BlockPlan {
+        self.plan.build(table, transitions, min_block);
+        &self.plan
     }
 
-    /// Keeps a plan's buffers for the next [`take_plan`](Self::take_plan).
-    pub fn return_plan(&mut self, plan: BlockPlan) {
-        self.plan = plan;
-    }
-
-    /// Hands out `n` per-worker kernel buffers for the wavefront cell
-    /// kernel, reusing recycled ones and counting every fresh creation in
-    /// [`kernel_allocs`](Self::kernel_allocs). Give them back with
-    /// [`return_kernel_bufs`](Self::return_kernel_bufs).
-    ///
-    /// Asserts the previous hand-out was fully returned: the wavefront
-    /// executors recover their buffers even when a kernel panics (the pool
-    /// winds down, hands the worker states back, and only then re-raises),
-    /// so an unbalanced round-trip is a leak bug, not a recoverable state.
-    pub fn take_kernel_bufs(&mut self, n: usize) -> Vec<KernelScratch> {
-        assert_eq!(
-            self.kernels_outstanding, 0,
-            "a previous sweep leaked its kernel buffers ({} outstanding)",
-            self.kernels_outstanding
-        );
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.kernels.pop() {
-                Some(buf) => out.push(buf),
-                None => {
-                    self.kernel_allocs += 1;
-                    pcmax_trace::instant("dp-kernel-alloc", self.kernel_allocs);
-                    out.push(KernelScratch::default());
-                }
-            }
+    /// Lends the last plan [`build_plan`](Self::build_plan) built and `n`
+    /// per-worker kernel buffers for one sweep. Only the buffers the arena
+    /// lacks are created, each counted in
+    /// [`kernel_allocs`](Self::kernel_allocs); the buffers stay in the arena,
+    /// so a sweep that panics loses none of them.
+    pub fn plan_and_kernels(&mut self, n: usize) -> (&BlockPlan, &mut [KernelScratch]) {
+        while self.kernels.len() < n {
+            self.kernel_allocs += 1;
+            pcmax_trace::instant("dp-kernel-alloc", self.kernel_allocs);
+            self.kernels.push(KernelScratch::default());
         }
-        self.kernels_outstanding = n;
-        out
-    }
-
-    /// Returns kernel buffers for reuse by the next sweep.
-    pub fn return_kernel_bufs(&mut self, bufs: impl IntoIterator<Item = KernelScratch>) {
-        for buf in bufs {
-            self.kernels.push(buf);
-            self.kernels_outstanding = self.kernels_outstanding.saturating_sub(1);
-        }
+        (&self.plan, &mut self.kernels[..n])
     }
 
     /// Takes a value buffer of exactly `len` entries, all [`INFEASIBLE`],
@@ -741,24 +706,18 @@ mod tests {
     #[test]
     fn kernel_buffer_pool_counts_only_fresh_creations() {
         let mut scratch = DpScratch::new();
-        let bufs = scratch.take_kernel_bufs(3);
+        let built = scratch
+            .build_plan(&paper_table(), &paper_transitions(), 4)
+            .clone();
+        let (plan, kernels) = scratch.plan_and_kernels(3);
+        assert_eq!((plan, kernels.len()), (&built, 3), "the plan just built");
         assert_eq!(scratch.kernel_allocs, 3);
-        scratch.return_kernel_bufs(bufs);
-        let again = scratch.take_kernel_bufs(3);
+        assert_eq!(scratch.plan_and_kernels(3).1.len(), 3);
         assert_eq!(scratch.kernel_allocs, 3);
-        scratch.return_kernel_bufs(again);
-        let grown = scratch.take_kernel_bufs(4);
+        assert_eq!(scratch.plan_and_kernels(2).1.len(), 2);
+        assert_eq!(scratch.kernel_allocs, 3);
+        assert_eq!(scratch.plan_and_kernels(4).1.len(), 4);
         assert_eq!(scratch.kernel_allocs, 4);
-        scratch.return_kernel_bufs(grown);
-    }
-
-    #[test]
-    #[should_panic(expected = "leaked its kernel buffers")]
-    fn unreturned_kernel_buffers_fail_the_next_take() {
-        let mut scratch = DpScratch::new();
-        let bufs = scratch.take_kernel_bufs(2);
-        drop(bufs); // lost without return_kernel_bufs — the leak under test
-        let _ = scratch.take_kernel_bufs(2);
     }
 
     /// The paper's table with four of its transitions: two local ones
